@@ -43,6 +43,7 @@ from .cones import (
 )
 from .intlinalg import (
     IntVector,
+    InvariantViolation,
     Lattice,
     RationalVector,
     hnf,
@@ -82,7 +83,7 @@ __all__ = [
     "Cone", "FaceHandle", "FaceLattice", "cone_contains_cone",
     "cone_from_inequalities", "cone_from_rays", "dual_cone", "face_lattice",
     "full_cone", "is_pointed", "minimal_face_of_point", "zero_cone",
-    "IntVector", "Lattice", "RationalVector", "hnf", "int_kernel",
+    "IntVector", "InvariantViolation", "Lattice", "RationalVector", "hnf", "int_kernel",
     "lattice_contains", "quotient_invariants", "saturation_index",
     "FaceData", "Generators", "MembershipUndecided", "SemigroupSpec",
     "SpectrumAtlas", "Tower", "asymptotic_cone", "contains", "dual_face_cone",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import exp, pi
 from typing import Optional, Sequence
 
-from .intlinalg import IntVector, dot, rational_coordinates
+from .intlinalg import IntVector, InvariantViolation, dot, rational_coordinates
 from .semigroups import SpectrumAtlas, contains
 
 
@@ -105,8 +105,8 @@ def zero_character(atlas: SpectrumAtlas) -> Optional[Character]:
 def _face_coordinates(atlas: SpectrumAtlas, face_id: int, x: IntVector) -> tuple[int, ...]:
     face = atlas.faces[face_id]
     coords = rational_coordinates(face.lattice.basis, x)
-    assert coords is not None and all(c.denominator == 1 for c in coords), \
-        "face member must lie in the face lattice"
+    if coords is None or any(c.denominator != 1 for c in coords):
+        raise InvariantViolation("face member must lie in the face lattice")
     return tuple(int(c) for c in coords)
 
 
@@ -126,22 +126,23 @@ def evaluate(atlas: SpectrumAtlas, chi: Character, x: Sequence[int]) -> ExactVal
     coords = _face_coordinates(atlas, chi.face_id, x)
     angle = sum((t * c for t, c in zip(chi.theta, coords)), Fraction(0)) % 1
     exponent = sum((v * c for v, c in zip(chi.lam, coords)), Fraction(0))
-    assert exponent >= 0, "dual cone constraint keeps the modulus inside the disc"
+    if exponent < 0:
+        raise InvariantViolation("dual cone constraint keeps the modulus inside the disc")
     return ExactValue(False, angle, exponent)
 
 
 def _restriction_matrix(atlas: SpectrumAtlas, sub_face: int, face: int) -> list[tuple[int, ...]]:
     """Rows expressing the sub-face lattice basis on the parent face basis.
 
-    Integrality is guaranteed by the nesting of face lattices and asserted.
+    Integrality is guaranteed by the nesting of face lattices and checked.
     """
     sub = atlas.faces[sub_face]
     parent = atlas.faces[face]
     rows = []
     for b in sub.lattice.basis:
         coords = rational_coordinates(parent.lattice.basis, b)
-        assert coords is not None and all(c.denominator == 1 for c in coords), \
-            "face lattices must be nested"
+        if coords is None or any(c.denominator != 1 for c in coords):
+            raise InvariantViolation("face lattices must be nested")
         rows.append(tuple(int(c) for c in coords))
     return rows
 
@@ -163,7 +164,8 @@ def multiply(atlas: SpectrumAtlas, a: Character, b: Character) -> Character:
     theta = tuple((ta + tb) % 1 for ta, tb in zip(_restrict(a.theta, ma),
                                                   _restrict(b.theta, mb)))
     lam = tuple(la + lb for la, lb in zip(_restrict(a.lam, ma), _restrict(b.lam, mb)))
-    assert atlas.faces[meet].dual_cone_local.contains(lam)
+    if not atlas.faces[meet].dual_cone_local.contains(lam):
+        raise InvariantViolation("product decay leaves the dual cone of the meet")
     return Character(meet, theta, lam)
 
 
@@ -208,17 +210,21 @@ def ray_limit(atlas: SpectrumAtlas, ray: Ray) -> int:
         if _vanishes_on_face(atlas, lam, ray.base_face_id, face.face_id):
             candidates.append(face.face_id)
     best = [j for j in candidates if all(atlas.leq(k, j) for k in candidates)]
-    assert len(best) == 1, "limit face is not unique"
+    if len(best) != 1:
+        raise InvariantViolation("limit face is not unique")
     return best[0]
 
 
-def _vanishes_on_face(atlas: SpectrumAtlas, lam: tuple[Fraction, ...],
+def _vanishes_on_face(atlas: SpectrumAtlas, lam: Sequence,
                       base_id: int, face_id: int) -> bool:
+    """Whether the functional ``lam`` on the base face lattice vanishes on
+    the cone of a face below the base."""
     base = atlas.faces[base_id]
     cone = atlas.faces[face_id].cone
     for v in list(cone.rays) + list(cone.lineality):
         coords = rational_coordinates(base.lattice.basis, v)
-        assert coords is not None
+        if coords is None:
+            raise InvariantViolation("face cone leaves the span of the base lattice")
         if dot(lam, coords) != 0:
             return False
     return True
@@ -257,36 +263,33 @@ def chain_of_rays(atlas: SpectrumAtlas, from_face: int, to_face: int) -> list[Ra
         target = min(step)
         face = atlas.faces[current]
         normals = [a for a in face.cone_local.inequalities
-                   if _local_normal_vanishes(atlas, a, current, target)]
-        assert normals, "a strictly smaller face lies on at least one facet"
+                   if _vanishes_on_face(atlas, a, current, target)]
+        if not normals:
+            raise InvariantViolation("a strictly smaller face lies on at least one facet")
         lam = tuple(sum(Fraction(a[i]) for a in normals)
                     for i in range(face.rank))
         ray = Ray(current, lam)
         landed = ray_limit(atlas, ray)
-        assert landed == target and atlas.faces[landed].rank < face.rank
+        if landed != target or atlas.faces[landed].rank >= face.rank:
+            raise InvariantViolation("ray does not land on the chosen face")
         chain.append(ray)
         current = landed
     return chain
-
-
-def _local_normal_vanishes(atlas: SpectrumAtlas, normal: IntVector,
-                           base_id: int, face_id: int) -> bool:
-    return _vanishes_on_face(atlas, tuple(Fraction(a) for a in normal),
-                             base_id, face_id)
 
 
 def classify(atlas: SpectrumAtlas, chi: Character) -> dict:
     """Structural flags of a character.
 
     ``full_support`` (top face) is computed twice: from the face id and from
-    nonvanishing at an interior member; the two answers are asserted equal.
+    nonvanishing at an interior member; the two answers must agree.
     """
     is_idempotent = all(t == 0 for t in chi.theta) and all(v == 0 for v in chi.lam)
     is_symmetric = all(t == 0 or t == Fraction(1, 2) for t in chi.theta)
     is_nonnegative = all(t == 0 for t in chi.theta)
     by_face = chi.face_id == atlas.top_id
     by_value = not evaluate(atlas, chi, atlas.interior_member).zero
-    assert by_face == by_value, "openness test disagrees with the face test"
+    if by_face != by_value:
+        raise InvariantViolation("openness test disagrees with the face test")
     return {
         "is_idempotent": is_idempotent,
         "is_symmetric": is_symmetric,

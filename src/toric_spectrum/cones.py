@@ -23,13 +23,15 @@ from typing import Optional, Sequence
 
 from .intlinalg import (
     IntVector,
+    InvariantViolation,
+    Lattice,
     dot,
     hnf_rows,
-    int_kernel,
     is_zero_vector,
     primitive_vector,
     project_off,
     rank_of_rows,
+    saturate,
     vec_neg,
     vec_sub,
 )
@@ -174,11 +176,8 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
 
 def _canonical_sides(ray_gens: Sequence[IntVector], lin_gens: Sequence[IntVector], n: int):
     """Canonical (rays, lineality) from arbitrary generating data."""
-    if lin_gens:
-        # double kernel saturates: span(lin_gens) intersected with Z^n
-        lin_rows = int_kernel(int_kernel(lin_gens, n).basis, n).basis
-    else:
-        lin_rows = ()
+    # the double description returns the lineality in HNF, so it is a Lattice
+    lin_rows = saturate(Lattice(n, tuple(lin_gens))).basis if lin_gens else ()
     rays = _dedup_keep_order(
         r for r in (_reduce_mod_span(v, lin_rows) for v in ray_gens)
         if not is_zero_vector(r))
@@ -274,16 +273,6 @@ class FaceLattice:
     covers: tuple[tuple[int, int], ...]
     ray_sets: tuple[tuple[int, ...], ...]
 
-    def face_cone(self, face_id: int) -> Cone:
-        rays = [self.cone.rays[i] for i in self.ray_sets[face_id]]
-        return cone_from_rays(rays, self.cone.lineality, self.cone.ambient_rank)
-
-    def by_tight_set(self, tight: tuple[int, ...]) -> FaceHandle:
-        for f in self.faces:
-            if f.tight_set == tight:
-                return f
-        raise KeyError(f"no face with tight set {tight}")
-
 
 @lru_cache(maxsize=None)
 def face_lattice(cone: Cone) -> FaceLattice:
@@ -291,6 +280,12 @@ def face_lattice(cone: Cone) -> FaceLattice:
 
     Faces are the intersection closure of the facet-tight ray sets; the
     minimal face is the lineality space, the maximal face the cone itself.
+    Each face is given by its ray set (indices into ``cone.rays``) and its
+    tight set (indices into ``cone.inequalities``), which is all it takes to
+    read the face off the cone without a further double description:
+    :func:`toric_spectrum.semigroups.enumerate_faces` builds a whole atlas
+    from the single lattice of its asymptotic cone.  Face 0 is the cone
+    itself; ``covers`` lists (larger, smaller) id pairs.
     """
     m = len(cone.rays)
     ray_sets = {frozenset(range(m))}
@@ -342,4 +337,4 @@ def minimal_face_of_point(cone: Cone, x: Sequence) -> FaceHandle:
     for handle, rs in zip(lattice.faces, lattice.ray_sets):
         if rs == member_rays:
             return handle
-    raise AssertionError("tight set does not define a face")  # pragma: no cover
+    raise InvariantViolation("tight set does not define a face")  # pragma: no cover

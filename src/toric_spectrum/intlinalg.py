@@ -19,6 +19,15 @@ IntVector = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
 
 
+class InvariantViolation(AssertionError):
+    """An internal invariant failed: always a bug, never bad input.
+
+    Raised explicitly rather than through ``assert``, so the checks survive
+    ``python -O``; it subclasses AssertionError, which the CLI maps to exit
+    code 4.
+    """
+
+
 def dot(u: Sequence, v: Sequence):
     """Inner product; exact for ints and Fractions."""
     if len(u) != len(v):
@@ -134,10 +143,6 @@ def hnf(rows: Iterable[Sequence[int]], ambient_rank: Optional[int] = None) -> La
     rows = [tuple(int(a) for a in r) for r in rows]
     n = _check_rows(rows, ambient_rank)
     return Lattice(n, tuple(hnf_rows(rows, n)))
-
-
-def zero_lattice(ambient_rank: int) -> Lattice:
-    return Lattice(ambient_rank, ())
 
 
 def identity_rows(n: int) -> list[IntVector]:

@@ -201,7 +201,8 @@ def _top_view(spec: SemigroupSpec):
 def _height(view, x) -> int:
     _, basis_rows, normal, _ = view
     coords = _osolve(basis_rows, x)
-    assert coords is not None and all(c.denominator == 1 for c in coords)
+    if coords is None or any(c.denominator != 1 for c in coords):
+        raise AssertionError("tower point leaves its level lattice")
     return int(_odot(normal, [int(c) for c in coords]))
 
 

@@ -14,6 +14,15 @@ The atlas lists every face (a subsemigroup whose complement is an ideal)
 together with its asymptotic cone, the subgroup of Z^n generated by its
 points, the torsion of the ambient quotient, and the dual cone written in
 face-lattice coordinates.
+
+The atlas is computed from one face lattice.  The faces of a generated
+semigroup are the faces of its asymptotic cone, so one double description
+(for that cone) and one :func:`~toric_spectrum.cones.face_lattice` give
+them all: each face cone is read off the lattice (a subset of the rays, the
+cone's inequalities tight on its facets), its local cone is the face cone
+written on its lattice basis, and the face order is ray-set inclusion.  A
+tower adds one half space per level above the faces of its innermost
+generated semigroup, and embeds each of them into Z^n once.
 """
 
 from __future__ import annotations
@@ -25,8 +34,7 @@ from typing import Optional, Sequence, Union
 
 from .cones import (
     Cone,
-    cone_contains_cone,
-    cone_from_inequalities,
+    _reduce_mod_span,
     cone_from_rays,
     dual_cone,
     face_lattice,
@@ -34,8 +42,10 @@ from .cones import (
 )
 from .intlinalg import (
     IntVector,
+    InvariantViolation,
     Lattice,
     dot,
+    full_lattice,
     hnf,
     int_kernel,
     is_zero_vector,
@@ -44,6 +54,7 @@ from .intlinalg import (
     quotient_invariants,
     quotient_map,
     rational_coordinates,
+    saturate,
     solve_unit_functional,
     vec_add,
     vec_neg,
@@ -104,11 +115,13 @@ def asymptotic_cone(spec: SemigroupSpec) -> Cone:
 
     Generators case: the cone hull of the generators (which equals the
     double dual of the generating data).  Tower case: the closed half space
-    of the defining normal.
+    of the defining normal, written down in canonical form: the primitive
+    normal is its only ray and its only facet normal, and the boundary
+    lattice is its lineality.
     """
     if isinstance(spec, Generators):
         return cone_from_rays(spec.generators, (), spec.ambient_rank)
-    return cone_from_inequalities([spec.normal], (), spec.ambient_rank)
+    return Cone(spec.ambient_rank, (spec.normal,), (spec.normal,), boundary_basis(spec), ())
 
 
 def is_antisymmetric(spec: SemigroupSpec) -> bool:
@@ -180,7 +193,8 @@ def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = N
             return False
         basis = boundary_basis(spec)
         coords = rational_coordinates(basis, x)
-        assert coords is not None and all(c.denominator == 1 for c in coords)
+        if coords is None or any(c.denominator != 1 for c in coords):
+            raise InvariantViolation("boundary point leaves the boundary lattice")
         return contains(spec.inner, tuple(int(c) for c in coords), max_nodes)
     return _generators_contains(spec, x, max_nodes)
 
@@ -212,7 +226,8 @@ def _generators_contains(spec: Generators, x: IntVector, max_nodes: Optional[int
             return False
         g_tors, g_free = gen_images[idx]
         w = dot(weight, g_free)
-        assert w > 0, "pointed part admits a strictly positive functional"
+        if w <= 0:
+            raise InvariantViolation("pointed part admits a strictly positive functional")
         cap = dot(weight, free_rem) // w
         for c in range(cap, -1, -1):
             t_rem = tuple((torsion_rem[i] - c * g_tors[i]) % moduli[i]
@@ -267,7 +282,7 @@ class SpectrumAtlas:
         for j in range(len(self.faces)):
             if all(self.leq_table[j][k] for k in range(len(self.faces))):
                 return j
-        raise AssertionError("no least face")  # pragma: no cover
+        raise InvariantViolation("no least face")  # pragma: no cover
 
     def leq(self, j: int, k: int) -> bool:
         """Face order: j <= k iff the j-th face is contained in the k-th."""
@@ -277,100 +292,158 @@ class SpectrumAtlas:
         lower = [f for f in range(len(self.faces))
                  if self.leq_table[f][j] and self.leq_table[f][k]]
         tops = [f for f in lower if all(self.leq_table[g][f] for g in lower)]
-        assert len(tops) == 1, "face meet is not unique"
+        if len(tops) != 1:
+            raise InvariantViolation("face meet is not unique")
         return tops[0]
 
     def join(self, j: int, k: int) -> int:
         upper = [f for f in range(len(self.faces))
                  if self.leq_table[j][f] and self.leq_table[k][f]]
         bottoms = [f for f in upper if all(self.leq_table[f][g] for g in upper)]
-        assert len(bottoms) == 1, "face join is not unique"
+        if len(bottoms) != 1:
+            raise InvariantViolation("face join is not unique")
         return bottoms[0]
 
     def face_of_member(self, x: Sequence[int]) -> int:
         """Smallest face whose cone contains the semigroup member x."""
         candidates = [f.face_id for f in self.faces if f.cone.contains(x)]
         best = [j for j in candidates if all(self.leq_table[j][k] for k in candidates)]
-        assert len(best) == 1
+        if len(best) != 1:
+            raise InvariantViolation("member lies on no unique smallest face")
         return best[0]
 
 
-def _full_lattice(n: int) -> Lattice:
-    return Lattice(n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+def _generator_faces(spec: Generators):
+    """Faces of a generated semigroup, read off the face lattice of its
+    asymptotic cone.
 
-
-def _generator_raw_faces(spec: Generators):
-    """Step-by-step face expansion for a generated semigroup.
-
-    Starting from the full generator set, every closed face of the cone of
-    each known face contributes the subset of generators lying on it;
-    iteration continues until nothing new appears.  One round suffices here,
-    which the test suite asserts separately.
+    A lattice face keeps the cone's rays in its ray set and the cone's
+    lineality.  Its facets are the faces it covers, and a cone inequality
+    tight on a facet but not on the face is, modulo the face's equations,
+    the normal of that facet.  The member generators are those on which the
+    tight inequalities vanish.  Returns ``(faces, ray_sets, covers)`` in
+    lattice order, face 0 being the whole cone; each face is
+    ``(cone, lattice, member generators, dim)``.
     """
     n = spec.ambient_rank
-    gens = tuple(dict.fromkeys(spec.generators))
-    found: dict[frozenset, tuple[Cone, tuple[IntVector, ...]]] = {}
-    queue = [frozenset(range(len(gens)))]
-    while queue:
-        key = queue.pop()
-        subset = [gens[i] for i in sorted(key)]
-        cone = cone_from_rays(subset, (), n)
-        if key not in found:
-            found[key] = (cone, tuple(subset))
-        lattice = face_lattice(cone)
-        for handle in lattice.faces:
-            tight = [cone.inequalities[i] for i in handle.tight_set]
-            members = frozenset(i for i in key
-                                if all(dot(a, gens[i]) == 0 for a in tight))
-            if members not in found:
-                sub = [gens[i] for i in sorted(members)]
-                found[members] = (cone_from_rays(sub, (), n), tuple(sub))
-                queue.append(members)
-    out = []
-    for cone, subset in found.values():
-        member_input = tuple(g for g in spec.generators if cone.contains(g))
-        lattice = hnf(subset, n) if subset else Lattice(n, ())
-        out.append((cone, lattice, member_input))
-    return out
+    ambient = asymptotic_cone(spec)
+    lattice = face_lattice(ambient)
+    handles = lattice.faces
+    facets: list[list[int]] = [[] for _ in handles]
+    for larger, smaller in lattice.covers:
+        facets[larger].append(smaller)
+    faces = []
+    for handle, ray_set in zip(handles, lattice.ray_sets):
+        rays = tuple(ambient.rays[j] for j in ray_set)
+        equations = int_kernel(rays + ambient.lineality, n).basis
+        normals = set()
+        for f in facets[handle.id]:
+            i = next(i for i in handles[f].tight_set if i not in handle.tight_set)
+            normals.add(_reduce_mod_span(ambient.inequalities[i], equations))
+        tight = [ambient.inequalities[i] for i in handle.tight_set]
+        members = tuple(g for g in spec.generators if all(dot(a, g) == 0 for a in tight))
+        cone = Cone(n, rays, tuple(sorted(normals)), ambient.lineality, equations)
+        faces.append((cone, hnf(members, n), members, handle.dim))
+    return faces, lattice.ray_sets, lattice.covers
 
 
-def _tower_raw_faces(spec: Tower):
-    n = spec.ambient_rank
-    top_cone = cone_from_inequalities([spec.normal], (), n)
-    faces: list[tuple[Cone, Lattice, Optional[tuple[IntVector, ...]]]] = [
-        (top_cone, _full_lattice(n), None)]
-    basis = boundary_basis(spec)
-    for cone_in, lattice_in, members_in in _raw_faces(spec.inner):
-        rays = [embed_point(basis, r) for r in cone_in.rays]
-        lin = [embed_point(basis, l) for l in cone_in.lineality]
-        cone_amb = cone_from_rays(rays, lin, n)
-        lattice_amb = hnf([embed_point(basis, b) for b in lattice_in.basis], n) \
-            if lattice_in.basis else Lattice(n, ())
-        members_amb = tuple(embed_point(basis, g) for g in members_in) \
-            if members_in is not None else None
-        faces.append((cone_amb, lattice_amb, members_amb))
-    return faces
+def _embedder(embedding: Optional[tuple[IntVector, ...]], n: int):
+    """Map faces written on a boundary lattice into Z^n.
+
+    ``embedding`` holds the images in Z^n of the boundary basis vectors
+    (None stands for the identity).  Its image is saturated, so the images
+    of a saturated lineality lattice span a saturated lattice and one HNF
+    makes them canonical; an inequality ``a`` of the boundary lifts to the
+    vector ``E^T y`` with ``(E E^T) y = a``, which takes the same values on
+    the image.  No double description runs.
+    """
+    if embedding is None:
+        return lambda face: face
+    gram = [[dot(u, v) for v in embedding] for u in embedding]
+
+    def embed(face):
+        cone, lattice, members, dim = face
+        lineality = hnf([embed_point(embedding, v) for v in cone.lineality], n).basis
+        rays = tuple(sorted(_reduce_mod_span(embed_point(embedding, r), lineality)
+                            for r in cone.rays))
+        equations = int_kernel(rays + lineality, n).basis
+        inequalities = tuple(sorted({
+            _reduce_mod_span(embed_point(embedding, rational_coordinates(gram, a)), equations)
+            for a in cone.inequalities}))
+        lattice = hnf([embed_point(embedding, b) for b in lattice.basis], n)
+        if members is not None:
+            members = tuple(embed_point(embedding, g) for g in members)
+        return Cone(n, rays, inequalities, lineality, equations), lattice, members, dim
+
+    return embed
 
 
 def _raw_faces(spec: SemigroupSpec):
-    if isinstance(spec, Generators):
-        return _generator_raw_faces(spec)
-    return _tower_raw_faces(spec)
+    """Every face in the coordinates of Z^n, the whole semigroup first.
+
+    A tower's faces are its half spaces, one per level, above the embedded
+    faces of the innermost generated semigroup.  Each level's embedding into
+    Z^n is the product of the boundary bases above it, so every face is
+    embedded once.  Returns ``(faces, keys, covers)``: ``faces`` as in
+    :func:`_generator_faces`, a ``(level, ray set)`` key per face for
+    :func:`_below` (the ray set is None for a half space), and the cover
+    pairs as indices into ``faces``.
+    """
+    n = spec.ambient_rank
+    faces = []
+    embedding = None
+    while isinstance(spec, Tower):
+        faces.append(_embedder(embedding, n)(
+            (asymptotic_cone(spec), full_lattice(spec.ambient_rank), None, spec.ambient_rank)))
+        basis = boundary_basis(spec)
+        embedding = basis if embedding is None else \
+            tuple(embed_point(embedding, b) for b in basis)
+        spec = spec.inner
+    depth = len(faces)
+    base, ray_sets, base_covers = _generator_faces(spec)
+    faces += map(_embedder(embedding, n), base)
+    keys = [(level, None) for level in range(depth)] + \
+        [(depth, frozenset(rs)) for rs in ray_sets]
+    covers = [(level, level + 1) for level in range(depth)] + \
+        [(depth + a, depth + b) for a, b in base_covers]
+    return faces, keys, covers
 
 
-def _finalize_face(n: int, cone: Cone, lattice: Lattice):
+def _below(key_a, key_b) -> bool:
+    """Face order on ``(level, ray set)`` keys: a half space contains every
+    face of a deeper level, and faces of the generated base compare by the
+    inclusion of their ray sets."""
+    (level_a, rays_a), (level_b, rays_b) = key_a, key_b
+    if rays_a is None or rays_b is None:
+        return level_a >= level_b
+    return rays_a <= rays_b
+
+
+def _local_coordinates(basis: Sequence[IntVector], v: IntVector) -> IntVector:
+    coords = rational_coordinates(basis, v)
+    if coords is None:
+        raise InvariantViolation("face cone leaves the span of its lattice")
+    return primitive_vector(coords)
+
+
+def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
+    """Torsion, local cone and dual local cone of a face.
+
+    The face lattice spans the face, so on the lattice basis B the cone is
+    full dimensional: its facet normals are ``B a`` for the face's normals
+    ``a``, and no double description runs.
+    """
+    if lattice.rank != dim:
+        raise InvariantViolation("face lattice does not span its cone")
     torsion = quotient_invariants(n, lattice)[1]
-    local_rays = []
-    for r in cone.rays:
-        coords = rational_coordinates(lattice.basis, r)
-        assert coords is not None, "face cone leaves the span of its lattice"
-        local_rays.append(primitive_vector(coords))
-    local_lin = []
-    for l in cone.lineality:
-        coords = rational_coordinates(lattice.basis, l)
-        assert coords is not None
-        local_lin.append(primitive_vector(coords))
-    cone_local = cone_from_rays(local_rays, local_lin, lattice.rank)
+    basis = lattice.basis
+    lineality = saturate(hnf([_local_coordinates(basis, v) for v in cone.lineality],
+                             dim)).basis if cone.lineality else ()
+    rays = tuple(sorted(_reduce_mod_span(_local_coordinates(basis, r), lineality)
+                        for r in cone.rays))
+    inequalities = tuple(sorted({primitive_vector([dot(b, a) for b in basis])
+                                 for a in cone.inequalities}))
+    cone_local = Cone(dim, rays, inequalities, lineality, ())
     return torsion, cone_local, dual_cone(cone_local)
 
 
@@ -389,44 +462,40 @@ def enumerate_faces(spec: SemigroupSpec) -> SpectrumAtlas:
 
     Faces are exactly the subsemigroups whose complement is an ideal.  For a
     generated semigroup they correspond one-to-one with the closed faces of
-    the asymptotic cone; a tower contributes itself plus the embedded faces
-    of its boundary semigroup.  Face 0 is the whole semigroup; the rest are
-    ordered by decreasing cone dimension, then lexicographic cone data.
+    the asymptotic cone, so the atlas comes from one double description (the
+    asymptotic cone) and one :func:`face_lattice`: every face cone, its
+    lattice and its local cone are read off that lattice, and the order and
+    the covers are its ray-set inclusion and its covers.  A tower
+    contributes its half space plus the embedded faces of its boundary
+    semigroup, each embedded into Z^n once.  Face 0 is the whole semigroup;
+    the rest are ordered by decreasing cone dimension, then lexicographic
+    cone data.
     """
     n = spec.ambient_rank
-    raw = _raw_faces(spec)
-    ambient = asymptotic_cone(spec)
-    top_key = max(range(len(raw)), key=lambda i: raw[i][0].dim())
-    assert raw[top_key][0] == ambient, "top face cone must be the asymptotic cone"
-    rest = sorted((raw[i] for i in range(len(raw)) if i != top_key),
-                  key=lambda t: (-t[0].dim(), t[0].rays, t[0].lineality))
-    ordered = [raw[top_key]] + rest
+    raw, keys, raw_covers = _raw_faces(spec)
+    order = [0] + sorted(range(1, len(raw)),
+                         key=lambda i: (-raw[i][3], raw[i][0].rays, raw[i][0].lineality))
+    position = {i: fid for fid, i in enumerate(order)}
+    ambient = raw[0][0]
     faces = []
-    for fid, (cone, lattice, members) in enumerate(ordered):
-        torsion, cone_local, dual_local = _finalize_face(n, cone, lattice)
+    for fid, index in enumerate(order):
+        cone, lattice, members, dim = raw[index]
+        torsion, cone_local, dual_local = _finalize_face(n, cone, lattice, dim)
         tight = tuple(i for i, a in enumerate(ambient.inequalities)
                       if all(dot(a, r) == 0 for r in cone.rays)
-                      and all(dot(a, l) == 0 for l in cone.lineality))
-        faces.append(FaceData(fid, cone.dim(), cone, lattice, torsion,
+                      and all(dot(a, v) == 0 for v in cone.lineality))
+        faces.append(FaceData(fid, dim, cone, lattice, torsion,
                               cone_local, dual_local, members, tight))
     m = len(faces)
-    leq = tuple(tuple(cone_contains_cone(faces[j].cone, faces[k].cone) for k in range(m))
-                for j in range(m))
-    covers = []
-    for a in range(m):
-        for b in range(m):
-            if a == b or not leq[b][a] or leq[a][b]:
-                continue
-            if not any(c not in (a, b) and leq[b][c] and leq[c][a] for c in range(m)):
-                covers.append((a, b))
-    covers.sort()
-    atlas = SpectrumAtlas(spec, ambient, tuple(faces), tuple(covers),
-                          is_antisymmetric(spec), is_separating(spec),
-                          _interior_member(spec), leq)
+    leq = tuple(tuple(_below(keys[i], keys[k]) for k in order) for i in order)
+    covers = tuple(sorted((position[a], position[b]) for a, b in raw_covers))
     minimal = [j for j in range(m) if all(leq[j][k] for k in range(m))]
     maximal = [j for j in range(m) if all(leq[k][j] for k in range(m))]
-    assert len(minimal) == 1 and maximal == [0], "face order is not bounded"
-    return atlas
+    if len(minimal) != 1 or maximal != [0]:
+        raise InvariantViolation("face order is not bounded")
+    # the least face is the group of units S intersect (-S)
+    return SpectrumAtlas(spec, ambient, tuple(faces), covers, faces[minimal[0]].dim == 0,
+                         is_separating(spec), _interior_member(spec), leq)
 
 
 def face_group(atlas: SpectrumAtlas, face_id: int) -> Lattice:

@@ -1,0 +1,212 @@
+"""The face atlas read off one face lattice, checked against the per-face
+double description it replaces.
+
+The reference below is the old construction: every face cone is converted
+from its own generating data (member generators, or the embedded data of a
+boundary face) by ``cone_from_rays``, every local cone likewise, and the
+order comes from ``cone_contains_cone``.  It lives only here.
+"""
+
+import ast
+import json
+import math
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from toric_spectrum import (
+    Generators,
+    Tower,
+    asymptotic_cone,
+    cone_contains_cone,
+    cone_from_inequalities,
+    cone_from_rays,
+    dual_cone,
+    enumerate_faces,
+    face_lattice,
+    hnf,
+    is_antisymmetric,
+    quotient_invariants,
+)
+from toric_spectrum import cones
+from toric_spectrum.intlinalg import dot, full_lattice, primitive_vector, rational_coordinates
+from toric_spectrum.semigroups import boundary_basis, embed_point
+
+from helpers import EVEN_AXIS, FIXTURES
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toric_spectrum"
+
+
+def random_spec(rng, n):
+    """Generators of rank n, with a line, a duplicate or a zero generator
+    thrown in at random."""
+    gens = [tuple(rng.randint(-3, 3) for _ in range(n))
+            for _ in range(rng.randint(0, n + 3))]
+    if rng.random() < 0.3:
+        line = tuple(rng.randint(-2, 2) for _ in range(n))
+        gens += [line, tuple(-a for a in line)]
+    if gens and rng.random() < 0.3:
+        gens.append(rng.choice(gens))
+    if rng.random() < 0.3:
+        gens.append((0,) * n)
+    rng.shuffle(gens)
+    return Generators(n, tuple(gens))
+
+
+def skew_normal(rng, n):
+    while True:
+        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        if math.gcd(*v) == 1:
+            return v
+
+
+TORSION_BASES = (Generators(1, ((2,),)), EVEN_AXIS, Generators(2, ((4, 2), (0, 3))),
+                 Generators(1, ((3,), (-3,))))
+
+
+def random_tower(rng, depth):
+    spec = rng.choice(TORSION_BASES)
+    for _ in range(depth):
+        n = spec.ambient_rank + 1
+        spec = Tower(n, skew_normal(rng, n), spec)
+    return spec
+
+
+GENERATOR_SPECS = [random_spec(random.Random(f"gens:{i}"), 1 + i % 4) for i in range(48)] + \
+    [random_spec(random.Random(f"rank5:{i}"), 5) for i in range(3)]
+TOWER_SPECS = [random_tower(random.Random(f"tower:{i}"), 1 + i % 4) for i in range(24)]
+
+
+def reference_faces(spec):
+    """(cone, lattice, member generators) of every face, whole semigroup
+    first, each cone converted by its own double description."""
+    n = spec.ambient_rank
+    if isinstance(spec, Generators):
+        ambient = asymptotic_cone(spec)
+        out = []
+        for handle in face_lattice(ambient).faces:
+            tight = [ambient.inequalities[i] for i in handle.tight_set]
+            members = tuple(g for g in spec.generators if all(dot(a, g) == 0 for a in tight))
+            out.append((cone_from_rays(members, (), n), hnf(members, n), members))
+        return out
+    basis = boundary_basis(spec)
+    out = [(cone_from_inequalities([spec.normal], (), n), full_lattice(n), None)]
+    for cone, lattice, members in reference_faces(spec.inner):
+        out.append((
+            cone_from_rays([embed_point(basis, r) for r in cone.rays],
+                           [embed_point(basis, v) for v in cone.lineality], n),
+            hnf([embed_point(basis, b) for b in lattice.basis], n),
+            None if members is None else tuple(embed_point(basis, g) for g in members)))
+    return out
+
+
+def reference_local_cone(face):
+    def local(v):
+        return primitive_vector(rational_coordinates(face.lattice.basis, v))
+    return cone_from_rays([local(r) for r in face.cone.rays],
+                          [local(v) for v in face.cone.lineality], face.rank)
+
+
+@pytest.mark.parametrize("spec", GENERATOR_SPECS + TOWER_SPECS)
+def test_atlas_matches_per_face_double_description(spec):
+    atlas = enumerate_faces(spec)
+    n = spec.ambient_rank
+    reference = reference_faces(spec)
+    top, rest = reference[0], reference[1:]
+    rest.sort(key=lambda t: (-t[0].dim(), t[0].rays, t[0].lineality))
+    assert [(f.cone, f.lattice, f.member_generators) for f in atlas.faces] == [top] + rest
+    assert atlas.ambient_cone == atlas.faces[0].cone == asymptotic_cone(spec)
+    for face in atlas.faces:
+        if isinstance(spec, Generators):
+            assert face.member_generators == tuple(
+                g for g in spec.generators if face.cone.contains(g))
+        assert face.dim == face.cone.dim() == face.rank
+        assert face.torsion == quotient_invariants(n, face.lattice)[1]
+        assert face.cone_local == reference_local_cone(face)
+        assert face.dual_cone_local == dual_cone(face.cone_local)
+        assert face.tight_set == tuple(
+            i for i, a in enumerate(atlas.ambient_cone.inequalities)
+            if all(dot(a, v) == 0 for v in face.cone.rays + face.cone.lineality))
+    m = len(atlas.faces)
+    for j in range(m):
+        for k in range(m):
+            assert atlas.leq(j, k) == cone_contains_cone(atlas.faces[j].cone,
+                                                         atlas.faces[k].cone)
+    reduction = sorted(
+        (a, b) for a in range(m) for b in range(m)
+        if a != b and atlas.leq(b, a)
+        and not any(c not in (a, b) and atlas.leq(b, c) and atlas.leq(c, a)
+                    for c in range(m)))
+    assert list(atlas.covers) == reduction
+    assert atlas.antisymmetric == is_antisymmetric(spec)
+
+
+def test_tower_half_space_is_canonical():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        spec = Tower(n, skew_normal(rng, n), random_spec(rng, n - 1))
+        assert asymptotic_cone(spec) == cone_from_inequalities([spec.normal], (), n)
+
+
+@pytest.fixture
+def dd_runs(monkeypatch):
+    """Counts double description runs, with the face lattice cache empty."""
+    runs = []
+    original = cones._double_description
+
+    def counted(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones, "_double_description", counted)
+    cones.face_lattice.cache_clear()
+    yield runs
+    cones.face_lattice.cache_clear()
+
+
+def test_generator_atlas_runs_two_double_descriptions(dd_runs):
+    # a cone over a cube (28 faces), a random rank-5 spec and a cone with lineality
+    cube = Generators(4, tuple((a, b, c, 1) for a in (0, 1) for b in (0, 1) for c in (0, 1)))
+    for spec in (cube, GENERATOR_SPECS[-1], Generators(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 2)))):
+        dd_runs.clear()
+        atlas = enumerate_faces(spec)
+        assert len(dd_runs) == 2, f"{len(dd_runs)} runs for {len(atlas.faces)} faces"
+
+
+def test_tower_atlas_runs_double_description_for_its_base_only(dd_runs):
+    for depth in (1, 2, 4, 6):
+        dd_runs.clear()
+        atlas = enumerate_faces(random_tower(random.Random(f"dd:{depth}"), depth))
+        assert len(atlas.faces) > depth
+        assert len(dd_runs) == 2
+
+
+def test_no_assert_statements_in_package():
+    # invariants are raised explicitly so that python -O keeps them
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+def spec_document(spec):
+    if isinstance(spec, Generators):
+        return {"kind": "generators", "ambient_rank": spec.ambient_rank,
+                "generators": [list(g) for g in spec.generators]}
+    return {"kind": "tower", "ambient_rank": spec.ambient_rank,
+            "normal": list(spec.normal), "inner": spec_document(spec.inner)}
+
+
+@pytest.mark.parametrize("spec", FIXTURES)
+def test_optimized_interpreter_prints_the_same_report(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_document(spec)), encoding="utf-8")
+    outputs = [subprocess.run([sys.executable, *flags, "-m", "toric_spectrum.cli",
+                               "analyze", "--json", str(path)],
+                              capture_output=True, check=True).stdout
+               for flags in ([], ["-O"])]
+    assert outputs[0] and outputs[0] == outputs[1]
