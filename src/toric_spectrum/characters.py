@@ -20,7 +20,13 @@ from fractions import Fraction
 from math import exp, pi
 from typing import Optional, Sequence
 
-from .intlinalg import IntVector, InvariantViolation, dot, rational_coordinates
+from .intlinalg import (
+    IntVector,
+    InvariantViolation,
+    dot,
+    lattice_coordinates,
+    rational_coordinates,
+)
 from .semigroups import SpectrumAtlas, contains
 
 
@@ -103,11 +109,10 @@ def zero_character(atlas: SpectrumAtlas) -> Optional[Character]:
 
 
 def _face_coordinates(atlas: SpectrumAtlas, face_id: int, x: IntVector) -> tuple[int, ...]:
-    face = atlas.faces[face_id]
-    coords = rational_coordinates(face.lattice.basis, x)
-    if coords is None or any(c.denominator != 1 for c in coords):
+    coords = lattice_coordinates(atlas.faces[face_id].lattice, x)
+    if coords is None:
         raise InvariantViolation("face member must lie in the face lattice")
-    return tuple(int(c) for c in coords)
+    return coords
 
 
 def evaluate(atlas: SpectrumAtlas, chi: Character, x: Sequence[int]) -> ExactValue:
@@ -140,10 +145,10 @@ def _restriction_matrix(atlas: SpectrumAtlas, sub_face: int, face: int) -> list[
     parent = atlas.faces[face]
     rows = []
     for b in sub.lattice.basis:
-        coords = rational_coordinates(parent.lattice.basis, b)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        coords = lattice_coordinates(parent.lattice, b)
+        if coords is None:
             raise InvariantViolation("face lattices must be nested")
-        rows.append(tuple(int(c) for c in coords))
+        rows.append(coords)
     return rows
 
 

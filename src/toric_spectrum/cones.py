@@ -26,12 +26,12 @@ from .intlinalg import (
     InvariantViolation,
     Lattice,
     dot,
-    hnf_rows,
+    hnf,
     is_zero_vector,
     primitive_vector,
-    project_off,
     rank_of_rows,
     saturate,
+    scaled_coordinates,
     vec_neg,
     vec_sub,
 )
@@ -46,7 +46,7 @@ class Cone:
     equations: tuple[IntVector, ...]
 
     def dim(self) -> int:
-        return rank_of_rows(list(self.rays) + list(self.lineality)) if (self.rays or self.lineality) else 0
+        return rank_of_rows((*self.rays, *self.lineality))
 
     def contains(self, x: Sequence) -> bool:
         """H-side membership test; exact for int or Fraction entries."""
@@ -79,12 +79,21 @@ def _dedup_keep_order(vectors):
     return out
 
 
-def _reduce_mod_span(vec: Sequence[int], span_rows: Sequence[IntVector]) -> IntVector:
+def _reduce_mod_span(vec: Sequence, span_rows: Sequence[IntVector]) -> IntVector:
     """Canonical representative of a direction modulo a subspace: project onto
-    the orthogonal complement and rescale to a primitive integer vector."""
+    the orthogonal complement and rescale to a primitive integer vector.
+
+    The direction may be rational; clearing its denominators first is a
+    positive rescale.  The projection is ``x - R^T c`` with ``(R R^T) c = R x``
+    for the span rows R; with ``c = y / d`` it is ``d x - R^T y`` up to the
+    positive factor ``d``, all in integers.
+    """
+    vec = primitive_vector(vec)
     if not span_rows:
-        return primitive_vector(vec)
-    return primitive_vector(project_off(vec, span_rows))
+        return vec
+    gram = [[dot(u, v) for v in span_rows] for u in span_rows]
+    y, d = scaled_coordinates(gram, [dot(r, vec) for r in span_rows])
+    return primitive_vector([d * a - dot(y, column) for a, column in zip(vec, zip(*span_rows))])
 
 
 def _adjacent(p: IntVector, q: IntVector, constraints: list[IntVector],
@@ -95,8 +104,6 @@ def _adjacent(p: IntVector, q: IntVector, constraints: list[IntVector],
     needed = ambient_rank - lineality_dim - 2
     if needed < 0:
         return True
-    if not tight:
-        return needed == 0
     return rank_of_rows(tight) == needed
 
 
@@ -170,8 +177,7 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
             rays = _dedup_keep_order(new_rays)
         constraints.append(a)
 
-    lin = hnf_rows(lin, n) if lin else []
-    return rays, lin
+    return rays, hnf(lin, n).basis
 
 
 def _canonical_sides(ray_gens: Sequence[IntVector], lin_gens: Sequence[IntVector], n: int):
@@ -307,8 +313,7 @@ def face_lattice(cone: Cone) -> FaceLattice:
                      if all(dot(a, cone.rays[j]) == 0 for j in rs))
 
     def dim_of(rs: frozenset) -> int:
-        rows = [cone.rays[j] for j in rs] + list(cone.lineality)
-        return rank_of_rows(rows) if rows else 0
+        return rank_of_rows([cone.rays[j] for j in rs] + list(cone.lineality))
 
     entries = sorted(((dim_of(rs), tight_of(rs), rs) for rs in ray_sets),
                      key=lambda t: (-t[0], t[1]))

@@ -1,18 +1,30 @@
 """Exact integer/rational linear algebra on row lattices.
 
-All values are plain tuples of Python ints (arbitrary precision) or
-``fractions.Fraction``; no floating point enters any computation in this
-module.  Lattices are kept in row-style Hermite normal form with positive
-pivots and entries above each pivot reduced into ``[0, pivot)``, which makes
-the basis a canonical form: two generating sets span the same lattice exactly
-when their normal forms are equal.
+All values are plain tuples of Python ints (arbitrary precision), or of
+``fractions.Fraction`` where a result is rational; no floating point enters
+any computation in this module.  Lattices are kept in row-style
+Hermite normal form with positive pivots and entries above each pivot reduced
+into ``[0, pivot)``, which makes the basis a canonical form: two generating
+sets span the same lattice exactly when their normal forms are equal.
+
+Linear algebra over the rationals (rank, solving, and through it the
+orthogonal projections of :mod:`toric_spectrum.cones`) runs on one kernel,
+:func:`_echelon`: fraction-free Gaussian elimination after Bareiss (1968),
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", in which every division is exact and every entry stays an
+integer.  Solutions come out as integer numerators over one common
+denominator (:func:`scaled_coordinates`); ``fractions.Fraction`` appears only
+at the :func:`rational_coordinates` boundary.  Coordinates on a lattice
+basis need no elimination at all: :func:`lattice_coordinates`
+back-substitutes on the HNF pivots.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 IntVector = tuple[int, ...]
@@ -52,23 +64,16 @@ def vec_neg(u: Sequence) -> tuple:
 
 
 def is_zero_vector(u: Sequence) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def primitive_vector(vec: Sequence) -> IntVector:
     """Scale a rational vector to the primitive integer vector with the same
     direction (gcd of entries 1, orientation preserved).  Zero stays zero."""
-    fracs = [Fraction(a) for a in vec]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    return tuple(a // g for a in ints)
+    denom = lcm(*(a.denominator for a in vec))
+    ints = [int(a * denom) for a in vec]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g else tuple(ints)
 
 
 def _check_rows(rows: Sequence[Sequence[int]], ambient_rank: Optional[int]) -> int:
@@ -82,12 +87,29 @@ def _check_rows(rows: Sequence[Sequence[int]], ambient_rank: Optional[int]) -> i
     return lengths.pop()
 
 
-def hnf_rows(rows: Iterable[Sequence[int]], ambient_rank: Optional[int] = None) -> list[IntVector]:
-    """Row-style Hermite normal form of the integer row span.
+@dataclass(frozen=True)
+class Lattice:
+    """Integer row lattice in canonical (HNF) form."""
 
-    Returns the canonical basis: linearly independent rows, pivots positive
-    and in strictly increasing column order, entries above each pivot reduced
-    into ``[0, pivot)``.  Zero rows are dropped.
+    ambient_rank: int
+    basis: tuple[IntVector, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    def __post_init__(self):
+        for row in self.basis:
+            if len(row) != self.ambient_rank:
+                raise ValueError("basis row length does not match ambient rank")
+
+
+def hnf(rows: Iterable[Sequence[int]], ambient_rank: Optional[int] = None) -> Lattice:
+    """Canonical lattice spanned by the given integer rows.
+
+    The basis is the row-style Hermite normal form: linearly independent
+    rows, pivots positive and in strictly increasing column order, entries
+    above each pivot reduced into ``[0, pivot)``.  Zero rows are dropped.
     """
     rows = [tuple(int(a) for a in r) for r in rows]
     n = _check_rows(rows, ambient_rank)
@@ -118,31 +140,7 @@ def hnf_rows(rows: Iterable[Sequence[int]], ambient_rank: Optional[int] = None) 
             r += 1
             if r == len(mat):
                 break
-    return [tuple(row) for row in mat[:r]]
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """Integer row lattice in canonical (HNF) form."""
-
-    ambient_rank: int
-    basis: tuple[IntVector, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def __post_init__(self):
-        for row in self.basis:
-            if len(row) != self.ambient_rank:
-                raise ValueError("basis row length does not match ambient rank")
-
-
-def hnf(rows: Iterable[Sequence[int]], ambient_rank: Optional[int] = None) -> Lattice:
-    """Canonical lattice spanned by the given integer rows."""
-    rows = [tuple(int(a) for a in r) for r in rows]
-    n = _check_rows(rows, ambient_rank)
-    return Lattice(n, tuple(hnf_rows(rows, n)))
+    return Lattice(n, tuple(tuple(row) for row in mat[:r]))
 
 
 def identity_rows(n: int) -> list[IntVector]:
@@ -153,75 +151,97 @@ def full_lattice(n: int) -> Lattice:
     return Lattice(n, tuple(identity_rows(n)))
 
 
-def rank_of_rows(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals, by exact Gaussian elimination."""
-    work = [[Fraction(a) for a in r] for r in rows if not is_zero_vector(r)]
-    rank = 0
-    n = len(work[0]) if work else 0
-    for j in range(n):
-        piv = next((i for i in range(rank, len(work)) if work[i][j] != 0), None)
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+
+    Returns the nonzero echelon rows and their pivot columns.  After the
+    k-th pivot every entry below it is a (k+1) x (k+1) minor of the row
+    permuted input, so the division by the previous pivot is exact and no
+    entry ever leaves the integers.  Non-integer entries are rejected
+    (TypeError) rather than floor-divided.
+    """
+    mat = [list(map(operator.index, r)) for r in rows]
+    pivots: list[int] = []
+    prev = 1
+    for j in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][j] != 0), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pivot = work[rank][j]
-        for i in range(len(work)):
-            if i != rank and work[i][j] != 0:
-                f = work[i][j] / pivot
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
+        mat[r], mat[piv] = mat[piv], mat[r]
+        p = mat[r][j]
+        for i in range(r + 1, len(mat)):
+            a = mat[i][j]
+            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], mat[r])]
+        prev = p
+        pivots.append(j)
+        if r + 1 == len(mat):
             break
-    return rank
+    return mat[:len(pivots)], pivots
 
 
-def rational_coordinates(basis: Sequence[IntVector], x: Sequence) -> Optional[RationalVector]:
+def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals."""
+    return len(_echelon(rows)[1])
+
+
+def scaled_coordinates(basis: Sequence[IntVector],
+                       x: Sequence[int]) -> Optional[tuple[IntVector, int]]:
+    """Integers ``(y, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``,
+    or None if x is not in the rational row span.  The basis rows must be
+    linearly independent.
+
+    Eliminates ``[basis^T | x]``: x is outside the span exactly when a pivot
+    falls in its column.  Otherwise ``d`` is the last pivot (the determinant
+    of the pivot rows, up to sign) and, by Cramer's rule, back-substitution
+    on ``d * x`` stays in the integers.
+    """
+    k = len(basis)
+    rows, pivots = _echelon([[b[j] for b in basis] + [x[j]] for j in range(len(x))])
+    if pivots and pivots[-1] == k:
+        return None
+    d = rows[-1][k - 1] if k else 1
+    y = [0] * k
+    for i in reversed(range(k)):
+        row = rows[i]
+        y[i] = (d * row[k] - sum(row[t] * y[t] for t in range(i + 1, k))) // row[i]
+    return (tuple(y), d) if d > 0 else (tuple(-c for c in y), -d)
+
+
+def rational_coordinates(basis: Sequence[IntVector], x: Sequence[int]) -> Optional[RationalVector]:
     """Coefficients c with ``sum(c_i * basis_i) == x``, or None if x is not in
     the rational row span.  The basis rows must be linearly independent."""
-    k = len(basis)
-    if k == 0:
-        return () if is_zero_vector(x) else None
-    n = len(basis[0])
-    # Augment each row with the indicator of its index, then eliminate; the
-    # tail columns track the row operations applied.
-    work = [[Fraction(a) for a in row] + [Fraction(1 if t == i else 0) for t in range(k)]
-            for i, row in enumerate(basis)]
-    target = [Fraction(a) for a in x] + [Fraction(0)] * k
-    row = 0
-    for j in range(n):
-        piv = next((i for i in range(row, k) if work[i][j] != 0), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        pivot = work[row][j]
-        for i in range(k):
-            if i != row and work[i][j] != 0:
-                f = work[i][j] / pivot
-                work[i] = [a - f * b for a, b in zip(work[i], work[row])]
-        if target[j] != 0:
-            f = target[j] / pivot
-            target = [a - f * b for a, b in zip(target, work[row])]
-        row += 1
-        if row == k:
-            break
-    for j in range(n):
-        if target[j] != 0:
-            return None
-    return tuple(-target[n + i] for i in range(k))
+    solved = scaled_coordinates(basis, x)
+    if solved is None:
+        return None
+    y, d = solved
+    return tuple(Fraction(c, d) for c in y)
+
+
+def lattice_coordinates(lattice: Lattice, x: Sequence[int]) -> Optional[IntVector]:
+    """Integer coefficients c with ``sum(c_i * basis_i) == x`` on the lattice
+    basis, or None if x is not in the lattice.
+
+    Back-substitution on the HNF pivots: each basis row is zero left of its
+    pivot, so the pivot columns fix the coefficients one row at a time, and
+    x is in the lattice exactly when nothing remains.
+    """
+    if len(x) != lattice.ambient_rank:
+        raise ValueError("vector length does not match ambient rank")
+    rem = [int(a) for a in x]
+    coords = []
+    for row in lattice.basis:
+        j = next(i for i, a in enumerate(row) if a != 0)
+        q = rem[j] // row[j]
+        coords.append(q)
+        if q != 0:
+            rem = [a - q * b for a, b in zip(rem, row)]
+    return tuple(coords) if is_zero_vector(rem) else None
 
 
 def lattice_contains(lattice: Lattice, x: Sequence[int]) -> bool:
     """Whether x lies in the integer row span of the lattice basis."""
-    if len(x) != lattice.ambient_rank:
-        raise ValueError("vector length does not match ambient rank")
-    rem = [int(a) for a in x]
-    for row in lattice.basis:
-        j = next(i for i, a in enumerate(row) if a != 0)
-        if rem[j] % row[j] != 0:
-            return False
-        q = rem[j] // row[j]
-        if q != 0:
-            rem = [a - q * b for a, b in zip(rem, row)]
-    return all(a == 0 for a in rem)
+    return lattice_coordinates(lattice, x) is not None
 
 
 def _smith_diagonal(rows: Sequence[IntVector], transform: bool = False):
@@ -345,7 +365,7 @@ def int_kernel(rows: Sequence[IntVector], ambient_rank: int) -> Lattice:
     # Row-reduce [rows^T | I_n]; rows whose first block vanishes give the kernel.
     aug = [tuple(rows[i][j] for i in range(m)) + tuple(1 if t == j else 0 for t in range(n))
            for j in range(n)]
-    reduced = hnf_rows(aug, m + n)
+    reduced = hnf(aug, m + n).basis
     kernel = [row[m:] for row in reduced if all(a == 0 for a in row[:m])]
     return hnf(kernel, n)
 
@@ -365,38 +385,6 @@ def saturation_index(ambient_rank: int, lattice: Lattice) -> tuple[Lattice, int]
     for d in quotient_invariants(ambient_rank, lattice)[1]:
         index *= d
     return sat, index
-
-
-def project_off(x: Sequence, rows: Sequence[IntVector]) -> RationalVector:
-    """Orthogonal projection of x onto the complement of span(rows).
-
-    The rows must be linearly independent.
-    """
-    xs = tuple(Fraction(a) for a in x)
-    if not rows:
-        return xs
-    k = len(rows)
-    gram = [[Fraction(dot(rows[i], rows[j])) for j in range(k)] for i in range(k)]
-    rhs = [Fraction(dot(rows[i], xs)) for i in range(k)]
-    coeffs = _solve_square(gram, rhs)
-    out = list(xs)
-    for c, row in zip(coeffs, rows):
-        out = [a - c * b for a, b in zip(out, row)]
-    return tuple(out)
-
-
-def _solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    k = len(mat)
-    work = [mat[i][:] + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = next(i for i in range(col, k) if work[i][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        pivot = work[col][col]
-        for i in range(k):
-            if i != col and work[i][col] != 0:
-                f = work[i][col] / pivot
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return [work[i][k] / work[i][i] for i in range(k)]
 
 
 def solve_unit_functional(v: IntVector) -> IntVector:

@@ -50,11 +50,13 @@ from .intlinalg import (
     int_kernel,
     is_zero_vector,
     lattice_contains,
+    lattice_coordinates,
     primitive_vector,
     quotient_invariants,
     quotient_map,
     rational_coordinates,
     saturate,
+    scaled_coordinates,
     solve_unit_functional,
     vec_add,
     vec_neg,
@@ -191,11 +193,10 @@ def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = N
             return True
         if height < 0:
             return False
-        basis = boundary_basis(spec)
-        coords = rational_coordinates(basis, x)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        coords = lattice_coordinates(Lattice(spec.ambient_rank, boundary_basis(spec)), x)
+        if coords is None:
             raise InvariantViolation("boundary point leaves the boundary lattice")
-        return contains(spec.inner, tuple(int(c) for c in coords), max_nodes)
+        return contains(spec.inner, coords, max_nodes)
     return _generators_contains(spec, x, max_nodes)
 
 
@@ -205,40 +206,40 @@ def _generators_contains(spec: Generators, x: IntVector, max_nodes: Optional[int
     cone, moduli, project, free_cone, weight, gen_images = _membership_data(spec)
     if not cone.contains(x):
         return False
-    torsion_x, free_x = project(x)
-    budget = [max_nodes]
+    budget = max_nodes
     dead: set = set()
-
-    def rec(idx: int, torsion_rem: tuple, free_rem: tuple) -> bool:
-        if all(t == 0 for t in torsion_rem) and is_zero_vector(free_rem):
+    # Depth first over the coefficient of each generator in turn, largest
+    # first, on an explicit stack: the depth grows with the generator count,
+    # which the call stack could not hold.  A state whose children all fail
+    # is memoised as dead; the (None, state) entry below them marks that.
+    stack: list = [(0, *project(x))]
+    while stack:
+        state = stack.pop()
+        if state[0] is None:
+            dead.add(state[1])
+            continue
+        idx, torsion_rem, free_rem = state
+        if not any(torsion_rem) and not any(free_rem):
             return True
-        if idx == len(gen_images):
-            return False
-        state = (idx, torsion_rem, free_rem)
-        if state in dead:
-            return False
-        if budget[0] is not None:
-            budget[0] -= 1
-            if budget[0] < 0:
+        if idx == len(gen_images) or state in dead:
+            continue
+        if budget is not None:
+            budget -= 1
+            if budget < 0:
                 raise MembershipUndecided(f"membership search budget exhausted for {x}")
         if not free_cone.contains(free_rem):
             dead.add(state)
-            return False
+            continue
         g_tors, g_free = gen_images[idx]
         w = dot(weight, g_free)
         if w <= 0:
             raise InvariantViolation("pointed part admits a strictly positive functional")
-        cap = dot(weight, free_rem) // w
-        for c in range(cap, -1, -1):
-            t_rem = tuple((torsion_rem[i] - c * g_tors[i]) % moduli[i]
-                          for i in range(len(moduli)))
-            f_rem = tuple(a - c * b for a, b in zip(free_rem, g_free))
-            if rec(idx + 1, t_rem, f_rem):
-                return True
-        dead.add(state)
-        return False
-
-    return rec(0, torsion_x, free_x)
+        stack.append((None, state))
+        stack.extend((idx + 1,
+                      tuple((t - c * g) % m for t, g, m in zip(torsion_rem, g_tors, moduli)),
+                      tuple(a - c * b for a, b in zip(free_rem, g_free)))
+                     for c in range(dot(weight, free_rem) // w + 1))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +356,8 @@ def _embedder(embedding: Optional[tuple[IntVector, ...]], n: int):
     of a saturated lineality lattice span a saturated lattice and one HNF
     makes them canonical; an inequality ``a`` of the boundary lifts to the
     vector ``E^T y`` with ``(E E^T) y = a``, which takes the same values on
-    the image.  No double description runs.
+    the image (solved in integers, up to a positive factor that the
+    primitive normal forgets).  No double description runs.
     """
     if embedding is None:
         return lambda face: face
@@ -368,7 +370,7 @@ def _embedder(embedding: Optional[tuple[IntVector, ...]], n: int):
                             for r in cone.rays))
         equations = int_kernel(rays + lineality, n).basis
         inequalities = tuple(sorted({
-            _reduce_mod_span(embed_point(embedding, rational_coordinates(gram, a)), equations)
+            _reduce_mod_span(embed_point(embedding, scaled_coordinates(gram, a)[0]), equations)
             for a in cone.inequalities}))
         lattice = hnf([embed_point(embedding, b) for b in lattice.basis], n)
         if members is not None:

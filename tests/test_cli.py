@@ -94,6 +94,17 @@ def test_dot_single_face(tmp_path):
     assert text.count("label=") == 1 and "->" not in text
 
 
+def test_member_with_more_generators_than_the_call_stack(tmp_path):
+    # the search takes one level per generator: 1500 levels, each with
+    # coefficient 0 only, exceed the interpreter's default recursion limit
+    doc = {"kind": "generators", "ambient_rank": 1,
+           "generators": [[g] for g in range(1500, 3000)]}
+    path = write(tmp_path, "many.json", doc)
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "member", path, "1"],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "false\n", "")
+
+
 def test_member_queries(tmp_path):
     path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
     assert run_cli(["member", path, "1", "0"]) == (0, "false\n")

@@ -1,0 +1,128 @@
+"""Property tests of the fraction-free elimination kernel in ``intlinalg``.
+
+Rank, solving and the projection modulo a span (``cones._reduce_mod_span``)
+all run on one Bareiss elimination; they are checked here against the
+independent ``Fraction`` Gauss-Jordan code of the oracle.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from toric_spectrum.cones import _reduce_mod_span  # noqa: E402
+from toric_spectrum.intlinalg import (  # noqa: E402
+    dot,
+    primitive_vector,
+    rank_of_rows,
+    rational_coordinates,
+    scaled_coordinates,
+)
+from toric_spectrum.oracle import _orank, _osolve  # noqa: E402
+
+SETTINGS = settings(max_examples=150, deadline=None)
+entries = st.integers(-6, 6)
+
+
+@st.composite
+def matrices(draw):
+    """Integer rows, often rank deficient: random rows, some of them integer
+    combinations of others, plus zero and duplicate rows."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n).map(tuple),
+                         max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("combination", "zero", "duplicate")))
+        if kind == "zero" or not rows:
+            rows.append((0,) * n)
+        elif kind == "duplicate":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            c, d = draw(entries), draw(entries)
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(tuple(c * a + d * b for a, b in zip(u, v)))
+        rows.insert(draw(st.integers(0, len(rows) - 1)), rows.pop())
+    return n, rows
+
+
+@st.composite
+def independent_rows_and_point(draw):
+    """Linearly independent rows and a point inside or outside their span."""
+    n, rows = draw(matrices())
+    basis = []
+    for row in rows:
+        if _orank(basis + [row]) > len(basis):
+            basis.append(row)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+        x = [0] * n
+        for c, row in zip(coeffs, basis):
+            x = [a + c * b for a, b in zip(x, row)]
+        x = tuple(x)
+    else:
+        x = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+    return basis, x
+
+
+@SETTINGS
+@given(matrices())
+def test_rank_matches_oracle(case):
+    _, rows = case
+    assert rank_of_rows(rows) == _orank(rows)
+
+
+def test_rank_of_no_rows_is_zero():
+    assert rank_of_rows([]) == 0
+    assert rank_of_rows([(0, 0), (0, 0)]) == 0
+
+
+def test_kernel_refuses_rationals():
+    # floor division would silently corrupt a Fraction entry
+    with pytest.raises(TypeError):
+        rank_of_rows([(Fraction(1, 2), 1)])
+
+
+@SETTINGS
+@given(independent_rows_and_point())
+def test_rational_coordinates_match_oracle(case):
+    basis, x = case
+    expected = _osolve(basis, x)
+    assert rational_coordinates(basis, x) == expected
+    solved = scaled_coordinates(basis, x)
+    assert (solved is None) == (expected is None)
+    if solved is not None:
+        # integer numerators over one positive common denominator
+        y, d = solved
+        assert d > 0 and tuple(Fraction(c, d) for c in y) == expected
+
+
+@SETTINGS
+@given(independent_rows_and_point())
+def test_projection_is_orthogonal_and_differs_by_the_span(case):
+    rows, x = case
+    p = _reduce_mod_span(x, rows)
+    assert all(dot(p, r) == 0 for r in rows)
+    if any(p):
+        # p is a positive multiple of the projection proj of x, so
+        # proj = (<x, p> / <p, p>) p and <x, p> = |proj|^2 > 0
+        assert p == primitive_vector(p) and dot(x, p) > 0
+        proj = [Fraction(dot(x, p), dot(p, p)) * a for a in p]
+        rest = [a - b for a, b in zip(x, proj)]
+    else:
+        rest = list(x)
+    # x - proj lies in the span: an integer multiple of it has coordinates
+    assert _osolve(rows, primitive_vector(rest)) is not None
+
+
+@SETTINGS
+@given(independent_rows_and_point(), st.data())
+def test_projection_of_a_rational_point(case, data):
+    rows, x = case
+    q = [Fraction(a, data.draw(st.integers(1, 12))) for a in x]
+    # oracle: solve the Gram system (R R^T) c = R q in Fractions
+    gram = [[dot(u, v) for v in rows] for u in rows]
+    c = _osolve(gram, [dot(r, q) for r in rows])
+    proj = [a - sum((ci * r[j] for ci, r in zip(c, rows)), Fraction(0)) for j, a in enumerate(q)]
+    assert _reduce_mod_span(q, rows) == primitive_vector(proj)

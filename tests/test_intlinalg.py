@@ -8,12 +8,14 @@ from toric_spectrum.intlinalg import (
     hnf,
     int_kernel,
     lattice_contains,
+    lattice_coordinates,
     quotient_invariants,
     quotient_map,
     rational_coordinates,
     saturation_index,
     solve_unit_functional,
 )
+from toric_spectrum.semigroups import embed_point
 
 
 def combos(rows, bound):
@@ -127,6 +129,11 @@ def test_lattice_contains_matches_bruteforce():
         lat = hnf(rows, n)
         reachable = {p for p in combos(rows, 4) if all(abs(a) <= 3 for a in p)}
         for x in product(range(-3, 4), repeat=n):
+            coords = lattice_coordinates(lat, x)
+            assert (coords is None) == (not lattice_contains(lat, x))
+            if coords is not None:
+                # the coordinates rebuild x; an empty basis holds only zero
+                assert (embed_point(lat.basis, coords) if lat.basis else (0,) * n) == x
             if x in reachable:
                 assert lattice_contains(lat, x)
             elif lattice_contains(lat, x):
