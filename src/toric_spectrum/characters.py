@@ -25,7 +25,7 @@ from .intlinalg import (
     InvariantViolation,
     dot,
     lattice_coordinates,
-    rational_coordinates,
+    scaled_coordinates,
 )
 from .semigroups import SpectrumAtlas, contains
 
@@ -227,10 +227,10 @@ def _vanishes_on_face(atlas: SpectrumAtlas, lam: Sequence,
     base = atlas.faces[base_id]
     cone = atlas.faces[face_id].cone
     for v in list(cone.rays) + list(cone.lineality):
-        coords = rational_coordinates(base.lattice.basis, v)
-        if coords is None:
+        solved = scaled_coordinates(base.lattice.basis, v)
+        if solved is None:
             raise InvariantViolation("face cone leaves the span of the base lattice")
-        if dot(lam, coords) != 0:
+        if dot(lam, solved[0]) != 0:
             return False
     return True
 

@@ -54,7 +54,6 @@ from .intlinalg import (
     primitive_vector,
     quotient_invariants,
     quotient_map,
-    rational_coordinates,
     saturate,
     scaled_coordinates,
     solve_unit_functional,
@@ -210,36 +209,43 @@ def _generators_contains(spec: Generators, x: IntVector, max_nodes: Optional[int
     dead: set = set()
     # Depth first over the coefficient of each generator in turn, largest
     # first, on an explicit stack: the depth grows with the generator count,
-    # which the call stack could not hold.  A state whose children all fail
-    # is memoised as dead; the (None, state) entry below them marks that.
-    stack: list = [(0, *project(x))]
-    while stack:
-        state = stack.pop()
-        if state[0] is None:
-            dead.add(state[1])
+    # which the call stack could not hold.  Each frame holds a state and the
+    # lazy run of its remaining coefficients, so memory stays linear in the
+    # depth however large a coefficient bound is; a state whose children all
+    # fail is memoised as dead when its frame runs out.
+    stack: list = []
+    state = (0, *project(x))
+    while True:
+        if state is not None:
+            idx, torsion_rem, free_rem = state
+            if not any(torsion_rem) and not any(free_rem):
+                return True
+            if idx < len(gen_images) and state not in dead:
+                if budget is not None:
+                    budget -= 1
+                    if budget < 0:
+                        raise MembershipUndecided(f"membership search budget exhausted for {x}")
+                if not free_cone.contains(free_rem):
+                    dead.add(state)
+                else:
+                    w = dot(weight, gen_images[idx][1])
+                    if w <= 0:
+                        raise InvariantViolation("pointed part admits a strictly positive functional")
+                    stack.append((state, iter(range(dot(weight, free_rem) // w, -1, -1))))
+        if not stack:
+            return False
+        parent, coefficients = stack[-1]
+        c = next(coefficients, None)
+        if c is None:
+            stack.pop()
+            dead.add(parent)
+            state = None
             continue
-        idx, torsion_rem, free_rem = state
-        if not any(torsion_rem) and not any(free_rem):
-            return True
-        if idx == len(gen_images) or state in dead:
-            continue
-        if budget is not None:
-            budget -= 1
-            if budget < 0:
-                raise MembershipUndecided(f"membership search budget exhausted for {x}")
-        if not free_cone.contains(free_rem):
-            dead.add(state)
-            continue
+        idx, torsion_rem, free_rem = parent
         g_tors, g_free = gen_images[idx]
-        w = dot(weight, g_free)
-        if w <= 0:
-            raise InvariantViolation("pointed part admits a strictly positive functional")
-        stack.append((None, state))
-        stack.extend((idx + 1,
-                      tuple((t - c * g) % m for t, g, m in zip(torsion_rem, g_tors, moduli)),
-                      tuple(a - c * b for a, b in zip(free_rem, g_free)))
-                     for c in range(dot(weight, free_rem) // w + 1))
-    return False
+        state = (idx + 1,
+                 tuple((t - c * g) % m for t, g, m in zip(torsion_rem, g_tors, moduli)),
+                 tuple(a - c * b for a, b in zip(free_rem, g_free)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +428,10 @@ def _below(key_a, key_b) -> bool:
 
 
 def _local_coordinates(basis: Sequence[IntVector], v: IntVector) -> IntVector:
-    coords = rational_coordinates(basis, v)
-    if coords is None:
+    solved = scaled_coordinates(basis, v)
+    if solved is None:
         raise InvariantViolation("face cone leaves the span of its lattice")
-    return primitive_vector(coords)
+    return primitive_vector(solved[0])
 
 
 def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
@@ -553,10 +559,10 @@ def validate_atlas(atlas: SpectrumAtlas) -> list[str]:
                     break
     for j, face in enumerate(faces):
         for r in face.cone.rays:
-            if rational_coordinates(face.lattice.basis, r) is None:
+            if scaled_coordinates(face.lattice.basis, r) is None:
                 problems.append(f"face {j}: ray {r} outside the span of its lattice")
         for l in face.cone.lineality:
-            if rational_coordinates(face.lattice.basis, l) is None:
+            if scaled_coordinates(face.lattice.basis, l) is None:
                 problems.append(f"face {j}: lineality {l} outside the span of its lattice")
     return problems
 

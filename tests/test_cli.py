@@ -94,15 +94,30 @@ def test_dot_single_face(tmp_path):
     assert text.count("label=") == 1 and "->" not in text
 
 
-def test_member_with_more_generators_than_the_call_stack(tmp_path):
-    # the search takes one level per generator: 1500 levels, each with
-    # coefficient 0 only, exceed the interpreter's default recursion limit
-    doc = {"kind": "generators", "ambient_rank": 1,
-           "generators": [[g] for g in range(1500, 3000)]}
-    path = write(tmp_path, "many.json", doc)
-    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "member", path, "1"],
-                            capture_output=True, text=True)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "false\n", "")
+@pytest.mark.parametrize("generators, target, expected", [
+    # one search level per generator: 1500 levels exceed the interpreter's
+    # default recursion limit
+    ([[g] for g in range(1500, 3000)], 1, "false\n"),
+    # 10**8 + 1 coefficients of the one generator: the search takes the
+    # largest first and must not build the others
+    ([[1]], 10 ** 8, "true\n"),
+], ids=["depth", "width"])
+def test_member_search_depth_and_width(tmp_path, generators, target, expected):
+    # the address space cap turns a search that builds too much into a quick
+    # MemoryError rather than a machine running out of memory
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    path = write(tmp_path, "member.json", {"kind": "generators", "ambient_rank": 1,
+                                           "generators": generators})
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "member", path,
+                             str(target)],
+                            capture_output=True, text=True, timeout=60,
+                            preexec_fn=limit_memory)
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
 
 def test_member_queries(tmp_path):
