@@ -36,6 +36,10 @@ from .intlinalg import (
     vec_sub,
 )
 
+# Entries kept by the face lattice and membership caches; the least
+# recently used is dropped, so a long run holds a bounded number of cones.
+CACHE_SIZE = 128
+
 
 @dataclass(frozen=True)
 class Cone:
@@ -209,15 +213,9 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
 def cone_from_inequalities(inequalities: Sequence[Sequence[int]],
                            equations: Sequence[Sequence[int]] = (),
                            ambient_rank: Optional[int] = None) -> Cone:
-    """Solution cone of ``<a, x> >= 0`` and ``<e, x> = 0`` constraints."""
-    n = _infer_rank(inequalities, equations, ambient_rank)
-    ineqs = [tuple(int(a) for a in r) for r in inequalities]
-    eqns = [tuple(int(a) for a in r) for r in equations]
-    rays_v, lin_v = _double_description(ineqs, eqns, n)
-    rays_c, lin_c = _canonical_sides(rays_v, lin_v, n)
-    normals, eqs = _double_description(rays_c, lin_c, n)
-    normals_c, eqs_c = _canonical_sides(normals, eqs, n)
-    return Cone(n, rays_c, normals_c, lin_c, eqs_c)
+    """Solution cone of ``<a, x> >= 0`` and ``<e, x> = 0`` constraints: the
+    dual of the cone the constraints generate."""
+    return dual_cone(cone_from_rays(inequalities, equations, ambient_rank))
 
 
 def _infer_rank(primary, secondary, ambient_rank: Optional[int]) -> int:
@@ -280,54 +278,43 @@ class FaceLattice:
     ray_sets: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def face_lattice(cone: Cone) -> FaceLattice:
     """All closed faces of the cone with their Hasse cover relations.
 
-    Faces are the intersection closure of the facet-tight ray sets; the
-    minimal face is the lineality space, the maximal face the cone itself.
-    Each face is given by its ray set (indices into ``cone.rays``) and its
-    tight set (indices into ``cone.inequalities``), which is all it takes to
-    read the face off the cone without a further double description:
-    :func:`toric_spectrum.semigroups.enumerate_faces` builds a whole atlas
-    from the single lattice of its asymptotic cone.  Face 0 is the cone
-    itself; ``covers`` lists (larger, smaller) id pairs.
+    The minimal face is the lineality space, the maximal face the cone
+    itself.  Each face is given by its ray set (indices into ``cone.rays``)
+    and its tight set (indices into ``cone.inequalities``), which is all it
+    takes to read the face off the cone without a further double
+    description: :func:`toric_spectrum.semigroups.enumerate_faces` builds a
+    whole atlas from the single lattice of its asymptotic cone.  Face 0 is
+    the cone itself; ``covers`` lists (larger, smaller) id pairs.
+
+    One worklist walks down from the whole cone: the faces a face covers are
+    the maximal proper intersections of its ray set with the facet ray sets
+    (Kaibel & Pfetsch 2002), each one dimension lower.
     """
     m = len(cone.rays)
-    ray_sets = {frozenset(range(m))}
-    for a in cone.inequalities:
-        ray_sets.add(frozenset(j for j in range(m) if dot(a, cone.rays[j]) == 0))
-    changed = True
-    while changed:
-        changed = False
-        current = list(ray_sets)
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                meet = current[i] & current[j]
-                if meet not in ray_sets:
-                    ray_sets.add(meet)
-                    changed = True
-
-    def tight_of(rs: frozenset) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(cone.inequalities)
-                     if all(dot(a, cone.rays[j]) == 0 for j in rs))
-
-    def dim_of(rs: frozenset) -> int:
-        return rank_of_rows([cone.rays[j] for j in rs] + list(cone.lineality))
-
-    entries = sorted(((dim_of(rs), tight_of(rs), rs) for rs in ray_sets),
-                     key=lambda t: (-t[0], t[1]))
+    facets = [frozenset(j for j in range(m) if dot(a, cone.rays[j]) == 0)
+              for a in cone.inequalities]
+    top = frozenset(range(m))
+    dims = {top: cone.dim()}
+    below = {}
+    work = [top]
+    for rs in work:
+        meets = {rs & f for f in facets if not rs <= f}
+        below[rs] = [g for g in meets if not any(g < h for h in meets)]
+        for g in below[rs]:
+            if g not in dims:
+                dims[g] = dims[rs] - 1
+                work.append(g)
+    entries = sorted(((dims[rs], tuple(i for i, f in enumerate(facets) if rs <= f), rs)
+                      for rs in work), key=lambda t: (-t[0], t[1]))
     handles = tuple(FaceHandle(i, tight, d) for i, (d, tight, _) in enumerate(entries))
-    sets = [entry[2] for entry in entries]
-    less = [[i != j and sets[i] < sets[j] for j in range(len(sets))] for i in range(len(sets))]
-    covers = []
-    for i in range(len(sets)):
-        for j in range(len(sets)):
-            if less[i][j] and not any(less[i][k] and less[k][j] for k in range(len(sets))):
-                covers.append((j, i))  # larger face covers smaller
-    covers.sort()
+    index = {rs: i for i, (_, _, rs) in enumerate(entries)}
+    covers = sorted((index[rs], index[g]) for rs in work for g in below[rs])
     return FaceLattice(cone, handles, tuple(covers),
-                       tuple(tuple(sorted(rs)) for rs in sets))
+                       tuple(tuple(sorted(rs)) for _, _, rs in entries))
 
 
 def minimal_face_of_point(cone: Cone, x: Sequence) -> FaceHandle:

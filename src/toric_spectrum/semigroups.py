@@ -20,9 +20,13 @@ semigroup are the faces of its asymptotic cone, so one double description
 (for that cone) and one :func:`~toric_spectrum.cones.face_lattice` give
 them all: each face cone is read off the lattice (a subset of the rays, the
 cone's inequalities tight on its facets), its local cone is the face cone
-written on its lattice basis, and the face order is ray-set inclusion.  A
-tower adds one half space per level above the faces of its innermost
-generated semigroup, and embeds each of them into Z^n once.
+written on its lattice basis, and the face order is ray-set inclusion.
+
+A tower is flattened once into Z^n (:func:`_flatten`): one half space per
+level, then its innermost generators embedded as a generated spec of rank n.
+The atlas is the half spaces above the faces of that generated spec;
+membership reads the half spaces' functionals level by level and searches
+the generators only at height zero on every level.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from itertools import product
 from typing import Optional, Sequence, Union
 
 from .cones import (
+    CACHE_SIZE,
     Cone,
     _reduce_mod_span,
     cone_from_rays,
@@ -50,7 +55,6 @@ from .intlinalg import (
     int_kernel,
     is_zero_vector,
     lattice_contains,
-    lattice_coordinates,
     primitive_vector,
     quotient_invariants,
     quotient_map,
@@ -104,8 +108,9 @@ def boundary_basis(spec: Tower) -> tuple[IntVector, ...]:
     return int_kernel([spec.normal], spec.ambient_rank).basis
 
 
-def embed_point(basis: Sequence[IntVector], y: Sequence[int]) -> IntVector:
-    out = [0] * (len(basis[0]) if basis else 0)
+def embed_point(basis: Sequence[IntVector], y: Sequence[int], ambient_rank: int) -> IntVector:
+    """The point ``sum y_i basis_i`` of Z^n; zero when the basis is empty."""
+    out = [0] * ambient_rank
     for c, row in zip(y, basis):
         out = [a + c * b for a, b in zip(out, row)]
     return tuple(out)
@@ -150,30 +155,36 @@ def is_separating(spec: SemigroupSpec) -> bool:
 # membership
 
 
-@lru_cache(maxsize=None)
-def _membership_data(spec: Generators):
-    """Search data for generator membership.
+@lru_cache(maxsize=CACHE_SIZE)
+def _membership_data(spec: SemigroupSpec):
+    """Level functionals and search data for membership.
 
-    The generators lying in the lineality of the asymptotic cone generate a
-    subgroup that is split off through quotient coordinates; the remaining
-    generators have nonzero image in a pointed cone, which yields per
-    generator coefficient bounds via a strictly positive integer functional.
+    A tower contributes one functional per level, the inequality of its half
+    space in Z^n; the search runs on its innermost generators embedded into
+    Z^n.  There, the generators lying in the lineality of the asymptotic
+    cone generate a subgroup that is split off through quotient coordinates;
+    the remaining generators have nonzero image in a pointed cone, which
+    yields per generator coefficient bounds via a strictly positive integer
+    functional.
     """
-    cone = asymptotic_cone(spec)
-    gens = [g for g in dict.fromkeys(spec.generators) if not is_zero_vector(g)]
+    half_spaces, base = _flatten(spec)
+    n = base.ambient_rank
+    cone = asymptotic_cone(base)
+    gens = [g for g in dict.fromkeys(base.generators) if not is_zero_vector(g)]
     in_lin = [g for g in gens if cone.contains(g) and cone.contains(vec_neg(g))]
     rest = [g for g in gens if not (cone.contains(g) and cone.contains(vec_neg(g)))]
-    lin_lattice = hnf(in_lin, spec.ambient_rank) if in_lin else Lattice(spec.ambient_rank, ())
-    moduli, project = quotient_map(spec.ambient_rank, lin_lattice)
+    lin_lattice = hnf(in_lin, n) if in_lin else Lattice(n, ())
+    moduli, project = quotient_map(n, lin_lattice)
     images = [project(g) for g in rest]
-    free_rank = spec.ambient_rank - lin_lattice.rank
+    free_rank = n - lin_lattice.rank
     free_cone = cone_from_rays([im[1] for im in images], (), free_rank)
     weight = tuple(sum(col) for col in zip(*free_cone.inequalities)) \
         if free_cone.inequalities else tuple([0] * free_rank)
     order = sorted(range(len(rest)),
                    key=lambda i: (-dot(weight, images[i][1]), rest[i]))
     gen_images = [images[i] for i in order]
-    return cone, moduli, project, free_cone, weight, gen_images
+    functionals = tuple(half.inequalities[0] for half, _ in half_spaces)
+    return functionals, (cone, moduli, project, free_cone, weight, gen_images)
 
 
 def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = None) -> bool:
@@ -181,28 +192,25 @@ def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = N
 
     Always decided exactly; the optional ``max_nodes`` budget turns a
     pathologically large search into an explicit
-    :class:`MembershipUndecided` instead of a wrong answer.
+    :class:`MembershipUndecided` instead of a wrong answer.  A tower decides
+    at its first level where x has nonzero height; a point of height zero on
+    every level lies in the innermost boundary, where the generators decide.
     """
     x = tuple(int(a) for a in x)
     if len(x) != spec.ambient_rank:
         raise ValueError("point length does not match ambient rank")
-    if isinstance(spec, Tower):
-        height = dot(spec.normal, x)
-        if height > 0:
-            return True
-        if height < 0:
-            return False
-        coords = lattice_coordinates(Lattice(spec.ambient_rank, boundary_basis(spec)), x)
-        if coords is None:
-            raise InvariantViolation("boundary point leaves the boundary lattice")
-        return contains(spec.inner, coords, max_nodes)
-    return _generators_contains(spec, x, max_nodes)
+    functionals, search = _membership_data(spec)
+    for a in functionals:
+        height = dot(a, x)
+        if height:
+            return height > 0
+    return _generators_contains(search, x, max_nodes)
 
 
-def _generators_contains(spec: Generators, x: IntVector, max_nodes: Optional[int]) -> bool:
+def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool:
     if is_zero_vector(x):
         return True
-    cone, moduli, project, free_cone, weight, gen_images = _membership_data(spec)
+    cone, moduli, project, free_cone, weight, gen_images = search
     if not cone.contains(x):
         return False
     budget = max_nodes
@@ -354,62 +362,47 @@ def _generator_faces(spec: Generators):
     return faces, lattice.ray_sets, lattice.covers
 
 
-def _embedder(embedding: Optional[tuple[IntVector, ...]], n: int):
-    """Map faces written on a boundary lattice into Z^n.
+def _flatten(spec: SemigroupSpec):
+    """A spec as its half spaces, one per tower level, plus its innermost
+    generators, all in Z^n.
 
-    ``embedding`` holds the images in Z^n of the boundary basis vectors
-    (None stands for the identity).  Its image is saturated, so the images
-    of a saturated lineality lattice span a saturated lattice and one HNF
-    makes them canonical; an inequality ``a`` of the boundary lifts to the
-    vector ``E^T y`` with ``(E E^T) y = a``, which takes the same values on
-    the image (solved in integers, up to a positive factor that the
-    primitive normal forgets).  No double description runs.
+    Level k's span is the image of its embedding E, the product of the
+    boundary bases above it (the identity at the top).  Its lineality is the
+    image of the next level's embedding; its single ray, which is also its
+    single inequality, is ``E^T normal`` taken modulo that lineality.  The
+    innermost generators are embedded once, into a :class:`Generators` spec
+    of rank n.  A generated spec is its own base, with no half spaces.
+    Returns ``(half spaces, base)``, each half space a ``(cone, lattice)``
+    pair.
     """
-    if embedding is None:
-        return lambda face: face
-    gram = [[dot(u, v) for v in embedding] for u in embedding]
-
-    def embed(face):
-        cone, lattice, members, dim = face
-        lineality = hnf([embed_point(embedding, v) for v in cone.lineality], n).basis
-        rays = tuple(sorted(_reduce_mod_span(embed_point(embedding, r), lineality)
-                            for r in cone.rays))
-        equations = int_kernel(rays + lineality, n).basis
-        inequalities = tuple(sorted({
-            _reduce_mod_span(embed_point(embedding, scaled_coordinates(gram, a)[0]), equations)
-            for a in cone.inequalities}))
-        lattice = hnf([embed_point(embedding, b) for b in lattice.basis], n)
-        if members is not None:
-            members = tuple(embed_point(embedding, g) for g in members)
-        return Cone(n, rays, inequalities, lineality, equations), lattice, members, dim
-
-    return embed
+    n = spec.ambient_rank
+    half_spaces = []
+    embedding = full_lattice(n).basis
+    while isinstance(spec, Tower):
+        inner = tuple(embed_point(embedding, b, n) for b in boundary_basis(spec))
+        lineality = hnf(inner, n).basis
+        normal = _reduce_mod_span(embed_point(embedding, spec.normal, n), lineality)
+        half_spaces.append((Cone(n, (normal,), (normal,), lineality,
+                                 int_kernel(embedding, n).basis), hnf(embedding, n)))
+        embedding, spec = inner, spec.inner
+    return half_spaces, Generators(n, tuple(embed_point(embedding, g, n)
+                                            for g in spec.generators))
 
 
 def _raw_faces(spec: SemigroupSpec):
     """Every face in the coordinates of Z^n, the whole semigroup first.
 
-    A tower's faces are its half spaces, one per level, above the embedded
-    faces of the innermost generated semigroup.  Each level's embedding into
-    Z^n is the product of the boundary bases above it, so every face is
-    embedded once.  Returns ``(faces, keys, covers)``: ``faces`` as in
+    A tower's faces are its half spaces, one per level, above the faces of
+    its innermost generators embedded into Z^n (see :func:`_flatten`).
+    Returns ``(faces, keys, covers)``: ``faces`` as in
     :func:`_generator_faces`, a ``(level, ray set)`` key per face for
     :func:`_below` (the ray set is None for a half space), and the cover
     pairs as indices into ``faces``.
     """
-    n = spec.ambient_rank
-    faces = []
-    embedding = None
-    while isinstance(spec, Tower):
-        faces.append(_embedder(embedding, n)(
-            (asymptotic_cone(spec), full_lattice(spec.ambient_rank), None, spec.ambient_rank)))
-        basis = boundary_basis(spec)
-        embedding = basis if embedding is None else \
-            tuple(embed_point(embedding, b) for b in basis)
-        spec = spec.inner
-    depth = len(faces)
-    base, ray_sets, base_covers = _generator_faces(spec)
-    faces += map(_embedder(embedding, n), base)
+    half_spaces, base = _flatten(spec)
+    depth = len(half_spaces)
+    base_faces, ray_sets, base_covers = _generator_faces(base)
+    faces = [(cone, lattice, None, lattice.rank) for cone, lattice in half_spaces] + base_faces
     keys = [(level, None) for level in range(depth)] + \
         [(depth, frozenset(rs)) for rs in ray_sets]
     covers = [(level, level + 1) for level in range(depth)] + \
@@ -474,8 +467,8 @@ def enumerate_faces(spec: SemigroupSpec) -> SpectrumAtlas:
     asymptotic cone) and one :func:`face_lattice`: every face cone, its
     lattice and its local cone are read off that lattice, and the order and
     the covers are its ray-set inclusion and its covers.  A tower
-    contributes its half space plus the embedded faces of its boundary
-    semigroup, each embedded into Z^n once.  Face 0 is the whole semigroup;
+    contributes one half space per level above the faces of its innermost
+    generators embedded into Z^n.  Face 0 is the whole semigroup;
     the rest are ordered by decreasing cone dimension, then lexicographic
     cone data.
     """

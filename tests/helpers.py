@@ -1,5 +1,6 @@
 """Shared fixtures and generators for the test suite."""
 
+import math
 import random
 
 from toric_spectrum import Generators, Tower
@@ -38,3 +39,22 @@ def random_pointed_generators(rng: random.Random, max_rank: int = 3,
         spec = random_generators(rng, max_rank, max_gens, coord)
         if is_pointed(asymptotic_cone(spec)):
             return spec
+
+
+def skew_normal(rng, n):
+    while True:
+        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        if math.gcd(*v) == 1:
+            return v
+
+
+TORSION_BASES = (Generators(1, ((2,),)), EVEN_AXIS, Generators(2, ((4, 2), (0, 3))),
+                 Generators(1, ((3,), (-3,))))
+
+
+def random_tower(rng, depth, bases=TORSION_BASES):
+    spec = rng.choice(bases)
+    for _ in range(depth):
+        n = spec.ambient_rank + 1
+        spec = Tower(n, skew_normal(rng, n), spec)
+    return spec

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from toric_spectrum import cones
 from toric_spectrum.cones import (
     cone_from_inequalities,
     cone_from_rays,
@@ -151,3 +152,57 @@ def test_zero_rank_cone():
     cone = zero_cone(0)
     assert cone.rays == () and cone.contains(())
     assert len(face_lattice(cone).faces) == 1
+
+
+def reference_face_lattice(cone):
+    """Faces as the pairwise intersection closure of the facet ray sets and
+    the whole cone, covers as the transitive reduction of strict inclusion,
+    dimensions by rank."""
+    m = len(cone.rays)
+    sets = {frozenset(range(m))} | {
+        frozenset(j for j in range(m) if dot(a, cone.rays[j]) == 0) for a in cone.inequalities}
+    while True:
+        meets = {a & b for a in sets for b in sets} - sets
+        if not meets:
+            break
+        sets |= meets
+    entries = sorted(
+        ((rank_of_rows([cone.rays[j] for j in rs] + list(cone.lineality)),
+          tuple(i for i, a in enumerate(cone.inequalities)
+                if all(dot(a, cone.rays[j]) == 0 for j in rs)), rs) for rs in sets),
+        key=lambda t: (-t[0], t[1]))
+    ordered = [rs for _, _, rs in entries]
+    covers = sorted((i, j) for i, a in enumerate(ordered) for j, b in enumerate(ordered)
+                    if b < a and not any(b < c < a for c in ordered))
+    return ([(d, tight) for d, tight, _ in entries], covers,
+            [tuple(sorted(rs)) for rs in ordered])
+
+
+def test_face_lattice_matches_intersection_closure():
+    rng = random.Random(2002)
+    for _ in range(150):
+        cone = random_cone(rng, max_rank=5)
+        for c in (cone, dual_cone(cone)):
+            lattice = face_lattice(c)
+            handles, covers, ray_sets = reference_face_lattice(c)
+            assert [(h.dim, h.tight_set) for h in lattice.faces] == handles
+            assert [h.id for h in lattice.faces] == list(range(len(handles)))
+            assert list(lattice.covers) == covers
+            assert list(lattice.ray_sets) == ray_sets
+
+
+def test_cone_from_inequalities_is_dual_of_generated_cone():
+    def four_steps(inequalities, equations, n):
+        # convert to rays, canonicalise, convert back, canonicalise
+        rays, lin = cones._canonical_sides(*cones._double_description(inequalities, equations, n), n)
+        normals, eqs = cones._canonical_sides(*cones._double_description(rays, lin, n), n)
+        return cones.Cone(n, rays, normals, lin, eqs)
+
+    rng = random.Random(1968)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        ineqs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, n + 2))]
+        eqs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        cone = cone_from_inequalities(ineqs, eqs, n)
+        assert cone == four_steps(ineqs, eqs, n)
+        assert cone_from_inequalities(cone.inequalities, cone.equations, n) == cone

@@ -9,7 +9,6 @@ order comes from ``cone_contains_cone``.  It lives only here.
 
 import ast
 import json
-import math
 import random
 import subprocess
 import sys
@@ -35,7 +34,7 @@ from toric_spectrum import cones
 from toric_spectrum.intlinalg import dot, full_lattice, primitive_vector, rational_coordinates
 from toric_spectrum.semigroups import boundary_basis, embed_point
 
-from helpers import EVEN_AXIS, FIXTURES
+from helpers import FIXTURES, random_tower, skew_normal
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toric_spectrum"
 
@@ -54,25 +53,6 @@ def random_spec(rng, n):
         gens.append((0,) * n)
     rng.shuffle(gens)
     return Generators(n, tuple(gens))
-
-
-def skew_normal(rng, n):
-    while True:
-        v = tuple(rng.randint(-3, 3) for _ in range(n))
-        if math.gcd(*v) == 1:
-            return v
-
-
-TORSION_BASES = (Generators(1, ((2,),)), EVEN_AXIS, Generators(2, ((4, 2), (0, 3))),
-                 Generators(1, ((3,), (-3,))))
-
-
-def random_tower(rng, depth):
-    spec = rng.choice(TORSION_BASES)
-    for _ in range(depth):
-        n = spec.ambient_rank + 1
-        spec = Tower(n, skew_normal(rng, n), spec)
-    return spec
 
 
 GENERATOR_SPECS = [random_spec(random.Random(f"gens:{i}"), 1 + i % 4) for i in range(48)] + \
@@ -96,10 +76,10 @@ def reference_faces(spec):
     out = [(cone_from_inequalities([spec.normal], (), n), full_lattice(n), None)]
     for cone, lattice, members in reference_faces(spec.inner):
         out.append((
-            cone_from_rays([embed_point(basis, r) for r in cone.rays],
-                           [embed_point(basis, v) for v in cone.lineality], n),
-            hnf([embed_point(basis, b) for b in lattice.basis], n),
-            None if members is None else tuple(embed_point(basis, g) for g in members)))
+            cone_from_rays([embed_point(basis, r, n) for r in cone.rays],
+                           [embed_point(basis, v, n) for v in cone.lineality], n),
+            hnf([embed_point(basis, b, n) for b in lattice.basis], n),
+            None if members is None else tuple(embed_point(basis, g, n) for g in members)))
     return out
 
 
@@ -191,6 +171,23 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+def test_no_unused_imports_in_package():
+    # the project has no linter, so a stale import is caught by name here;
+    # __init__ imports only to re-export
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name}: unused imports {sorted(imported - used)}"
 
 
 def spec_document(spec):

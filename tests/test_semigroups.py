@@ -238,7 +238,8 @@ def test_antisymmetric_iff_pointed_for_generators():
 def test_tower_boundary_embedding_roundtrip():
     basis = boundary_basis(HALFSPACE_TOWER)
     assert basis == ((1, 0, 0), (0, 1, 0))
-    assert embed_point(basis, (3, -2)) == (3, -2, 0)
+    assert embed_point(basis, (3, -2), 3) == (3, -2, 0)
+    assert embed_point((), (), 3) == (0, 0, 0)
 
 
 def test_nested_tower():
