@@ -24,8 +24,8 @@ from .intlinalg import (
     IntVector,
     InvariantViolation,
     dot,
+    hnf_coordinates,
     lattice_coordinates,
-    scaled_coordinates,
 )
 from .semigroups import SpectrumAtlas, contains
 
@@ -227,7 +227,7 @@ def _vanishes_on_face(atlas: SpectrumAtlas, lam: Sequence,
     base = atlas.faces[base_id]
     cone = atlas.faces[face_id].cone
     for v in list(cone.rays) + list(cone.lineality):
-        solved = scaled_coordinates(base.lattice.basis, v)
+        solved = hnf_coordinates(base.lattice.basis, v)
         if solved is None:
             raise InvariantViolation("face cone leaves the span of the base lattice")
         if dot(lam, solved[0]) != 0:

@@ -118,6 +118,8 @@ def load_spec(path: str) -> SemigroupSpec:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to parse") from None
     return parse_spec(document)
 
 

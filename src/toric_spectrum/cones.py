@@ -12,7 +12,9 @@ A :class:`Cone` stores both representations in canonical form:
 The H-side of a cone is literally the V-side of its dual, so dualising is an
 exact involution by construction.  Conversions run the double description
 method with integer pivots and a rank-based adjacency test; no floating point
-is used anywhere.
+is used anywhere.  The double description runs in the rank of the cone's
+linear span: a cone that does not span Q^n is converted on the coordinates
+of a saturated basis of its span and mapped back (:func:`cone_from_rays`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .intlinalg import (
     Lattice,
     dot,
     hnf,
+    int_kernel,
     is_zero_vector,
+    lattice_coordinates,
     primitive_vector,
     rank_of_rows,
     saturate,
@@ -186,7 +190,7 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
 
 def _canonical_sides(ray_gens: Sequence[IntVector], lin_gens: Sequence[IntVector], n: int):
     """Canonical (rays, lineality) from arbitrary generating data."""
-    # the double description returns the lineality in HNF, so it is a Lattice
+    # saturate takes any generating rows, in HNF or not
     lin_rows = saturate(Lattice(n, tuple(lin_gens))).basis if lin_gens else ()
     rays = _dedup_keep_order(
         r for r in (_reduce_mod_span(v, lin_rows) for v in ray_gens)
@@ -194,20 +198,47 @@ def _canonical_sides(ray_gens: Sequence[IntVector], lin_gens: Sequence[IntVector
     return tuple(sorted(rays)), lin_rows
 
 
-def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[int]] = (),
-                   ambient_rank: Optional[int] = None) -> Cone:
-    """Cone generated by the given rays plus a lineality space.
-
-    The input may be redundant; the stored data is canonical.
-    """
-    n = _infer_rank(rays, lineality, ambient_rank)
-    gens = [tuple(int(a) for a in r) for r in rays]
-    lins = [tuple(int(a) for a in l) for l in lineality]
+def _dd_cone(gens: Sequence[IntVector], lins: Sequence[IntVector], n: int) -> Cone:
+    """Both double description passes in rank n, each side made canonical."""
     normals, eqs = _double_description(gens, lins, n)
     normals_c, eqs_c = _canonical_sides(normals, eqs, n)
     rays_v, lin_v = _double_description(normals_c, eqs_c, n)
     rays_c, lin_c = _canonical_sides(rays_v, lin_v, n)
     return Cone(n, rays_c, normals_c, lin_c, eqs_c)
+
+
+def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[int]] = (),
+                   ambient_rank: Optional[int] = None) -> Cone:
+    """Cone generated by the given rays plus a lineality space.
+
+    The input may be redundant; the stored data is canonical.  The double
+    description runs in the rank of the cone's linear span, after Fukuda &
+    Prodon (1996): its equations are found once, the input is written on
+    the saturated basis B of the span, and the cone computed there is full
+    dimensional.  Rays and lineality go back to Z^n as ``B^T y``; a facet
+    normal a goes back by the Gram lift ``B^T (B B^T)^{-1} a``, the vector
+    of the span that pairs with ``B^T y`` as a pairs with y.
+    """
+    n = _infer_rank(rays, lineality, ambient_rank)
+    gens = [tuple(int(a) for a in r) for r in rays]
+    lins = [tuple(int(a) for a in l) for l in lineality]
+    equations = int_kernel(gens + lins, n).basis
+    if not equations:
+        return _dd_cone(gens, lins, n)
+    span = int_kernel(equations, n)
+    columns = list(zip(*span.basis))
+
+    def lift(y):
+        return tuple(dot(y, c) for c in columns)
+
+    local = _dd_cone([lattice_coordinates(span, v) for v in gens],
+                     [lattice_coordinates(span, v) for v in lins], span.rank)
+    rays_c, lin_c = _canonical_sides([lift(y) for y in local.rays],
+                                     [lift(y) for y in local.lineality], n)
+    gram = [[dot(u, v) for v in span.basis] for u in span.basis]
+    normals = {primitive_vector(lift(scaled_coordinates(gram, a)[0]))
+               for a in local.inequalities}
+    return Cone(n, rays_c, tuple(sorted(normals)), lin_c, equations)
 
 
 def cone_from_inequalities(inequalities: Sequence[Sequence[int]],

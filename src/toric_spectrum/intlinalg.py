@@ -7,16 +7,26 @@ Hermite normal form with positive pivots and entries above each pivot reduced
 into ``[0, pivot)``, which makes the basis a canonical form: two generating
 sets span the same lattice exactly when their normal forms are equal.
 
-Linear algebra over the rationals (rank, solving, and through it the
-orthogonal projections of :mod:`toric_spectrum.cones`) runs on one kernel,
+Rank and solving over the rationals on arbitrary rows run on one kernel,
 :func:`_echelon`: fraction-free Gaussian elimination after Bareiss (1968),
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", in which every division is exact and every entry stays an
-integer.  Solutions come out as integer numerators over one common
-denominator (:func:`scaled_coordinates`); ``fractions.Fraction`` appears only
-at the :func:`rational_coordinates` boundary.  Coordinates on a lattice
-basis need no elimination at all: :func:`lattice_coordinates`
-back-substitutes on the HNF pivots.
+integer.  Two solvers return coordinates as integer numerators over one
+positive denominator:
+
+* :func:`hnf_coordinates` back-substitutes on the pivots of an echelon
+  basis, with no elimination.  Every basis a caller holds in HNF goes
+  through it: the local coordinates and span checks of a face
+  (:mod:`toric_spectrum.semigroups`), the vanishing test of a character's
+  decay on a face (:mod:`toric_spectrum.characters`), and, as its
+  denominator-free case, :func:`lattice_coordinates`.
+* :func:`scaled_coordinates` eliminates with :func:`_echelon`; it serves the
+  Gram systems of :mod:`toric_spectrum.cones` (the projection modulo a span
+  and the lift of a normal out of a span's coordinates), whose rows are in
+  no echelon form.
+
+``fractions.Fraction`` appears only at the :func:`rational_coordinates`
+boundary.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ def dot(u: Sequence, v: Sequence):
     """Inner product; exact for ints and Fractions."""
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:
@@ -218,25 +228,46 @@ def rational_coordinates(basis: Sequence[IntVector], x: Sequence[int]) -> Option
     return tuple(Fraction(c, d) for c in y)
 
 
-def lattice_coordinates(lattice: Lattice, x: Sequence[int]) -> Optional[IntVector]:
-    """Integer coefficients c with ``sum(c_i * basis_i) == x`` on the lattice
-    basis, or None if x is not in the lattice.
+def hnf_coordinates(basis: Sequence[IntVector],
+                    x: Sequence[int]) -> Optional[tuple[IntVector, int]]:
+    """Integers ``(y, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``,
+    or None if x is not in the rational row span.  The basis must be in row
+    echelon form with positive pivots, as an HNF basis is.
 
-    Back-substitution on the HNF pivots: each basis row is zero left of its
-    pivot, so the pivot columns fix the coefficients one row at a time, and
-    x is in the lattice exactly when nothing remains.
+    Back-substitution on the pivots, with no elimination: each basis row is
+    zero left of its pivot, so the pivot columns fix the coefficients one
+    row at a time.  Where a pivot does not divide what remains in its
+    column, everything found so far is scaled by the missing factor, so
+    ``d`` is the least denominator of the rational coordinates, and x is in
+    the span exactly when nothing remains.
     """
-    if len(x) != lattice.ambient_rank:
-        raise ValueError("vector length does not match ambient rank")
     rem = [int(a) for a in x]
-    coords = []
-    for row in lattice.basis:
+    coords: list[int] = []
+    d = 1
+    for row in basis:
         j = next(i for i, a in enumerate(row) if a != 0)
-        q = rem[j] // row[j]
+        p = row[j]
+        q, r = divmod(rem[j], p)
+        if r:
+            scale = p // gcd(p, r)
+            d *= scale
+            coords = [c * scale for c in coords]
+            rem = [a * scale for a in rem]
+            q = rem[j] // p
         coords.append(q)
         if q != 0:
             rem = [a - q * b for a, b in zip(rem, row)]
-    return tuple(coords) if is_zero_vector(rem) else None
+    return (tuple(coords), d) if is_zero_vector(rem) else None
+
+
+def lattice_coordinates(lattice: Lattice, x: Sequence[int]) -> Optional[IntVector]:
+    """Integer coefficients c with ``sum(c_i * basis_i) == x`` on the lattice
+    basis, or None if x is not in the lattice: the :func:`hnf_coordinates`
+    that need no denominator."""
+    if len(x) != lattice.ambient_rank:
+        raise ValueError("vector length does not match ambient rank")
+    solved = hnf_coordinates(lattice.basis, x)
+    return solved[0] if solved is not None and solved[1] == 1 else None
 
 
 def lattice_contains(lattice: Lattice, x: Sequence[int]) -> bool:

@@ -52,6 +52,7 @@ from .intlinalg import (
     dot,
     full_lattice,
     hnf,
+    hnf_coordinates,
     int_kernel,
     is_zero_vector,
     lattice_contains,
@@ -59,7 +60,6 @@ from .intlinalg import (
     quotient_invariants,
     quotient_map,
     saturate,
-    scaled_coordinates,
     solve_unit_functional,
     vec_add,
     vec_neg,
@@ -370,21 +370,26 @@ def _flatten(spec: SemigroupSpec):
     boundary bases above it (the identity at the top).  Its lineality is the
     image of the next level's embedding; its single ray, which is also its
     single inequality, is ``E^T normal`` taken modulo that lineality.  The
-    innermost generators are embedded once, into a :class:`Generators` spec
-    of rank n.  A generated spec is its own base, with no half spaces.
-    Returns ``(half spaces, base)``, each half space a ``(cone, lattice)``
-    pair.
+    flag is walked in one pass: a level's lineality, ``hnf`` of the next
+    embedding, is the next level's lattice, and the kernel of the next
+    embedding is the next level's equations, so each level runs one ``hnf``
+    and one kernel.  The innermost generators are embedded once, into a
+    :class:`Generators` spec of rank n.  A generated spec is its own base,
+    with no half spaces.  Returns ``(half spaces, base)``, each half space a
+    ``(cone, lattice)`` pair.
     """
     n = spec.ambient_rank
     half_spaces = []
-    embedding = full_lattice(n).basis
+    lattice = full_lattice(n)
+    embedding, equations = lattice.basis, ()
     while isinstance(spec, Tower):
         inner = tuple(embed_point(embedding, b, n) for b in boundary_basis(spec))
-        lineality = hnf(inner, n).basis
-        normal = _reduce_mod_span(embed_point(embedding, spec.normal, n), lineality)
-        half_spaces.append((Cone(n, (normal,), (normal,), lineality,
-                                 int_kernel(embedding, n).basis), hnf(embedding, n)))
+        lineality = hnf(inner, n)
+        normal = _reduce_mod_span(embed_point(embedding, spec.normal, n), lineality.basis)
+        half_spaces.append((Cone(n, (normal,), (normal,), lineality.basis, equations), lattice))
         embedding, spec = inner, spec.inner
+        if isinstance(spec, Tower):
+            lattice, equations = lineality, int_kernel(inner, n).basis
     return half_spaces, Generators(n, tuple(embed_point(embedding, g, n)
                                             for g in spec.generators))
 
@@ -421,7 +426,7 @@ def _below(key_a, key_b) -> bool:
 
 
 def _local_coordinates(basis: Sequence[IntVector], v: IntVector) -> IntVector:
-    solved = scaled_coordinates(basis, v)
+    solved = hnf_coordinates(basis, v)
     if solved is None:
         raise InvariantViolation("face cone leaves the span of its lattice")
     return primitive_vector(solved[0])
@@ -432,14 +437,19 @@ def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
 
     The face lattice spans the face, so on the lattice basis B the cone is
     full dimensional: its facet normals are ``B a`` for the face's normals
-    ``a``, and no double description runs.
+    ``a``, and no double description runs.  Rays and lineality are written
+    on B by back-substitution on its HNF pivots.  Without torsion the face
+    lattice is saturated; the lineality then has integer coordinates that
+    span a saturated lattice, so their ``hnf`` is canonical and only a face
+    with torsion saturates it.
     """
     if lattice.rank != dim:
         raise InvariantViolation("face lattice does not span its cone")
     torsion = quotient_invariants(n, lattice)[1]
     basis = lattice.basis
-    lineality = saturate(hnf([_local_coordinates(basis, v) for v in cone.lineality],
-                             dim)).basis if cone.lineality else ()
+    lineality = hnf([_local_coordinates(basis, v) for v in cone.lineality], dim)
+    # on a saturated face lattice the coordinates already span a saturated lattice
+    lineality = (saturate(lineality) if torsion and lineality.basis else lineality).basis
     rays = tuple(sorted(_reduce_mod_span(_local_coordinates(basis, r), lineality)
                         for r in cone.rays))
     inequalities = tuple(sorted({primitive_vector([dot(b, a) for b in basis])
@@ -552,10 +562,10 @@ def validate_atlas(atlas: SpectrumAtlas) -> list[str]:
                     break
     for j, face in enumerate(faces):
         for r in face.cone.rays:
-            if scaled_coordinates(face.lattice.basis, r) is None:
+            if hnf_coordinates(face.lattice.basis, r) is None:
                 problems.append(f"face {j}: ray {r} outside the span of its lattice")
         for l in face.cone.lineality:
-            if scaled_coordinates(face.lattice.basis, l) is None:
+            if hnf_coordinates(face.lattice.basis, l) is None:
                 problems.append(f"face {j}: lineality {l} outside the span of its lattice")
     return problems
 

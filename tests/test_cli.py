@@ -120,6 +120,15 @@ def test_member_search_depth_and_width(tmp_path, generators, target, expected):
     assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "analyze", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "nested too deeply" in result.stderr and "Traceback" not in result.stderr
+
+
 def test_member_queries(tmp_path):
     path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
     assert run_cli(["member", path, "1", "0"]) == (0, "false\n")

@@ -2,10 +2,13 @@
 
 Rank, solving and the projection modulo a span (``cones._reduce_mod_span``)
 all run on one Bareiss elimination; they are checked here against the
-independent ``Fraction`` Gauss-Jordan code of the oracle.
+independent ``Fraction`` Gauss-Jordan code of the oracle.  Coordinates on an
+echelon basis run on no elimination at all (``hnf_coordinates``); they are
+checked against the elimination.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,7 +17,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from toric_spectrum.cones import _reduce_mod_span  # noqa: E402
 from toric_spectrum.intlinalg import (  # noqa: E402
+    Lattice,
     dot,
+    hnf,
+    hnf_coordinates,
+    lattice_coordinates,
     primitive_vector,
     rank_of_rows,
     rational_coordinates,
@@ -126,3 +133,54 @@ def test_projection_of_a_rational_point(case, data):
     c = _osolve(gram, [dot(r, q) for r in rows])
     proj = [a - sum((ci * r[j] for ci, r in zip(c, rows)), Fraction(0)) for j, a in enumerate(q)]
     assert _reduce_mod_span(q, rows) == primitive_vector(proj)
+
+
+@st.composite
+def echelon_bases_and_point(draw):
+    """A row echelon basis with positive pivots, and a point in its lattice,
+    in its rational span or anywhere.  The basis is either an HNF or built
+    directly, with any entries (negative, or not reduced above a later
+    pivot) right of each pivot; it may be empty."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5))
+        basis = list(hnf(rows, n).basis)
+    else:
+        columns = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        basis = [tuple([0] * j + [draw(st.integers(1, 6))]
+                       + draw(st.lists(entries, min_size=n - j - 1, max_size=n - j - 1)))
+                 for j in columns]
+    kind = draw(st.sampled_from(("lattice", "span", "anywhere")))
+    if kind == "anywhere":
+        return basis, tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+    coeffs = draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+    x = [0] * n
+    for c, row in zip(coeffs, basis):
+        x = [a + c * b for a, b in zip(x, row)]
+    if kind == "span":
+        # a rational point of the span, cleared of its denominator
+        x = primitive_vector(x) if any(x) else x
+    return basis, tuple(x)
+
+
+@SETTINGS
+@given(echelon_bases_and_point())
+def test_pivot_coordinates_match_elimination(case):
+    basis, x = case
+    solved = hnf_coordinates(basis, x)
+    expected = scaled_coordinates(basis, x)
+    assert (solved is None) == (expected is None)
+    if solved is not None:
+        y, d = solved
+        assert d > 0
+        assert [Fraction(c, d) for c in y] == [Fraction(c, expected[1]) for c in expected[0]]
+        # d is the least common denominator of the coordinates
+        assert gcd(d, *y) == 1
+        # on the lattice no pivot scales: the integer coordinates, or None
+        lattice = Lattice(len(x), tuple(basis))
+        assert lattice_coordinates(lattice, x) == (y if d == 1 else None)
+
+
+def test_pivot_coordinates_on_an_empty_basis():
+    assert hnf_coordinates([], (0, 0)) == ((), 1)
+    assert hnf_coordinates([], (0, 1)) is None

@@ -1,6 +1,9 @@
 """A tower read as its half spaces plus its innermost generators embedded
 into Z^n: the atlas and membership both work on this one flattening."""
 
+import hashlib
+import io
+import json
 import random
 
 import pytest
@@ -14,6 +17,7 @@ from toric_spectrum import (
     validate_atlas,
 )
 from toric_spectrum import cones, semigroups
+from toric_spectrum.cli import main, spec_document
 from toric_spectrum.intlinalg import Lattice, dot, lattice_coordinates
 from toric_spectrum.semigroups import boundary_basis, embed_point
 
@@ -102,3 +106,23 @@ def test_caches_stay_bounded():
         info = cache.cache_info()
         assert info.maxsize == cones.CACHE_SIZE < 300
         assert info.currsize <= info.maxsize
+
+
+# sha256 of `analyze --json` on seeded chains deeper than the benchmark's
+# digests reach, frozen before the flag was walked in one pass and the
+# double description moved to the span's rank
+DEEP_DIGESTS = {
+    8: "763a5eb90de16328b70708a23f4ffbd77691dfc4cdf31f6b3eaf333d40b224cd",
+    16: "a067484f75e9b37d5fd772f5b5a2925a28ed06a87fdda0ee63e9a211f7769371",
+    24: "6e6d18b4c15559336f2ec3a64349b7e3167f5c123d08261330dd6b2ca473e91d",
+}
+
+
+@pytest.mark.parametrize("depth", sorted(DEEP_DIGESTS))
+def test_deep_tower_report_is_unchanged(tmp_path, depth):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(spec_document(random_tower(random.Random(f"deep:{depth}"), depth))),
+                    encoding="utf-8")
+    out = io.StringIO()
+    assert main(["analyze", "--json", str(path)], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DEEP_DIGESTS[depth]
