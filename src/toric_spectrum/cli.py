@@ -2,7 +2,8 @@
 the character operations.
 
 Exit codes: 0 success, 2 malformed input, 3 recognised but unsupported input
-class (non-integer data), 4 internal invariant violation (always a bug).
+class (non-integer data), 4 internal invariant violation (always a bug), 5 out
+of memory (the input needs more memory than the process can get).
 """
 
 from __future__ import annotations
@@ -470,6 +471,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("out of memory: the input needs more memory than is available", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

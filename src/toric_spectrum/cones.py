@@ -19,6 +19,7 @@ of a saturated basis of its span and mapped back (:func:`cone_from_rays`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -167,17 +168,15 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
                 if not is_zero_vector(rr))
             constraints.append(a)
             continue
-        plus = [r for r in rays if dot(a, r) > 0]
-        zero = [r for r in rays if dot(a, r) == 0]
-        minus = [r for r in rays if dot(a, r) < 0]
+        values = [dot(a, r) for r in rays]
+        plus = [(r, v) for r, v in zip(rays, values) if v > 0]
+        minus = [(r, v) for r, v in zip(rays, values) if v < 0]
         if minus:
-            new_rays = zero + plus
-            for p in plus:
-                vp = dot(a, p)
-                for q in minus:
+            new_rays = [r for r, v in zip(rays, values) if v == 0] + [p for p, _ in plus]
+            for p, vp in plus:
+                for q, vq in minus:
                     if not _adjacent(p, q, constraints, n, len(lin)):
                         continue
-                    vq = dot(a, q)
                     combo = vec_sub(tuple(vp * c for c in q), tuple(vq * c for c in p))
                     combo = _reduce_mod_span(combo, lin)
                     if not is_zero_vector(combo):
@@ -220,8 +219,8 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
     of the span that pairs with ``B^T y`` as a pairs with y.
     """
     n = _infer_rank(rays, lineality, ambient_rank)
-    gens = [tuple(int(a) for a in r) for r in rays]
-    lins = [tuple(int(a) for a in l) for l in lineality]
+    gens = [tuple(map(operator.index, r)) for r in rays]
+    lins = [tuple(map(operator.index, l)) for l in lineality]
     equations = int_kernel(gens + lins, n).basis
     if not equations:
         return _dd_cone(gens, lins, n)

@@ -25,8 +25,19 @@ positive denominator:
   and the lift of a normal out of a span's coordinates), whose rows are in
   no echelon form.
 
-``fractions.Fraction`` appears only at the :func:`rational_coordinates`
-boundary.
+Lattices run on a second kernel, :func:`_triangulate`: unimodular row
+operations after Euclid, the least nonzero entry of a column being the
+pivot that reduces the others.  :func:`hnf` triangulates every column and
+then reduces above each pivot.  :func:`int_kernel` triangulates only the
+data block of ``[rows^T | I_n]`` and takes one :func:`hnf` of what is left
+(Cohen, *A Course in Computational Algebraic Number Theory*, 1993, section
+2.4), and :func:`saturate` is two kernels.
+
+Every entry point that eliminates or reduces requires integer entries and
+converts with ``operator.index``, so a ``Fraction`` or a float raises
+TypeError instead of being truncated.  ``fractions.Fraction`` appears only
+at the :func:`rational_coordinates` boundary and in the input of
+:func:`primitive_vector`.
 """
 
 from __future__ import annotations
@@ -80,10 +91,13 @@ def is_zero_vector(u: Sequence) -> bool:
 def primitive_vector(vec: Sequence) -> IntVector:
     """Scale a rational vector to the primitive integer vector with the same
     direction (gcd of entries 1, orientation preserved).  Zero stays zero."""
-    denom = lcm(*(a.denominator for a in vec))
-    ints = [int(a * denom) for a in vec]
-    g = gcd(*ints)
-    return tuple(a // g for a in ints) if g else tuple(ints)
+    try:
+        g = gcd(*vec)
+    except TypeError:  # a Fraction entry: clear the denominators first
+        denom = lcm(*(a.denominator for a in vec))
+        vec = [int(a * denom) for a in vec]
+        g = gcd(*vec)
+    return tuple(a // g for a in vec) if g > 1 else tuple(vec)
 
 
 def _check_rows(rows: Sequence[Sequence[int]], ambient_rank: Optional[int]) -> int:
@@ -114,43 +128,58 @@ class Lattice:
                 raise ValueError("basis row length does not match ambient rank")
 
 
+def _triangulate(mat: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Unimodular row operations that make the first ``cols`` columns of an
+    integer matrix upper triangular, in place.
+
+    Returns ``(pivot rows, rest)``: each pivot row has its first nonzero
+    entry in a later column than the row before, and the rest vanish on the
+    first ``cols`` columns.  Together they span the rows' lattice.  Each
+    column runs Euclid's algorithm on its entries: the least nonzero
+    ``|entry|`` is the pivot, and the rows below are reduced by floor
+    quotient until only the pivot is nonzero.
+    """
+    r = 0
+    for j in range(cols):
+        while r < len(mat):
+            nz = [i for i in range(r, len(mat)) if mat[i][j]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(mat[i][j]))
+            mat[r], mat[i0] = mat[i0], mat[r]
+            if len(nz) == 1:
+                r += 1
+                break
+            pivot_row = mat[r]
+            p = pivot_row[j]
+            for i in range(r + 1, len(mat)):
+                if mat[i][j]:
+                    q = mat[i][j] // p
+                    mat[i] = [a - q * b for a, b in zip(mat[i], pivot_row)]
+    return mat[:r], mat[r:]
+
+
 def hnf(rows: Iterable[Sequence[int]], ambient_rank: Optional[int] = None) -> Lattice:
     """Canonical lattice spanned by the given integer rows.
 
     The basis is the row-style Hermite normal form: linearly independent
     rows, pivots positive and in strictly increasing column order, entries
     above each pivot reduced into ``[0, pivot)``.  Zero rows are dropped.
+    Non-integer entries are rejected (TypeError).
     """
-    rows = [tuple(int(a) for a in r) for r in rows]
-    n = _check_rows(rows, ambient_rank)
-    mat = [list(r) for r in rows]
-    r = 0
-    for j in range(n):
-        while True:
-            nz = [i for i in range(r, len(mat)) if mat[i][j] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][j]))
-            mat[r], mat[i0] = mat[i0], mat[r]
-            if len(nz) == 1:
-                break
-            p = mat[r][j]
-            for i in range(r + 1, len(mat)):
-                if mat[i][j] != 0:
-                    q = mat[i][j] // p
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-        if r < len(mat) and mat[r][j] != 0:
-            if mat[r][j] < 0:
-                mat[r] = [-a for a in mat[r]]
-            p = mat[r][j]
-            for i in range(r):
-                q = mat[i][j] // p
-                if q != 0:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-            r += 1
-            if r == len(mat):
-                break
-    return Lattice(n, tuple(tuple(row) for row in mat[:r]))
+    mat = [list(map(operator.index, r)) for r in rows]
+    n = _check_rows(mat, ambient_rank)
+    basis, _ = _triangulate(mat, n)
+    for k, row in enumerate(basis):
+        j = next(i for i, a in enumerate(row) if a)
+        if row[j] < 0:
+            row = basis[k] = [-a for a in row]
+        p = row[j]
+        for i in range(k):
+            q = basis[i][j] // p
+            if q:
+                basis[i] = [a - q * b for a, b in zip(basis[i], row)]
+    return Lattice(n, tuple(map(tuple, basis)))
 
 
 def identity_rows(n: int) -> list[IntVector]:
@@ -241,7 +270,7 @@ def hnf_coordinates(basis: Sequence[IntVector],
     ``d`` is the least denominator of the rational coordinates, and x is in
     the span exactly when nothing remains.
     """
-    rem = [int(a) for a in x]
+    rem = list(map(operator.index, x))
     coords: list[int] = []
     d = 1
     for row in basis:
@@ -388,17 +417,16 @@ def quotient_map(ambient_rank: int, lattice: Lattice):
 def int_kernel(rows: Sequence[IntVector], ambient_rank: int) -> Lattice:
     """Canonical basis of ``{x in Z^n : <row, x> = 0 for every row}``.
 
-    The result is automatically saturated.
+    The result is automatically saturated.  After Cohen (1993), section
+    2.4: triangulating the first block of ``[rows^T | I_n]`` leaves rows
+    that vanish on it, and their second block is a kernel basis.
     """
-    rows = [tuple(r) for r in rows]
+    rows = [tuple(map(operator.index, r)) for r in rows]
     n = _check_rows(rows, ambient_rank) if rows else ambient_rank
     m = len(rows)
-    # Row-reduce [rows^T | I_n]; rows whose first block vanishes give the kernel.
-    aug = [tuple(rows[i][j] for i in range(m)) + tuple(1 if t == j else 0 for t in range(n))
-           for j in range(n)]
-    reduced = hnf(aug, m + n).basis
-    kernel = [row[m:] for row in reduced if all(a == 0 for a in row[:m])]
-    return hnf(kernel, n)
+    aug = [[r[j] for r in rows] + [1 if t == j else 0 for t in range(n)] for j in range(n)]
+    _, rest = _triangulate(aug, m)
+    return hnf([row[m:] for row in rest], n)
 
 
 def saturate(lattice: Lattice) -> Lattice:

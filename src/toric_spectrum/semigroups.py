@@ -338,7 +338,7 @@ def _generator_faces(spec: Generators):
     the normal of that facet.  The member generators are those on which the
     tight inequalities vanish.  Returns ``(faces, ray_sets, covers)`` in
     lattice order, face 0 being the whole cone; each face is
-    ``(cone, lattice, member generators, dim)``.
+    ``(cone, lattice, member generators, dim, tight set)``.
     """
     n = spec.ambient_rank
     ambient = asymptotic_cone(spec)
@@ -358,7 +358,7 @@ def _generator_faces(spec: Generators):
         tight = [ambient.inequalities[i] for i in handle.tight_set]
         members = tuple(g for g in spec.generators if all(dot(a, g) == 0 for a in tight))
         cone = Cone(n, rays, tuple(sorted(normals)), ambient.lineality, equations)
-        faces.append((cone, hnf(members, n), members, handle.dim))
+        faces.append((cone, hnf(members, n), members, handle.dim, handle.tight_set))
     return faces, lattice.ray_sets, lattice.covers
 
 
@@ -403,11 +403,17 @@ def _raw_faces(spec: SemigroupSpec):
     :func:`_generator_faces`, a ``(level, ray set)`` key per face for
     :func:`_below` (the ray set is None for a half space), and the cover
     pairs as indices into ``faces``.
+
+    A tight set indexes the inequalities of face 0's cone.  The level-0 half
+    space has the single inequality, its normal, which vanishes on every
+    deeper face and not on the half space itself.
     """
     half_spaces, base = _flatten(spec)
     depth = len(half_spaces)
     base_faces, ray_sets, base_covers = _generator_faces(base)
-    faces = [(cone, lattice, None, lattice.rank) for cone, lattice in half_spaces] + base_faces
+    faces = [(cone, lattice, None, lattice.rank, (0,) if level else ())
+             for level, (cone, lattice) in enumerate(half_spaces)]
+    faces += base_faces if not depth else [face[:4] + ((0,),) for face in base_faces]
     keys = [(level, None) for level in range(depth)] + \
         [(depth, frozenset(rs)) for rs in ray_sets]
     covers = [(level, level + 1) for level in range(depth)] + \
@@ -490,11 +496,8 @@ def enumerate_faces(spec: SemigroupSpec) -> SpectrumAtlas:
     ambient = raw[0][0]
     faces = []
     for fid, index in enumerate(order):
-        cone, lattice, members, dim = raw[index]
+        cone, lattice, members, dim, tight = raw[index]
         torsion, cone_local, dual_local = _finalize_face(n, cone, lattice, dim)
-        tight = tuple(i for i, a in enumerate(ambient.inequalities)
-                      if all(dot(a, r) == 0 for r in cone.rays)
-                      and all(dot(a, v) == 0 for v in cone.lineality))
         faces.append(FaceData(fid, dim, cone, lattice, torsion,
                               cone_local, dual_local, members, tight))
     m = len(faces)

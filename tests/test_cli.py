@@ -129,6 +129,20 @@ def test_deeply_nested_json_is_an_input_error(tmp_path):
     assert "nested too deeply" in result.stderr and "Traceback" not in result.stderr
 
 
+def test_out_of_memory_is_exit_5(tmp_path, monkeypatch, capsys):
+    import toric_spectrum.cli as cli
+
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enumerate_faces", exhausted)
+    path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
+    assert run_cli(["analyze", path]) == (5, "")
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 def test_member_queries(tmp_path):
     path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
     assert run_cli(["member", path, "1", "0"]) == (0, "false\n")

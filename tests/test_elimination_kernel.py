@@ -15,16 +15,24 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from toric_spectrum.cones import _reduce_mod_span  # noqa: E402
+from toric_spectrum.cones import (  # noqa: E402
+    _reduce_mod_span,
+    cone_from_inequalities,
+    cone_from_rays,
+)
 from toric_spectrum.intlinalg import (  # noqa: E402
     Lattice,
     dot,
+    full_lattice,
     hnf,
     hnf_coordinates,
+    int_kernel,
+    lattice_contains,
     lattice_coordinates,
     primitive_vector,
     rank_of_rows,
     rational_coordinates,
+    saturate,
     scaled_coordinates,
 )
 from toric_spectrum.oracle import _orank, _osolve  # noqa: E402
@@ -86,9 +94,22 @@ def test_rank_of_no_rows_is_zero():
 
 
 def test_kernel_refuses_rationals():
-    # floor division would silently corrupt a Fraction entry
-    with pytest.raises(TypeError):
-        rank_of_rows([(Fraction(1, 2), 1)])
+    # floor division or int() would silently corrupt a non-integer entry
+    for row in ((Fraction(1, 2), 1), (2.7, 1)):
+        calls = [
+            lambda: rank_of_rows([row]),
+            lambda: hnf([row], 2),
+            lambda: int_kernel([row], 2),
+            lambda: saturate(Lattice(2, (row,))),
+            lambda: hnf_coordinates(((1, 0), (0, 1)), row),
+            lambda: lattice_coordinates(full_lattice(2), row),
+            lambda: lattice_contains(full_lattice(2), row),
+            lambda: cone_from_rays([row, (1, 0)]),
+            lambda: cone_from_inequalities([row, (1, 0)]),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
 
 @SETTINGS
