@@ -15,6 +15,7 @@ characters a plain comparison of canonical triples.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, pi
@@ -27,7 +28,7 @@ from .intlinalg import (
     hnf_coordinates,
     lattice_coordinates,
 )
-from .semigroups import SpectrumAtlas, contains
+from .semigroups import SpectrumAtlas, contains, zero_face
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,8 @@ def identity_character(atlas: SpectrumAtlas) -> Character:
 
 def zero_character(atlas: SpectrumAtlas) -> Optional[Character]:
     """The absorbing character, which exists iff the least face is trivial."""
-    j = atlas.minimal_id
-    if atlas.faces[j].rank != 0:
-        return None
-    return idempotent(atlas, j)
+    j = zero_face(atlas)
+    return None if j is None else idempotent(atlas, j)
 
 
 def _face_coordinates(atlas: SpectrumAtlas, face_id: int, x: IntVector) -> tuple[int, ...]:
@@ -120,9 +119,9 @@ def evaluate(atlas: SpectrumAtlas, chi: Character, x: Sequence[int]) -> ExactVal
 
     Zero off the face; on the face the angle is ``<theta, c> mod 1`` and the
     exponent ``<lam, c>`` where c are the coordinates of x on the face
-    lattice basis.
+    lattice basis.  Non-integer coordinates are rejected (TypeError).
     """
-    x = tuple(int(a) for a in x)
+    x = tuple(map(operator.index, x))
     if not contains(atlas.spec, x):
         raise ValueError(f"{x} is not a member of the semigroup")
     face = atlas.faces[chi.face_id]

@@ -398,9 +398,11 @@ def _run(args, out) -> int:
         else:
             chi = parse_character_tokens(atlas, args.tokens)
             point = _parse_point(args.point, spec.ambient_rank)
-            if not contains(spec, point):
-                raise InputError(f"{point} is not a member of the semigroup")
-            out.write(_format_value(evaluate(atlas, chi, point)) + "\n")
+            try:
+                value = evaluate(atlas, chi, point)
+            except ValueError as exc:
+                raise InputError(str(exc)) from None
+            out.write(_format_value(value) + "\n")
         return 0
     if args.command == "ray":
         lam = _parse_fraction_list(args.lam, "lambda")

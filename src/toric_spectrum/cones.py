@@ -122,19 +122,20 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
     ``{x : <a, x> >= 0 for a in inequalities, <e, x> = 0 for e in equations}``.
 
     Incremental DD: lineality starts as the full space and shrinks; rays are
-    kept canonical modulo the current lineality.
+    kept canonical modulo the current lineality.  Non-integer entries are
+    rejected (TypeError).
     """
     n = ambient_rank
     todo: list[IntVector] = []
     for e in equations:
-        e = tuple(int(a) for a in e)
+        e = tuple(map(operator.index, e))
         if len(e) != n:
             raise ValueError("equation length does not match ambient rank")
         if not is_zero_vector(e):
             todo.append(e)
             todo.append(vec_neg(e))
     for a in inequalities:
-        a = tuple(int(x) for x in a)
+        a = tuple(map(operator.index, a))
         if len(a) != n:
             raise ValueError("inequality length does not match ambient rank")
         if not is_zero_vector(a):

@@ -31,7 +31,11 @@ pivot that reduces the others.  :func:`hnf` triangulates every column and
 then reduces above each pivot.  :func:`int_kernel` triangulates only the
 data block of ``[rows^T | I_n]`` and takes one :func:`hnf` of what is left
 (Cohen, *A Course in Computational Algebraic Number Theory*, 1993, section
-2.4), and :func:`saturate` is two kernels.
+2.4), and :func:`saturate` is two kernels.  An HNF basis also reduces: at
+each pivot, :func:`lattice_residue` leaves the canonical representative of a
+vector modulo the lattice (ibid.), the key of the membership search in
+:mod:`toric_spectrum.semigroups`.  Only the invariants of Z^n modulo a
+lattice need the Smith diagonal (:func:`quotient_invariants`).
 
 Every entry point that eliminates or reduces requires integer entries and
 converts with ``operator.index``, so a ``Fraction`` or a float raises
@@ -304,17 +308,30 @@ def lattice_contains(lattice: Lattice, x: Sequence[int]) -> bool:
     return lattice_coordinates(lattice, x) is not None
 
 
-def _smith_diagonal(rows: Sequence[IntVector], transform: bool = False):
-    """Nonzero Smith diagonal entries (divisibility order) of the row matrix.
+def lattice_residue(lattice: Lattice, x: Sequence[int]) -> IntVector:
+    """Canonical representative of x modulo the lattice.
 
-    With ``transform=True`` also returns the right transform T (n x n,
-    unimodular) such that row-space(rows) expressed in coordinates w = x @ T
-    becomes d_1 Z x ... x d_k Z x 0.
+    Walks the HNF rows in order and, at each pivot ``(j, p)``, subtracts
+    ``(x[j] // p)`` times the row, leaving the pivot entry in ``[0, p)``.  Two
+    vectors have the same residue exactly when their difference lies in the
+    lattice, so x lies in it exactly when its residue is zero.
     """
+    if len(x) != lattice.ambient_rank:
+        raise ValueError("vector length does not match ambient rank")
+    rem = tuple(map(operator.index, x))
+    for row in lattice.basis:
+        j = next(i for i, a in enumerate(row) if a)
+        q = rem[j] // row[j]
+        if q:
+            rem = tuple(a - q * b for a, b in zip(rem, row))
+    return rem
+
+
+def _smith_diagonal(rows: Sequence[IntVector]) -> list[int]:
+    """Nonzero Smith diagonal entries (divisibility order) of the row matrix."""
     mat = [list(r) for r in rows]
     m = len(mat)
     n = len(mat[0]) if mat else 0
-    T = [list(r) for r in identity_rows(n)] if transform else None
     diag: list[int] = []
     t = 0
     while t < m and t < n:
@@ -331,9 +348,6 @@ def _smith_diagonal(rows: Sequence[IntVector], transform: bool = False):
         if j0 != t:
             for row in mat:
                 row[t], row[j0] = row[j0], row[t]
-            if transform:
-                for row in T:
-                    row[t], row[j0] = row[j0], row[t]
         p = mat[t][t]
         clean = True
         for i in range(t + 1, m):
@@ -347,9 +361,6 @@ def _smith_diagonal(rows: Sequence[IntVector], transform: bool = False):
                 q = mat[t][j] // p
                 for row in mat:
                     row[j] -= q * row[t]
-                if transform:
-                    for row in T:
-                        row[j] -= q * row[t]
                 if mat[t][j] != 0:
                     clean = False
         if not clean:
@@ -367,8 +378,6 @@ def _smith_diagonal(rows: Sequence[IntVector], transform: bool = False):
             continue
         diag.append(abs(p))
         t += 1
-    if transform:
-        return diag, [tuple(row) for row in T]
     return diag
 
 
@@ -385,33 +394,6 @@ def quotient_invariants(ambient_rank: int, lattice: Lattice) -> tuple[int, tuple
     diag = _smith_diagonal(lattice.basis)
     free = ambient_rank - len(diag)
     return free, tuple(d for d in diag if d > 1)
-
-
-def quotient_map(ambient_rank: int, lattice: Lattice):
-    """Explicit coordinates for Z^n / lattice.
-
-    Returns ``(torsion_moduli, project)`` where ``project(x)`` gives
-    ``(torsion_tuple, free_tuple)``; two vectors are congruent modulo the
-    lattice exactly when their projections agree.
-    """
-    if not lattice.basis:
-        moduli: tuple[int, ...] = ()
-
-        def project_trivial(x: Sequence[int]):
-            return (), tuple(int(a) for a in x)
-
-        return moduli, project_trivial
-    diag, T = _smith_diagonal(lattice.basis, transform=True)
-    k = len(diag)
-    moduli = tuple(diag)
-
-    def project(x: Sequence[int]):
-        w = [dot(x, tuple(row[j] for row in T)) for j in range(lattice.ambient_rank)]
-        torsion = tuple(w[i] % moduli[i] for i in range(k))
-        free = tuple(w[k:])
-        return torsion, free
-
-    return moduli, project
 
 
 def int_kernel(rows: Sequence[IntVector], ambient_rank: int) -> Lattice:

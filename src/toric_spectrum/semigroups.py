@@ -31,6 +31,7 @@ the generators only at height zero on every level.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -56,9 +57,9 @@ from .intlinalg import (
     int_kernel,
     is_zero_vector,
     lattice_contains,
+    lattice_residue,
     primitive_vector,
     quotient_invariants,
-    quotient_map,
     saturate,
     solve_unit_functional,
     vec_add,
@@ -161,30 +162,24 @@ def _membership_data(spec: SemigroupSpec):
 
     A tower contributes one functional per level, the inequality of its half
     space in Z^n; the search runs on its innermost generators embedded into
-    Z^n.  There, the generators lying in the lineality of the asymptotic
-    cone generate a subgroup that is split off through quotient coordinates;
-    the remaining generators have nonzero image in a pointed cone, which
-    yields per generator coefficient bounds via a strictly positive integer
-    functional.
+    Z^n.  There, the generators in the lineality of the asymptotic cone
+    generate a group of units L, and the search keeps its remainder as its
+    residue modulo L (:func:`~toric_spectrum.intlinalg.lattice_residue`).
+    L lies in the cone's lineality, on which every inequality vanishes, so
+    the cone test and the sum of the inequalities, a functional positive on
+    every other generator, read a residue exactly as its remainder.  Returns
+    ``(functionals, (cone, L, weight, other generators by falling weight))``.
     """
     half_spaces, base = _flatten(spec)
     n = base.ambient_rank
     cone = asymptotic_cone(base)
     gens = [g for g in dict.fromkeys(base.generators) if not is_zero_vector(g)]
-    in_lin = [g for g in gens if cone.contains(g) and cone.contains(vec_neg(g))]
-    rest = [g for g in gens if not (cone.contains(g) and cone.contains(vec_neg(g)))]
-    lin_lattice = hnf(in_lin, n) if in_lin else Lattice(n, ())
-    moduli, project = quotient_map(n, lin_lattice)
-    images = [project(g) for g in rest]
-    free_rank = n - lin_lattice.rank
-    free_cone = cone_from_rays([im[1] for im in images], (), free_rank)
-    weight = tuple(sum(col) for col in zip(*free_cone.inequalities)) \
-        if free_cone.inequalities else tuple([0] * free_rank)
-    order = sorted(range(len(rest)),
-                   key=lambda i: (-dot(weight, images[i][1]), rest[i]))
-    gen_images = [images[i] for i in order]
+    units = hnf([g for g in gens if cone.contains(vec_neg(g))], n)
+    weight = tuple(map(sum, zip(*cone.inequalities)))
+    rest = sorted((g for g in gens if not cone.contains(vec_neg(g))),
+                  key=lambda g: (-dot(weight, g), g))
     functionals = tuple(half.inequalities[0] for half, _ in half_spaces)
-    return functionals, (cone, moduli, project, free_cone, weight, gen_images)
+    return functionals, (cone, units, weight, tuple(rest))
 
 
 def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = None) -> bool:
@@ -195,8 +190,9 @@ def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = N
     :class:`MembershipUndecided` instead of a wrong answer.  A tower decides
     at its first level where x has nonzero height; a point of height zero on
     every level lies in the innermost boundary, where the generators decide.
+    Non-integer coordinates are rejected (TypeError).
     """
-    x = tuple(int(a) for a in x)
+    x = tuple(map(operator.index, x))
     if len(x) != spec.ambient_rank:
         raise ValueError("point length does not match ambient rank")
     functionals, search = _membership_data(spec)
@@ -210,7 +206,7 @@ def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = N
 def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool:
     if is_zero_vector(x):
         return True
-    cone, moduli, project, free_cone, weight, gen_images = search
+    cone, units, weight, gens = search
     if not cone.contains(x):
         return False
     budget = max_nodes
@@ -220,26 +216,27 @@ def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool
     # which the call stack could not hold.  Each frame holds a state and the
     # lazy run of its remaining coefficients, so memory stays linear in the
     # depth however large a coefficient bound is; a state whose children all
-    # fail is memoised as dead when its frame runs out.
+    # fail is memoised as dead when its frame runs out.  A state is the next
+    # generator's index and the remainder's residue modulo the units.
     stack: list = []
-    state = (0, *project(x))
+    state = (0, lattice_residue(units, x))
     while True:
         if state is not None:
-            idx, torsion_rem, free_rem = state
-            if not any(torsion_rem) and not any(free_rem):
+            idx, rem = state
+            if not any(rem):
                 return True
-            if idx < len(gen_images) and state not in dead:
+            if idx < len(gens) and state not in dead:
                 if budget is not None:
                     budget -= 1
                     if budget < 0:
                         raise MembershipUndecided(f"membership search budget exhausted for {x}")
-                if not free_cone.contains(free_rem):
+                if not cone.contains(rem):
                     dead.add(state)
                 else:
-                    w = dot(weight, gen_images[idx][1])
+                    w = dot(weight, gens[idx])
                     if w <= 0:
                         raise InvariantViolation("pointed part admits a strictly positive functional")
-                    stack.append((state, iter(range(dot(weight, free_rem) // w, -1, -1))))
+                    stack.append((state, iter(range(dot(weight, rem) // w, -1, -1))))
         if not stack:
             return False
         parent, coefficients = stack[-1]
@@ -249,11 +246,8 @@ def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool
             dead.add(parent)
             state = None
             continue
-        idx, torsion_rem, free_rem = parent
-        g_tors, g_free = gen_images[idx]
-        state = (idx + 1,
-                 tuple((t - c * g) % m for t, g, m in zip(torsion_rem, g_tors, moduli)),
-                 tuple(a - c * b for a, b in zip(free_rem, g_free)))
+        idx, rem = parent
+        state = (idx + 1, lattice_residue(units, [a - c * b for a, b in zip(rem, gens[idx])]))
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +519,8 @@ def dual_face_cone(atlas: SpectrumAtlas, face_id: int) -> Cone:
 def hull_contains(atlas: SpectrumAtlas, x: Sequence[int]) -> bool:
     """Membership in the hull, the largest semigroup with the same atlas:
     true iff some face has x in the relative interior of its cone and in its
-    lattice."""
-    x = tuple(int(a) for a in x)
+    lattice.  Non-integer coordinates are rejected (TypeError)."""
+    x = tuple(map(operator.index, x))
     return any(face.cone.relative_interior_contains(x)
                and lattice_contains(face.lattice, x)
                for face in atlas.faces)

@@ -72,6 +72,13 @@ def test_evaluate_requires_membership():
         evaluate(ATLAS, chi, (1, 0))
 
 
+def test_evaluate_refuses_rationals():
+    chi = identity_character(ATLAS)
+    for x in ((F(5, 2), 0), (2.5, 0)):
+        with pytest.raises(TypeError):
+            evaluate(ATLAS, chi, x)
+
+
 def test_multiply_disc_points():
     a = make_character(NAT, 0, [F(1, 4)], [F(1)])
     b = make_character(NAT, 0, [F(1, 2)], [F(2)])

@@ -170,6 +170,14 @@ def test_char_commands(tmp_path):
     assert code == 0 and text.startswith("angle 0 exponent 2 ")
 
 
+def test_char_eval_at_a_non_member_is_an_input_error(tmp_path, capsys):
+    gap = write(tmp_path, "gap.json", GAP_DOC)
+    code, text = run_cli(["char", "eval", gap, "face:0", "theta:1/2", "lambda:1",
+                          "--point", "1"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "input error: (1,) is not a member of the semigroup\n"
+
+
 def test_char_malformed_tokens(tmp_path):
     gap = write(tmp_path, "gap.json", GAP_DOC)
     code, _ = run_cli(["char", "conj", gap, "face:0", "theta:x", "lambda:1"])

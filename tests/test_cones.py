@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -206,3 +207,12 @@ def test_cone_from_inequalities_is_dual_of_generated_cone():
         cone = cone_from_inequalities(ineqs, eqs, n)
         assert cone == four_steps(ineqs, eqs, n)
         assert cone_from_inequalities(cone.inequalities, cone.equations, n) == cone
+
+
+def test_double_description_refuses_rationals():
+    # int() would silently run on (0, 1) in place of (1/2, 1)
+    for row in ((Fraction(1, 2), 1), (2.5, 1)):
+        with pytest.raises(TypeError):
+            cones._double_description([row], [], 2)
+        with pytest.raises(TypeError):
+            cones._double_description([], [row], 2)

@@ -29,6 +29,7 @@ from toric_spectrum.intlinalg import (  # noqa: E402
     int_kernel,
     lattice_contains,
     lattice_coordinates,
+    lattice_residue,
     primitive_vector,
     rank_of_rows,
     rational_coordinates,
@@ -104,6 +105,7 @@ def test_kernel_refuses_rationals():
             lambda: hnf_coordinates(((1, 0), (0, 1)), row),
             lambda: lattice_coordinates(full_lattice(2), row),
             lambda: lattice_contains(full_lattice(2), row),
+            lambda: lattice_residue(hnf([(2, 1)], 2), row),
             lambda: cone_from_rays([row, (1, 0)]),
             lambda: cone_from_inequalities([row, (1, 0)]),
         ]

@@ -32,7 +32,7 @@ from toric_spectrum import (
 )
 from toric_spectrum import cones
 from toric_spectrum.intlinalg import dot, full_lattice, primitive_vector, rational_coordinates
-from toric_spectrum.semigroups import boundary_basis, embed_point
+from toric_spectrum.semigroups import _membership_data, boundary_basis, embed_point
 
 from helpers import FIXTURES, random_tower, skew_normal
 
@@ -163,6 +163,19 @@ def test_tower_atlas_runs_double_description_for_its_base_only(dd_runs):
         atlas = enumerate_faces(random_tower(random.Random(f"dd:{depth}"), depth))
         assert len(atlas.faces) > depth
         assert len(dd_runs) == 2
+
+
+def test_membership_setup_runs_two_double_descriptions(dd_runs):
+    # only the asymptotic cone is converted, with or without a group of units
+    specs = (GENERATOR_SPECS[-1], Generators(2, ((2, 0), (-2, 0), (1, 1))),
+             Generators(3, ((4, 2, 0), (-4, -2, 0), (1, 1, 1), (0, 0, 1), (3, 0, 5))),
+             Generators(1, ((3,), (-3,))), random_tower(random.Random("dd:member"), 3))
+    for spec in specs:
+        _membership_data.cache_clear()
+        dd_runs.clear()
+        _membership_data(spec)
+        assert len(dd_runs) == 2, spec
+    _membership_data.cache_clear()
 
 
 def test_no_assert_statements_in_package():

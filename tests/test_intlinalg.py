@@ -9,8 +9,8 @@ from toric_spectrum.intlinalg import (
     int_kernel,
     lattice_contains,
     lattice_coordinates,
+    lattice_residue,
     quotient_invariants,
-    quotient_map,
     rational_coordinates,
     saturation_index,
     solve_unit_functional,
@@ -180,19 +180,24 @@ def test_int_kernel():
     assert int_kernel([], 2).basis == ((1, 0), (0, 1))
 
 
-def test_quotient_map_consistency():
+def test_lattice_residue_consistency():
     rng = random.Random(31)
+    lattices = [Lattice(1, ()), Lattice(3, ())]
     for _ in range(30):
         n = rng.randint(1, 4)
         rows = [tuple(rng.randint(-3, 3) for _ in range(n))
                 for _ in range(rng.randint(0, n))]
-        lat = hnf(rows, n) if rows else Lattice(n, ())
-        _, project = quotient_map(n, lat)
+        lattices.append(hnf(rows, n) if rows else Lattice(n, ()))
+    for lat in lattices:
+        n = lat.ambient_rank
         for _ in range(20):
             x = tuple(rng.randint(-6, 6) for _ in range(n))
             y = tuple(rng.randint(-6, 6) for _ in range(n))
             diff = tuple(a - b for a, b in zip(x, y))
-            assert (project(x) == project(y)) == lattice_contains(lat, diff)
+            assert (lattice_residue(lat, x) == lattice_residue(lat, y)) == \
+                lattice_contains(lat, diff)
+            if not lat.basis:
+                assert lattice_residue(lat, x) == x
 
 
 def test_solve_unit_functional():

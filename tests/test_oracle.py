@@ -1,6 +1,7 @@
 import random
 
 from toric_spectrum import (
+    Generators,
     cone_from_inequalities,
     cone_from_rays,
     enumerate_faces,
@@ -22,15 +23,22 @@ from helpers import (
     HALF_LINE,
     HALFSPACE_TOWER,
     FULL_LINE,
+    random_generators,
     random_pointed_generators,
 )
 
 
 def test_oracle_members_match_main_membership():
-    for spec, radius in ((EVEN_AXIS, 6), (GAP_NUMERIC, 10), (FULL_LINE, 8),
-                         (HALFSPACE_TOWER, 4)):
+    # membership modulo a group of units: the two lines have torsion in Z^n
+    rng = random.Random(808)
+    cases = [(EVEN_AXIS, 6), (GAP_NUMERIC, 10), (FULL_LINE, 8), (HALFSPACE_TOWER, 4),
+             (Generators(2, ((2, 0), (-2, 0), (1, 1))), 6),
+             (Generators(3, ((4, 2, 0), (-4, -2, 0), (1, 1, 1), (0, 0, 1), (3, 0, 5))), 4)]
+    cases += [(random_generators(rng, max_rank=3, max_gens=5, coord=2), 4 + i % 3)
+              for i in range(12)]
+    for spec, radius in cases:
         assert oracle_members(spec, BoxSpec(radius)) == frozenset(
-            members_in_box(spec, radius))
+            members_in_box(spec, radius)), spec
 
 
 def test_brute_force_faces_fixture_counts():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -292,6 +293,20 @@ def test_membership_budget_raises_instead_of_guessing():
         contains(EVEN_AXIS, (5, 0), max_nodes=0)
     # a generous budget settles the same query
     assert contains(EVEN_AXIS, (5, 0), max_nodes=10_000) is False
+
+
+def test_contains_refuses_rationals():
+    # int() would truncate (5/2, 0) to the member (2, 0)
+    for x in ((Fraction(5, 2), 0), (2.5, 0)):
+        with pytest.raises(TypeError):
+            contains(EVEN_AXIS, x)
+
+
+def test_hull_contains_refuses_rationals():
+    atlas = enumerate_faces(EVEN_AXIS)
+    for x in ((Fraction(5, 2), 0), (2.5, 0)):
+        with pytest.raises(TypeError):
+            hull_contains(atlas, x)
 
 
 def test_face_of_member():
