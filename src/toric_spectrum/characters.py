@@ -10,6 +10,15 @@ the radial decay.  On a face member ``x = sum(c_i b_i)`` the value is
 
 and 0 off the face.  Storing data on the face lattice basis makes equality of
 characters a plain comparison of canonical triples.
+
+The face order is read from the atlas's down-set and up-set bitmasks
+(:attr:`~toric_spectrum.semigroups.SpectrumAtlas.order`), so every order query
+is a lookup.  A product lives on the meet of the two faces; the limit of a
+ray is the join of the faces below its base on which its decay vanishes; a
+chain of rays walks down the face lattice, each step to the lowest face id
+strictly between the current face and the target, which is a maximal one
+because ids run by decreasing dimension.  Face ids outside the atlas raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -74,9 +83,7 @@ class Ray:
 def make_character(atlas: SpectrumAtlas, face_id: int,
                    theta: Sequence, lam: Sequence) -> Character:
     """Validate and canonicalise character data against the atlas."""
-    if not 0 <= face_id < len(atlas.faces):
-        raise ValueError(f"unknown face {face_id}")
-    face = atlas.faces[face_id]
+    face = atlas.face(face_id)
     theta = tuple(Fraction(t) % 1 for t in theta)
     lam = tuple(Fraction(v) for v in lam)
     if len(theta) != face.rank or len(lam) != face.rank:
@@ -90,9 +97,7 @@ def make_character(atlas: SpectrumAtlas, face_id: int,
 
 def idempotent(atlas: SpectrumAtlas, face_id: int) -> Character:
     """The characteristic function of a face: 1 on it, 0 elsewhere."""
-    if not 0 <= face_id < len(atlas.faces):
-        raise ValueError(f"unknown face {face_id}")
-    rank = atlas.faces[face_id].rank
+    rank = atlas.face(face_id).rank
     zero = tuple(Fraction(0) for _ in range(rank))
     return Character(face_id, zero, zero)
 
@@ -110,7 +115,7 @@ def zero_character(atlas: SpectrumAtlas) -> Optional[Character]:
 def _face_coordinates(atlas: SpectrumAtlas, face_id: int, x: IntVector) -> tuple[int, ...]:
     coords = lattice_coordinates(atlas.faces[face_id].lattice, x)
     if coords is None:
-        raise InvariantViolation("face member must lie in the face lattice")
+        raise InvariantViolation(f"{x} must lie in the lattice of face {face_id}")
     return coords
 
 
@@ -140,15 +145,7 @@ def _restriction_matrix(atlas: SpectrumAtlas, sub_face: int, face: int) -> list[
 
     Integrality is guaranteed by the nesting of face lattices and checked.
     """
-    sub = atlas.faces[sub_face]
-    parent = atlas.faces[face]
-    rows = []
-    for b in sub.lattice.basis:
-        coords = lattice_coordinates(parent.lattice, b)
-        if coords is None:
-            raise InvariantViolation("face lattices must be nested")
-        rows.append(coords)
-    return rows
+    return [_face_coordinates(atlas, face, b) for b in atlas.faces[sub_face].lattice.basis]
 
 
 def _restrict(vec: Sequence[Fraction], matrix: list[tuple[int, ...]]) -> tuple[Fraction, ...]:
@@ -192,7 +189,7 @@ def ray_point(atlas: SpectrumAtlas, ray: Ray, t) -> Character:
     t = Fraction(t)
     if t < 0:
         raise ValueError("ray parameter must be nonnegative")
-    face = atlas.faces[ray.base_face_id]
+    face = atlas.face(ray.base_face_id)
     lam = tuple(Fraction(v) for v in ray.lam)
     if not face.dual_cone_local.contains(lam):
         raise ValueError("ray data must lie in the dual cone of its base face")
@@ -202,21 +199,18 @@ def ray_point(atlas: SpectrumAtlas, ray: Ray, t) -> Character:
 
 def ray_limit(atlas: SpectrumAtlas, ray: Ray) -> int:
     """Face of the limit idempotent of the ray: the largest face below the
-    base on whose cone the decay functional vanishes."""
-    base = atlas.faces[ray.base_face_id]
+    base on whose cone the decay functional vanishes, the join of those
+    faces."""
+    base = atlas.face(ray.base_face_id)
     lam = tuple(Fraction(v) for v in ray.lam)
     if not base.dual_cone_local.contains(lam):
         raise ValueError("ray data must lie in the dual cone of its base face")
-    candidates = []
-    for face in atlas.faces:
-        if not atlas.leq(face.face_id, ray.base_face_id):
-            continue
-        if _vanishes_on_face(atlas, lam, ray.base_face_id, face.face_id):
-            candidates.append(face.face_id)
-    best = [j for j in candidates if all(atlas.leq(k, j) for k in candidates)]
-    if len(best) != 1:
+    candidates = [j for j in range(len(atlas.faces)) if atlas.leq(j, ray.base_face_id)
+                  and _vanishes_on_face(atlas, lam, ray.base_face_id, j)]
+    limit = atlas.join_of(candidates)
+    if limit not in candidates:
         raise InvariantViolation("limit face is not unique")
-    return best[0]
+    return limit
 
 
 def _vanishes_on_face(atlas: SpectrumAtlas, lam: Sequence,
@@ -239,12 +233,7 @@ def idempotent_lattice_ops(atlas: SpectrumAtlas, face_ids: Sequence[int]) -> tup
     ids = list(face_ids)
     if not ids:
         raise ValueError("need at least one face id")
-    inf = ids[0]
-    sup = ids[0]
-    for j in ids[1:]:
-        inf = atlas.meet(inf, j)
-        sup = atlas.join(sup, j)
-    return inf, sup
+    return atlas.meet_of(ids), atlas.join_of(ids)
 
 
 def chain_of_rays(atlas: SpectrumAtlas, from_face: int, to_face: int) -> list[Ray]:
@@ -255,16 +244,16 @@ def chain_of_rays(atlas: SpectrumAtlas, from_face: int, to_face: int) -> list[Ra
     target, which lands exactly on it.  The chain length never exceeds the
     lattice rank difference.
     """
-    if not atlas.leq(to_face, from_face):
+    if atlas.meet(from_face, to_face) != to_face:
         raise ValueError(f"face {to_face} is not below face {from_face}")
+    down, up = atlas.order
     chain: list[Ray] = []
     current = from_face
     while current != to_face:
-        below = [j for j in range(len(atlas.faces))
-                 if atlas.leq(to_face, j) and atlas.leq(j, current) and j != current]
-        step = [j for j in below
-                if not any(k != j and atlas.leq(j, k) for k in below)]
-        target = min(step)
+        # ids run by decreasing dimension, which strictly drops along the
+        # order, so the lowest id strictly between is a maximal one
+        between = up[to_face] & down[current] & ~(1 << current)
+        target = (between & -between).bit_length() - 1
         face = atlas.faces[current]
         normals = [a for a in face.cone_local.inequalities
                    if _vanishes_on_face(atlas, a, current, target)]

@@ -43,6 +43,12 @@ from .semigroups import (
 
 SAFE_INT = 2 ** 53 - 1
 
+MAX_TOWER_DEPTH = 200
+"""Most tower levels an input document may nest.  The depth-60 towers the
+library targets fit with room to spare, and a frozen ``Tower`` of this depth
+still hashes: hashing recurses about two frames per level, so a tower of
+about 500 levels exhausts the interpreter's default recursion limit."""
+
 
 class InputError(Exception):
     """Malformed or schema-invalid input (exit 2)."""
@@ -78,36 +84,46 @@ def _as_vector(value, rank: int, where: str) -> tuple[int, ...]:
 
 
 def parse_spec(document, where: str = "input") -> SemigroupSpec:
-    """Build a spec from the JSON document, with field-level diagnostics."""
-    if not isinstance(document, dict):
-        raise InputError(f"{where}: expected an object")
-    kind = document.get("kind")
-    rank = _as_int(document.get("ambient_rank", "missing"), f"{where}.ambient_rank") \
-        if "ambient_rank" in document else None
-    if rank is None:
-        raise InputError(f"{where}.ambient_rank: required")
-    if rank < 0:
-        raise InputError(f"{where}.ambient_rank: must be nonnegative")
-    if kind == "generators":
-        gens = document.get("generators")
-        if not isinstance(gens, list):
-            raise InputError(f"{where}.generators: required list")
-        vectors = tuple(_as_vector(g, rank, f"{where}.generators[{i}]")
-                        for i, g in enumerate(gens))
-        return Generators(rank, vectors)
-    if kind == "tower":
+    """Build a spec from the JSON document, with field-level diagnostics.
+
+    The tower levels are read top down in a loop and built bottom up, so no
+    depth of nesting recurses here; a tower nests at most
+    :data:`MAX_TOWER_DEPTH` levels.
+    """
+    levels = []
+    while True:
+        if not isinstance(document, dict):
+            raise InputError(f"{where}: expected an object")
+        kind = document.get("kind")
+        if "ambient_rank" not in document:
+            raise InputError(f"{where}.ambient_rank: required")
+        rank = _as_int(document["ambient_rank"], f"{where}.ambient_rank")
+        if rank < 0:
+            raise InputError(f"{where}.ambient_rank: must be nonnegative")
+        if kind == "generators":
+            gens = document.get("generators")
+            if not isinstance(gens, list):
+                raise InputError(f"{where}.generators: required list")
+            spec = Generators(rank, tuple(_as_vector(g, rank, f"{where}.generators[{i}]")
+                                          for i, g in enumerate(gens)))
+            break
+        if kind != "tower":
+            raise InputError(f"{where}.kind: expected 'generators' or 'tower', got {kind!r}")
         if rank < 1:
             raise InputError(f"{where}.ambient_rank: tower needs rank >= 1")
         normal = _as_vector(document.get("normal"), rank, f"{where}.normal")
-        inner = document.get("inner")
-        if inner is None:
+        if document.get("inner") is None:
             raise InputError(f"{where}.inner: required")
-        inner_spec = parse_spec(inner, f"{where}.inner")
+        if len(levels) == MAX_TOWER_DEPTH:
+            raise InputError(f"{where}: a tower nests at most {MAX_TOWER_DEPTH} levels")
+        levels.append((where, rank, normal))
+        document, where = document["inner"], f"{where}.inner"
+    for where, rank, normal in reversed(levels):
         try:
-            return Tower(rank, normal, inner_spec)
+            spec = Tower(rank, normal, spec)
         except ValueError as exc:
             raise InputError(f"{where}: {exc}") from None
-    raise InputError(f"{where}.kind: expected 'generators' or 'tower', got {kind!r}")
+    return spec
 
 
 def load_spec(path: str) -> SemigroupSpec:
@@ -406,22 +422,16 @@ def _run(args, out) -> int:
         return 0
     if args.command == "ray":
         lam = _parse_fraction_list(args.lam, "lambda")
-        face = atlas.faces[args.face] if 0 <= args.face < len(atlas.faces) else None
-        if face is None:
-            raise InputError(f"unknown face {args.face}")
-        if len(lam) != face.rank:
-            raise InputError(f"lambda needs {face.rank} entries, got {len(lam)}")
-        ray = Ray(args.face, tuple(lam))
         try:
-            limit = ray_limit(atlas, ray)
+            rank = atlas.face(args.face).rank
+            if len(lam) != rank:
+                raise InputError(f"lambda needs {rank} entries, got {len(lam)}")
+            limit = ray_limit(atlas, Ray(args.face, tuple(lam)))
         except ValueError as exc:
             raise InputError(str(exc)) from None
         out.write(f"limit: face {limit}\n")
         return 0
     if args.command == "chain":
-        for fid in (args.from_face, args.to_face):
-            if not 0 <= fid < len(atlas.faces):
-                raise InputError(f"unknown face {fid}")
         try:
             chain = chain_of_rays(atlas, args.from_face, args.to_face)
         except ValueError as exc:

@@ -80,10 +80,6 @@ def vec_sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
-
-
 def vec_neg(u: Sequence) -> tuple:
     return tuple(-a for a in u)
 

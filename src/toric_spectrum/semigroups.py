@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional, Sequence, Union
 
@@ -288,38 +288,75 @@ class SpectrumAtlas:
 
     @property
     def minimal_id(self) -> int:
-        for j in range(len(self.faces)):
-            if all(self.leq_table[j][k] for k in range(len(self.faces))):
-                return j
-        raise InvariantViolation("no least face")  # pragma: no cover
+        """The least face, the meet of all faces."""
+        return self.meet_of(range(len(self.faces)))
+
+    @cached_property
+    def order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The face order as two bitmask tables, bit i standing for face i:
+        ``down[j]`` holds the faces below face j and ``up[j]`` the faces
+        above it, both including face j.  Derived from ``leq_table`` once per
+        atlas; every order query is a lookup in these tables."""
+        down = tuple(sum(1 << i for i, row in enumerate(self.leq_table) if row[j])
+                     for j in range(len(self.faces)))
+        up = tuple(sum(1 << k for k, above in enumerate(row) if above)
+                   for row in self.leq_table)
+        return down, up
+
+    @cached_property
+    def _face_of_mask(self) -> tuple[dict, dict]:
+        """The face of each down-set, and the face of each up-set."""
+        return tuple({mask: j for j, mask in enumerate(masks)} for masks in self.order)
+
+    def face(self, face_id: int) -> FaceData:
+        """The face with this id; ValueError for an id outside the atlas."""
+        if not 0 <= face_id < len(self.faces):
+            raise ValueError(f"unknown face {face_id}")
+        return self.faces[face_id]
+
+    def _bound(self, side: int, face_ids) -> int:
+        masks, mask = self.order[side], -1
+        for j in face_ids:
+            # the check of face() inline: a meet is one lookup, and a call
+            # per id would double its cost
+            if not 0 <= j < len(masks):
+                raise ValueError(f"unknown face {j}")
+            mask &= masks[j]
+        face = self._face_of_mask[side].get(mask)
+        if face is None:
+            raise InvariantViolation(f"face {('meet', 'join')[side]} does not exist")
+        return face
+
+    def meet_of(self, face_ids) -> int:
+        """Largest face below every one of the given faces, one or more: the
+        face whose down-set is the intersection of theirs."""
+        return self._bound(0, face_ids)
+
+    def join_of(self, face_ids) -> int:
+        """Smallest face above every one of the given faces, one or more: the
+        face whose up-set is the intersection of theirs."""
+        return self._bound(1, face_ids)
 
     def leq(self, j: int, k: int) -> bool:
         """Face order: j <= k iff the j-th face is contained in the k-th."""
         return self.leq_table[j][k]
 
     def meet(self, j: int, k: int) -> int:
-        lower = [f for f in range(len(self.faces))
-                 if self.leq_table[f][j] and self.leq_table[f][k]]
-        tops = [f for f in lower if all(self.leq_table[g][f] for g in lower)]
-        if len(tops) != 1:
-            raise InvariantViolation("face meet is not unique")
-        return tops[0]
+        return self._bound(0, (j, k))
 
     def join(self, j: int, k: int) -> int:
-        upper = [f for f in range(len(self.faces))
-                 if self.leq_table[j][f] and self.leq_table[k][f]]
-        bottoms = [f for f in upper if all(self.leq_table[f][g] for g in upper)]
-        if len(bottoms) != 1:
-            raise InvariantViolation("face join is not unique")
-        return bottoms[0]
+        return self._bound(1, (j, k))
 
     def face_of_member(self, x: Sequence[int]) -> int:
-        """Smallest face whose cone contains the semigroup member x."""
+        """Smallest face whose cone contains the semigroup member x, the meet
+        of those faces; ValueError when x lies in no face cone."""
         candidates = [f.face_id for f in self.faces if f.cone.contains(x)]
-        best = [j for j in candidates if all(self.leq_table[j][k] for k in candidates)]
-        if len(best) != 1:
+        if not candidates:
+            raise ValueError(f"{tuple(x)} lies in no face cone")
+        best = self.meet_of(candidates)
+        if best not in candidates:
             raise InvariantViolation("member lies on no unique smallest face")
-        return best[0]
+        return best
 
 
 def _generator_faces(spec: Generators):
@@ -494,16 +531,15 @@ def enumerate_faces(spec: SemigroupSpec) -> SpectrumAtlas:
         torsion, cone_local, dual_local = _finalize_face(n, cone, lattice, dim)
         faces.append(FaceData(fid, dim, cone, lattice, torsion,
                               cone_local, dual_local, members, tight))
-    m = len(faces)
     leq = tuple(tuple(_below(keys[i], keys[k]) for k in order) for i in order)
     covers = tuple(sorted((position[a], position[b]) for a, b in raw_covers))
-    minimal = [j for j in range(m) if all(leq[j][k] for k in range(m))]
-    maximal = [j for j in range(m) if all(leq[k][j] for k in range(m))]
-    if len(minimal) != 1 or maximal != [0]:
+    # ids run by decreasing dimension, so a least face, the group of units
+    # S intersect (-S), is the last one
+    atlas = SpectrumAtlas(spec, ambient, tuple(faces), covers, faces[-1].dim == 0,
+                          is_separating(spec), _interior_member(spec), leq)
+    if atlas.minimal_id != len(faces) - 1 or atlas.join_of(range(len(faces))) != 0:
         raise InvariantViolation("face order is not bounded")
-    # the least face is the group of units S intersect (-S)
-    return SpectrumAtlas(spec, ambient, tuple(faces), covers, faces[minimal[0]].dim == 0,
-                         is_separating(spec), _interior_member(spec), leq)
+    return atlas
 
 
 def face_group(atlas: SpectrumAtlas, face_id: int) -> Lattice:
@@ -536,16 +572,21 @@ def validate_atlas(atlas: SpectrumAtlas) -> list[str]:
     """Check the structural conditions every atlas must satisfy.
 
     For comparable faces j < k the smaller cone must lie in a proper face of
-    the larger cone and the face lattices must be nested; every face cone
-    must be generated by its own lattice points.  Returns human readable
-    violations (expected: none).
+    the larger cone, its dimension must be smaller and the face lattices must
+    be nested; face ids must run by decreasing dimension, which the chain of
+    rays relies on; every face cone must be generated by its own lattice
+    points.  Returns human readable violations (expected: none).
     """
     problems = []
     faces = atlas.faces
+    if any(a.dim < b.dim for a, b in zip(faces, faces[1:])):
+        problems.append("face ids do not run by decreasing dimension")
     for j in range(len(faces)):
         for k in range(len(faces)):
             if j == k or not atlas.leq(j, k) or atlas.leq(k, j):
                 continue
+            if faces[j].dim >= faces[k].dim:
+                problems.append(f"face {j} < face {k} but its dimension does not drop")
             ck = faces[k].cone
             on_facet = any(all(dot(a, r) == 0 for r in faces[j].cone.rays)
                            and all(dot(a, l) == 0 for l in faces[j].cone.lineality)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from toric_spectrum.cli import main
+from toric_spectrum.cli import MAX_TOWER_DEPTH, main, parse_spec
 
 EVEN_AXIS_DOC = {"kind": "generators", "ambient_rank": 2,
                  "generators": [[2, 0], [0, 1], [1, 1]]}
@@ -129,6 +129,32 @@ def test_deeply_nested_json_is_an_input_error(tmp_path):
     assert "nested too deeply" in result.stderr and "Traceback" not in result.stderr
 
 
+def nested_tower(depth):
+    """A tower document of the given depth, normal e_1 at every level."""
+    doc = {"kind": "generators", "ambient_rank": 1, "generators": [[1]]}
+    for n in range(2, depth + 2):
+        doc = {"kind": "tower", "ambient_rank": n, "normal": [1] + [0] * (n - 1),
+               "inner": doc}
+    return doc
+
+
+def test_tower_deeper_than_the_cap_is_an_input_error(tmp_path):
+    depth = MAX_TOWER_DEPTH + 1
+    path = write(tmp_path, "deep.json", nested_tower(depth))
+    point = ["1"] + ["0"] * depth
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "member", path] + point,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert f"at most {MAX_TOWER_DEPTH} levels" in result.stderr
+    assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1
+
+
+def test_tower_at_the_cap_parses_and_hashes():
+    spec = parse_spec(nested_tower(MAX_TOWER_DEPTH))
+    assert spec.ambient_rank == MAX_TOWER_DEPTH + 1
+    hash(spec)  # the membership cache is keyed on the spec
+
+
 def test_out_of_memory_is_exit_5(tmp_path, monkeypatch, capsys):
     import toric_spectrum.cli as cli
 
@@ -195,6 +221,10 @@ def test_ray_and_chain_commands(tmp_path):
     assert text.splitlines()[0] == "chain length: 2"
     code, text = run_cli(["chain", path, "--from", "0", "--to", "0"])
     assert code == 0 and text == "chain length: 0\n"
+    for args in (["--from", "0", "--to", "-1"], ["--from", "4", "--to", "0"]):
+        assert run_cli(["chain", path] + args) == (2, "")
+    assert run_cli(["ray", "limit", path, "--face", "-1", "--lambda", "1,0"]) == (2, "")
+    assert run_cli(["ray", "limit", path, "--face", "0", "--lambda", "1"]) == (2, "")
 
 
 def test_oracle_verify(tmp_path):

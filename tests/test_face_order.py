@@ -1,0 +1,323 @@
+"""The face-order queries of an atlas against O(F^2) scans of ``leq_table``.
+
+The scans below are the reference: each reads the order one entry at a time
+and raises InvariantViolation when the element it looks for is not unique.
+The atlas answers the same queries from its down-set and up-set bitmasks.
+On real atlases both must agree everywhere; on tampered orders that are
+partial orders but not lattices, both must give the same answer or both
+raise.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction as F
+from itertools import product
+
+import pytest
+
+from toric_spectrum import (
+    Character,
+    Generators,
+    InvariantViolation,
+    Ray,
+    Tower,
+    chain_of_rays,
+    contains,
+    enumerate_faces,
+    idempotent_lattice_ops,
+    identity_character,
+    multiply,
+    ray_limit,
+    validate_atlas,
+)
+from toric_spectrum.characters import _vanishes_on_face
+
+from helpers import FIXTURES, TORSION_BASES, random_generators, random_tower
+
+CUBE6 = Generators(6, tuple((1,) + v for v in product((-1, 1), repeat=5)))
+
+
+# ---------------------------------------------------------------------------
+# reference scans
+
+
+def ref_minimal(atlas):
+    m = len(atlas.faces)
+    for j in range(m):
+        if all(atlas.leq_table[j][k] for k in range(m)):
+            return j
+    raise InvariantViolation("no least face")
+
+
+def ref_meet(atlas, j, k):
+    leq = atlas.leq_table
+    lower = [f for f in range(len(atlas.faces)) if leq[f][j] and leq[f][k]]
+    tops = [f for f in lower if all(leq[g][f] for g in lower)]
+    if len(tops) != 1:
+        raise InvariantViolation("face meet is not unique")
+    return tops[0]
+
+
+def ref_join(atlas, j, k):
+    leq = atlas.leq_table
+    upper = [f for f in range(len(atlas.faces)) if leq[j][f] and leq[k][f]]
+    bottoms = [f for f in upper if all(leq[f][g] for g in upper)]
+    if len(bottoms) != 1:
+        raise InvariantViolation("face join is not unique")
+    return bottoms[0]
+
+
+def ref_face_of_member(atlas, x):
+    candidates = [f.face_id for f in atlas.faces if f.cone.contains(x)]
+    best = [j for j in candidates if all(atlas.leq_table[j][k] for k in candidates)]
+    if len(best) != 1:
+        raise InvariantViolation("member lies on no unique smallest face")
+    return best[0]
+
+
+def ref_ray_limit(atlas, ray):
+    lam = tuple(F(v) for v in ray.lam)
+    candidates = [f.face_id for f in atlas.faces
+                  if atlas.leq_table[f.face_id][ray.base_face_id]
+                  and _vanishes_on_face(atlas, lam, ray.base_face_id, f.face_id)]
+    best = [j for j in candidates if all(atlas.leq_table[k][j] for k in candidates)]
+    if len(best) != 1:
+        raise InvariantViolation("limit face is not unique")
+    return best[0]
+
+
+def ref_lattice_ops(atlas, ids):
+    inf = sup = ids[0]
+    for j in ids[1:]:
+        inf = ref_meet(atlas, inf, j)
+        sup = ref_join(atlas, sup, j)
+    return inf, sup
+
+
+def ref_chain(atlas, from_face, to_face):
+    leq = atlas.leq_table
+    if not leq[to_face][from_face]:
+        raise ValueError(f"face {to_face} is not below face {from_face}")
+    chain = []
+    current = from_face
+    while current != to_face:
+        below = [j for j in range(len(atlas.faces))
+                 if leq[to_face][j] and leq[j][current] and j != current]
+        step = [j for j in below if not any(k != j and leq[j][k] for k in below)]
+        target = min(step)
+        face = atlas.faces[current]
+        normals = [a for a in face.cone_local.inequalities
+                   if _vanishes_on_face(atlas, a, current, target)]
+        if not normals:
+            raise InvariantViolation("a strictly smaller face lies on at least one facet")
+        lam = tuple(sum(F(a[i]) for a in normals) for i in range(face.rank))
+        ray = Ray(current, lam)
+        landed = ref_ray_limit(atlas, ray)
+        if landed != target or atlas.faces[landed].rank >= face.rank:
+            raise InvariantViolation("ray does not land on the chosen face")
+        chain.append(ray)
+        current = landed
+    return chain
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def outcome(fn, *args):
+    """The value of a call, or the class of the InvariantViolation it raised."""
+    try:
+        return fn(*args)
+    except InvariantViolation:
+        return InvariantViolation
+
+
+def corpus():
+    """Generator specs of rank 1-6, with lineality and torsion among them,
+    towers of depth 1-5 over torsion bases, the fixtures and the rank-6
+    cube."""
+    rng = random.Random(2026)
+    specs = list(FIXTURES) + list(TORSION_BASES)
+    specs += [random_generators(rng, max_rank=6, max_gens=7) for _ in range(24)]
+    specs += [Generators(3, ((1, 0, 0), (-1, 0, 0), (0, 2, 0), (1, 1, 2))),
+              Generators(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2),
+                             (0, 0, 0, 1), (0, 0, 0, -1)))]
+    specs += [random_tower(rng, depth) for depth in range(1, 6) for _ in range(2)]
+    return specs
+
+
+def sample_points(rng, spec, count=24):
+    points = [tuple([0] * spec.ambient_rank)]
+    points += [tuple(rng.randint(-2, 2) for _ in range(spec.ambient_rank))
+               for _ in range(count)]
+    return [x for x in points if contains(spec, x)]
+
+
+def decays(rng, face):
+    """Points of the dual cone of a face: zero, each dual ray, their sum and
+    a few random combinations."""
+    rays = [tuple(map(F, r)) for r in face.dual_cone_local.rays]
+    zero = tuple(F(0) for _ in range(face.rank))
+    out = [zero] + rays
+    if rays:
+        out.append(tuple(map(sum, zip(*rays))))
+    for _ in range(2):
+        lam = list(zero)
+        for r in rays:
+            c = rng.randint(0, 2)
+            lam = [a + c * b for a, b in zip(lam, r)]
+        out.append(tuple(lam))
+    return out
+
+
+def at_most(rng, items, sample):
+    items = list(items)
+    return items if sample is None or len(items) <= sample else rng.sample(items, sample)
+
+
+def check_against_scans(atlas, rng, sample=None, raw=False):
+    """Every order query against its scan: meet and join on all pairs, the
+    rest on ``sample`` bases or pairs at most.  ``raw`` compares outcomes, so
+    that an order that is not a lattice must raise on both sides alike."""
+    same = (lambda fn, ref, *args: outcome(fn, *args) == outcome(ref, *args)) if raw \
+        else (lambda fn, ref, *args: fn(*args) == ref(*args))
+    ids = range(len(atlas.faces))
+    assert same(lambda a: a.minimal_id, ref_minimal, atlas)
+    for j in ids:
+        for k in ids:
+            assert same(atlas.meet, lambda j, k: ref_meet(atlas, j, k), j, k), (j, k)
+            assert same(atlas.join, lambda j, k: ref_join(atlas, j, k), j, k), (j, k)
+    for x in sample_points(rng, atlas.spec):
+        assert same(atlas.face_of_member, lambda x: ref_face_of_member(atlas, x), x), x
+    for j in at_most(rng, ids, sample):
+        for lam in decays(rng, atlas.faces[j]):
+            ray = Ray(j, lam)
+            assert same(lambda r: ray_limit(atlas, r),
+                        lambda r: ref_ray_limit(atlas, r), ray), ray
+    for _ in range(20):
+        chosen = rng.sample(ids, rng.randint(1, min(4, len(ids))))
+        ops = outcome(idempotent_lattice_ops, atlas, chosen)
+        # a fold of pairwise meets can fail on a non-lattice order where the
+        # meet of the whole set exists; where the fold succeeds, both agree
+        assert ops == outcome(ref_lattice_ops, atlas, chosen) or \
+            raw and outcome(ref_lattice_ops, atlas, chosen) is InvariantViolation, chosen
+    pairs = [(k, j) for j in ids for k in ids if atlas.leq_table[j][k]]
+    for k, j in at_most(rng, pairs, sample):
+        assert same(lambda a, b: chain_of_rays(atlas, a, b),
+                    lambda a, b: ref_chain(atlas, a, b), k, j), (k, j)
+
+
+def test_order_queries_match_scans_on_seeded_corpus():
+    rng = random.Random(9)
+    for spec in corpus():
+        atlas = enumerate_faces(spec)
+        assert validate_atlas(atlas) == [], spec
+        check_against_scans(atlas, rng, sample=60)
+
+
+def test_order_queries_match_scans_on_the_rank_6_cube():
+    atlas = enumerate_faces(CUBE6)
+    assert len(atlas.faces) == 244
+    check_against_scans(atlas, random.Random(6), sample=30)
+
+
+def tampered(atlas, rng, extra, drop_least):
+    """A partial order on the atlas's faces that need not be a lattice: the
+    face order plus ``extra`` random relations from a face to one of larger
+    dimension, closed transitively, optionally with the least face cut off
+    from every other face.  Dimension still drops strictly along it."""
+    m = len(atlas.faces)
+    leq = [list(row) for row in atlas.leq_table]
+    for _ in range(extra):
+        j, k = rng.randrange(m), rng.randrange(m)
+        if atlas.faces[j].dim < atlas.faces[k].dim:
+            leq[j][k] = True
+    for mid in range(m):
+        for i in range(m):
+            if leq[i][mid]:
+                for k in range(m):
+                    leq[i][k] = leq[i][k] or leq[mid][k]
+    if drop_least:
+        least = atlas.minimal_id
+        for k in range(m):
+            leq[least][k] = k == least
+    return replace(atlas, leq_table=tuple(map(tuple, leq)))
+
+
+def test_non_lattice_orders_raise_where_the_scans_raised():
+    rng = random.Random(3)
+    specs = (Generators(3, ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))),
+             Generators(3, ((1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -2, 1))),
+             Tower(3, (0, 0, 1), Generators(2, ((1, 0), (0, 1)))))
+    raised = set()
+    for spec in specs:
+        atlas = enumerate_faces(spec)
+        for extra, drop_least in ((3, False), (6, False), (2, True)):
+            broken = tampered(atlas, rng, extra, drop_least)
+            check_against_scans(broken, rng, raw=True)
+            for j in range(len(atlas.faces)):
+                for k in range(len(atlas.faces)):
+                    if outcome(ref_meet, broken, j, k) is InvariantViolation:
+                        raised.add("meet")
+                    if outcome(ref_join, broken, j, k) is InvariantViolation:
+                        raised.add("join")
+            if outcome(ref_minimal, broken) is InvariantViolation:
+                raised.add("minimal")
+    # the tampered orders do reach the raising branches
+    assert raised == {"meet", "join", "minimal"}
+
+
+def test_validate_atlas_reports_dimension_order():
+    atlas = enumerate_faces(Generators(2, ((1, 0), (0, 1))))
+    assert validate_atlas(atlas) == []
+    # the least face claims the top dimension: ids no longer run by
+    # decreasing dimension, and it is no longer below its covers in dimension
+    least = atlas.minimal_id
+    faces = tuple(replace(f, dim=3) if f.face_id == least else f for f in atlas.faces)
+    problems = validate_atlas(replace(atlas, faces=faces))
+    assert "face ids do not run by decreasing dimension" in problems
+    assert f"face {least} < face 1 but its dimension does not drop" in problems
+
+
+QUADRANT = enumerate_faces(Generators(2, ((1, 0), (0, 1))))
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: a.meet(-1, 0),
+    lambda a: a.meet(0, 4),
+    lambda a: a.join(0, -1),
+    lambda a: a.join(4, 0),
+])
+def test_meet_and_join_reject_unknown_faces(call):
+    with pytest.raises(ValueError, match="unknown face"):
+        call(QUADRANT)
+
+
+def test_ray_limit_rejects_unknown_faces():
+    for face in (-1, 4):
+        with pytest.raises(ValueError, match="unknown face"):
+            ray_limit(QUADRANT, Ray(face, ()))
+
+
+def test_multiply_rejects_unknown_faces():
+    one = identity_character(QUADRANT)
+    for face in (-1, 4):
+        with pytest.raises(ValueError, match="unknown face"):
+            multiply(QUADRANT, one, Character(face, (), ()))
+
+
+def test_idempotent_lattice_ops_rejects_unknown_faces():
+    for ids in ([-1], [0, -1], [4, 0]):
+        with pytest.raises(ValueError, match="unknown face"):
+            idempotent_lattice_ops(QUADRANT, ids)
+
+
+def test_chain_of_rays_rejects_unknown_faces():
+    for pair in ((0, -1), (-1, 3), (4, 3), (0, 4)):
+        with pytest.raises(ValueError, match="unknown face"):
+            chain_of_rays(QUADRANT, *pair)
+
+
+def test_face_of_member_outside_every_cone_is_a_value_error():
+    with pytest.raises(ValueError, match="lies in no face cone"):
+        QUADRANT.face_of_member((-1, 0))
