@@ -442,6 +442,10 @@ def _run(args, out) -> int:
             out.write(f"ray {i}: base face {ray.base_face_id}, lambda {lam}\n")
         return 0
     if args.command == "oracle":
+        if args.box is not None and args.box < 1:
+            raise InputError("--box: must be >= 1")
+        if args.trials < 0:
+            raise InputError("--trials: must be >= 0")
         box = BoxSpec(args.box if args.box is not None else _default_box())
         atlas_sets = {frozenset(s) for s in face_members_in_box(atlas, box.radius)}
         oracle_sets = brute_force_faces(spec, box)

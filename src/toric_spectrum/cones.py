@@ -10,11 +10,13 @@ A :class:`Cone` stores both representations in canonical form:
   (saturated, HNF rows).
 
 The H-side of a cone is literally the V-side of its dual, so dualising is an
-exact involution by construction.  Conversions run the double description
-method with integer pivots and a rank-based adjacency test; no floating point
-is used anywhere.  The double description runs in the rank of the cone's
-linear span: a cone that does not span Q^n is converted on the coordinates
-of a saturated basis of its span and mapped back (:func:`cone_from_rays`).
+exact involution by construction.  A conversion runs the double
+description method once, with integer pivots and a rank-based adjacency
+test; no floating point is used anywhere.  That pass gives the facet
+normals, in the rank of the cone's linear span: a cone that does not span
+Q^n is converted on the coordinates of a saturated basis of its span and
+its normals are mapped back.  The lineality and the extreme rays are then
+read off the normals and the input (:func:`cone_from_rays`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Optional, Sequence
 from .intlinalg import (
     IntVector,
     InvariantViolation,
-    Lattice,
     dot,
     hnf,
     int_kernel,
@@ -35,7 +36,6 @@ from .intlinalg import (
     lattice_coordinates,
     primitive_vector,
     rank_of_rows,
-    saturate,
     scaled_coordinates,
     vec_neg,
     vec_sub,
@@ -76,16 +76,6 @@ class Cone:
         for r in self.rays:
             out = [a + b for a, b in zip(out, r)]
         return tuple(out)
-
-
-def _dedup_keep_order(vectors):
-    seen = set()
-    out = []
-    for v in vectors:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
 
 
 def _reduce_mod_span(vec: Sequence, span_rows: Sequence[IntVector]) -> IntVector:
@@ -164,9 +154,9 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
                 new_rays.append(tuple(w0 * c for c in r) if v == 0
                                 else vec_sub(tuple(w0 * c for c in r), tuple(v * c for c in l0)))
             new_rays.append(l0)
-            rays = _dedup_keep_order(
+            rays = list(dict.fromkeys(
                 rr for rr in (_reduce_mod_span(r, lin) for r in new_rays)
-                if not is_zero_vector(rr))
+                if not is_zero_vector(rr)))
             constraints.append(a)
             continue
         values = [dot(a, r) for r in rays]
@@ -182,63 +172,49 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
                     combo = _reduce_mod_span(combo, lin)
                     if not is_zero_vector(combo):
                         new_rays.append(combo)
-            rays = _dedup_keep_order(new_rays)
+            rays = list(dict.fromkeys(new_rays))
         constraints.append(a)
 
     return rays, hnf(lin, n).basis
-
-
-def _canonical_sides(ray_gens: Sequence[IntVector], lin_gens: Sequence[IntVector], n: int):
-    """Canonical (rays, lineality) from arbitrary generating data."""
-    # saturate takes any generating rows, in HNF or not
-    lin_rows = saturate(Lattice(n, tuple(lin_gens))).basis if lin_gens else ()
-    rays = _dedup_keep_order(
-        r for r in (_reduce_mod_span(v, lin_rows) for v in ray_gens)
-        if not is_zero_vector(r))
-    return tuple(sorted(rays)), lin_rows
-
-
-def _dd_cone(gens: Sequence[IntVector], lins: Sequence[IntVector], n: int) -> Cone:
-    """Both double description passes in rank n, each side made canonical."""
-    normals, eqs = _double_description(gens, lins, n)
-    normals_c, eqs_c = _canonical_sides(normals, eqs, n)
-    rays_v, lin_v = _double_description(normals_c, eqs_c, n)
-    rays_c, lin_c = _canonical_sides(rays_v, lin_v, n)
-    return Cone(n, rays_c, normals_c, lin_c, eqs_c)
 
 
 def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[int]] = (),
                    ambient_rank: Optional[int] = None) -> Cone:
     """Cone generated by the given rays plus a lineality space.
 
-    The input may be redundant; the stored data is canonical.  The double
-    description runs in the rank of the cone's linear span, after Fukuda &
-    Prodon (1996): its equations are found once, the input is written on
-    the saturated basis B of the span, and the cone computed there is full
-    dimensional.  Rays and lineality go back to Z^n as ``B^T y``; a facet
-    normal a goes back by the Gram lift ``B^T (B B^T)^{-1} a``, the vector
-    of the span that pairs with ``B^T y`` as a pairs with y.
+    The input may be redundant; the stored data is canonical.  One double
+    description turns the generators into facet normals.  It runs in the
+    rank of the cone's linear span, after Fukuda & Prodon (1996): the span's
+    equations are found once, the input is written on the saturated basis B
+    of the span, and the cone computed there is full dimensional, so its
+    dual has no lineality.  A facet normal a goes back to Z^n by the Gram
+    lift ``B^T (B B^T)^{-1} a``, the vector of the span that pairs with
+    ``B^T y`` as a pairs with y.  The rest is read off the input: the
+    lineality is the saturated kernel of the normals and equations, and the
+    rays are the generators, taken modulo it, whose tight normals have the
+    rank of a ray.
     """
     n = _infer_rank(rays, lineality, ambient_rank)
     gens = [tuple(map(operator.index, r)) for r in rays]
     lins = [tuple(map(operator.index, l)) for l in lineality]
     equations = int_kernel(gens + lins, n).basis
-    if not equations:
-        return _dd_cone(gens, lins, n)
-    span = int_kernel(equations, n)
-    columns = list(zip(*span.basis))
-
-    def lift(y):
-        return tuple(dot(y, c) for c in columns)
-
-    local = _dd_cone([lattice_coordinates(span, v) for v in gens],
-                     [lattice_coordinates(span, v) for v in lins], span.rank)
-    rays_c, lin_c = _canonical_sides([lift(y) for y in local.rays],
-                                     [lift(y) for y in local.lineality], n)
-    gram = [[dot(u, v) for v in span.basis] for u in span.basis]
-    normals = {primitive_vector(lift(scaled_coordinates(gram, a)[0]))
-               for a in local.inequalities}
-    return Cone(n, rays_c, tuple(sorted(normals)), lin_c, equations)
+    if equations:
+        span = int_kernel(equations, n)
+        columns = list(zip(*span.basis))
+        gram = [[dot(u, v) for v in span.basis] for u in span.basis]
+        local, _ = _double_description([lattice_coordinates(span, v) for v in gens],
+                                       [lattice_coordinates(span, v) for v in lins], span.rank)
+        lifts = (scaled_coordinates(gram, a)[0] for a in local)
+        normals = [tuple(dot(y, c) for c in columns) for y in lifts]
+    else:
+        normals, _ = _double_description(gens, lins, n)
+    normals = tuple(sorted({primitive_vector(a) for a in normals}))
+    lin = int_kernel(normals + equations, n).basis
+    ray_rank = n - len(equations) - len(lin) - 1
+    candidates = {_reduce_mod_span(g, lin) for g in gens}
+    extreme = (r for r in candidates if not is_zero_vector(r)
+               and rank_of_rows([a for a in normals if dot(a, r) == 0]) == ray_rank)
+    return Cone(n, tuple(sorted(extreme)), normals, lin, equations)
 
 
 def cone_from_inequalities(inequalities: Sequence[Sequence[int]],

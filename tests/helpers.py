@@ -3,7 +3,17 @@
 import math
 import random
 
-from toric_spectrum import Generators, Tower
+from toric_spectrum import Cone, Generators, Tower, cones
+from toric_spectrum.intlinalg import (
+    Lattice,
+    dot,
+    int_kernel,
+    is_zero_vector,
+    lattice_coordinates,
+    primitive_vector,
+    saturate,
+    scaled_coordinates,
+)
 
 # quadrant semigroup with a doubled x-axis generator: p,q >= 0, p even when q=0
 EVEN_AXIS = Generators(2, ((2, 0), (0, 1), (1, 1)))
@@ -58,3 +68,46 @@ def random_tower(rng, depth, bases=TORSION_BASES):
         n = spec.ambient_rank + 1
         spec = Tower(n, skew_normal(rng, n), spec)
     return spec
+
+
+def canonical_sides(ray_gens, lin_gens, n):
+    """Canonical (rays, lineality) from arbitrary generating data: the
+    lineality saturated, each ray reduced modulo it, deduplicated, sorted."""
+    # saturate takes any generating rows, in HNF or not
+    lin_rows = saturate(Lattice(n, tuple(lin_gens))).basis if lin_gens else ()
+    rays = dict.fromkeys(r for r in (cones._reduce_mod_span(v, lin_rows) for v in ray_gens)
+                         if not is_zero_vector(r))
+    return tuple(sorted(rays)), lin_rows
+
+
+def two_pass_cone(gens, lins, n):
+    """Reference conversion in rank n: one double description to the facet
+    normals, a second one back to the rays, each side made canonical."""
+    normals, eqs = canonical_sides(*cones._double_description(gens, lins, n), n)
+    rays, lin = canonical_sides(*cones._double_description(normals, eqs, n), n)
+    return Cone(n, rays, normals, lin, eqs)
+
+
+def two_pass_cone_from_rays(rays, lineality, n):
+    """Reference for ``cone_from_rays``: both passes run on the coordinates
+    of a saturated basis B of the span; rays and lineality go back as
+    ``B^T y`` and facet normals by the Gram lift ``B^T (B B^T)^{-1} a``."""
+    gens = [tuple(r) for r in rays]
+    lins = [tuple(l) for l in lineality]
+    equations = int_kernel(gens + lins, n).basis
+    if not equations:
+        return two_pass_cone(gens, lins, n)
+    span = int_kernel(equations, n)
+    columns = list(zip(*span.basis))
+
+    def lift(y):
+        return tuple(dot(y, c) for c in columns)
+
+    local = two_pass_cone([lattice_coordinates(span, v) for v in gens],
+                          [lattice_coordinates(span, v) for v in lins], span.rank)
+    rays_c, lin_c = canonical_sides([lift(y) for y in local.rays],
+                                    [lift(y) for y in local.lineality], n)
+    gram = [[dot(u, v) for v in span.basis] for u in span.basis]
+    normals = {primitive_vector(lift(scaled_coordinates(gram, a)[0]))
+               for a in local.inequalities}
+    return Cone(n, rays_c, tuple(sorted(normals)), lin_c, equations)

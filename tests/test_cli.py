@@ -286,3 +286,28 @@ def test_box_env_override(tmp_path, monkeypatch):
     assert code == 0 and "agree: true" in text
     monkeypatch.setenv("TORIC_SPECTRUM_BOX", "zero")
     assert main(["oracle", "verify", gap], out=io.StringIO()) == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--box", "0"], "--box: must be >= 1"),
+    (["--box", "-2"], "--box: must be >= 1"),
+    (["--trials", "-5"], "--trials: must be >= 0"),
+])
+def test_oracle_flags_out_of_range_are_input_errors(tmp_path, capsys, flags, message):
+    gap = write(tmp_path, "gap.json", GAP_DOC)
+    assert run_cli(["oracle", "verify", gap] + flags) == (2, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_oracle_zero_trials_and_box_one_are_accepted(tmp_path):
+    gap = write(tmp_path, "gap.json", GAP_DOC)
+    code, text = run_cli(["oracle", "verify", gap, "--box", "1", "--trials", "0"])
+    assert code == 0 and "0 trials" in text and text.endswith("result: ok\n")
+
+
+def test_oracle_box_zero_exits_2_without_traceback(tmp_path):
+    gap = write(tmp_path, "gap.json", GAP_DOC)
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "oracle", "verify", gap,
+                             "--box", "0"], capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "input error: --box: must be >= 1\n"

@@ -17,7 +17,7 @@ from toric_spectrum.cones import (
 from toric_spectrum.intlinalg import dot, rank_of_rows, vec_neg
 from toric_spectrum.oracle import BoxSpec, dd_cross_check
 
-from helpers import random_generators
+from helpers import random_generators, two_pass_cone, two_pass_cone_from_rays
 
 QUADRANT = cone_from_rays([(2, 0), (0, 1), (1, 1)])
 HALFSPACE3 = cone_from_inequalities([(0, 0, 1)])
@@ -193,20 +193,64 @@ def test_face_lattice_matches_intersection_closure():
 
 
 def test_cone_from_inequalities_is_dual_of_generated_cone():
-    def four_steps(inequalities, equations, n):
-        # convert to rays, canonicalise, convert back, canonicalise
-        rays, lin = cones._canonical_sides(*cones._double_description(inequalities, equations, n), n)
-        normals, eqs = cones._canonical_sides(*cones._double_description(rays, lin, n), n)
-        return cones.Cone(n, rays, normals, lin, eqs)
-
     rng = random.Random(1968)
     for _ in range(200):
         n = rng.randint(1, 5)
         ineqs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, n + 2))]
         eqs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
         cone = cone_from_inequalities(ineqs, eqs, n)
-        assert cone == four_steps(ineqs, eqs, n)
+        # convert to normals, canonicalise, convert back, canonicalise, swap sides
+        assert cone == dual_cone(two_pass_cone(ineqs, eqs, n))
         assert cone_from_inequalities(cone.inequalities, cone.equations, n) == cone
+
+
+def reference_input(rng):
+    """Generators of rank 0-6, in Z^n or in a random proper subspace, with
+    zero, duplicate and redundant rays and lineality generators mixed in."""
+    n = rng.randint(0, 6)
+    proper = n > 0 and rng.random() < 0.5
+    basis = ([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, n - 1))]
+             if proper else [tuple(int(i == j) for j in range(n)) for i in range(n)])
+
+    def point():
+        out = [0] * n
+        for row in basis:
+            c = rng.randint(-3, 3)
+            out = [a + c * b for a, b in zip(out, row)]
+        return tuple(out)
+
+    rays = [point() for _ in range(rng.randint(0, 8))]
+    if len(rays) > 1:
+        rays.append(tuple(a + b for a, b in zip(rays[0], rays[1])))  # redundant
+        rays.append(tuple(2 * a for a in rng.choice(rays)))           # duplicate ray
+        rays.append(rng.choice(rays))                                 # duplicate vector
+    if rng.random() < 0.3:
+        rays.append((0,) * n)
+    lineality = [point() for _ in range(rng.randint(1, 2))] if rng.random() < 0.4 else []
+    rng.shuffle(rays)
+    return rays, lineality, n, proper
+
+
+def test_one_pass_conversion_matches_the_two_pass_reference():
+    rng = random.Random(1996)
+    seen = {"proper": 0, "full": 0, "lineality": 0, "zero": 0, "ranks": set()}
+    for _ in range(600):
+        rays, lineality, n, proper = reference_input(rng)
+        seen["proper" if proper else "full"] += 1
+        seen["lineality"] += bool(lineality)
+        seen["zero"] += (0,) * n in rays
+        seen["ranks"].add(n)
+        expected = two_pass_cone_from_rays(rays, lineality, n)
+        assert cone_from_rays(rays, lineality, n) == expected, (rays, lineality, n)
+        assert cone_from_inequalities(rays, lineality, n) == dual_cone(expected)
+    assert seen["ranks"] == set(range(7))
+    assert min(seen["proper"], seen["full"], seen["lineality"], seen["zero"]) >= 50, seen
+    # a cone over the cyclic 4-polytope with 12 vertices: 54 facets
+    cyclic = [tuple(t ** k for k in range(5)) for t in range(12)]
+    cone = cone_from_rays(cyclic)
+    assert len(cone.inequalities) == 54
+    assert cone == two_pass_cone_from_rays(cyclic, (), 5)
+    assert cone_from_inequalities(cyclic) == dual_cone(cone)
 
 
 def test_double_description_refuses_rationals():

@@ -148,13 +148,13 @@ def dd_runs(monkeypatch):
     cones.face_lattice.cache_clear()
 
 
-def test_generator_atlas_runs_two_double_descriptions(dd_runs):
+def test_generator_atlas_runs_one_double_description(dd_runs):
     # a cone over a cube (28 faces), a random rank-5 spec and a cone with lineality
     cube = Generators(4, tuple((a, b, c, 1) for a in (0, 1) for b in (0, 1) for c in (0, 1)))
     for spec in (cube, GENERATOR_SPECS[-1], Generators(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 2)))):
         dd_runs.clear()
         atlas = enumerate_faces(spec)
-        assert len(dd_runs) == 2, f"{len(dd_runs)} runs for {len(atlas.faces)} faces"
+        assert len(dd_runs) == 1, f"{len(dd_runs)} runs for {len(atlas.faces)} faces"
 
 
 def test_tower_atlas_runs_double_description_for_its_base_only(dd_runs):
@@ -162,10 +162,10 @@ def test_tower_atlas_runs_double_description_for_its_base_only(dd_runs):
         dd_runs.clear()
         atlas = enumerate_faces(random_tower(random.Random(f"dd:{depth}"), depth))
         assert len(atlas.faces) > depth
-        assert len(dd_runs) == 2
+        assert len(dd_runs) == 1
 
 
-def test_membership_setup_runs_two_double_descriptions(dd_runs):
+def test_membership_setup_runs_one_double_description(dd_runs):
     # only the asymptotic cone is converted, with or without a group of units
     specs = (GENERATOR_SPECS[-1], Generators(2, ((2, 0), (-2, 0), (1, 1))),
              Generators(3, ((4, 2, 0), (-4, -2, 0), (1, 1, 1), (0, 0, 1), (3, 0, 5))),
@@ -174,7 +174,7 @@ def test_membership_setup_runs_two_double_descriptions(dd_runs):
         _membership_data.cache_clear()
         dd_runs.clear()
         _membership_data(spec)
-        assert len(dd_runs) == 2, spec
+        assert len(dd_runs) == 1, spec
     _membership_data.cache_clear()
 
 
