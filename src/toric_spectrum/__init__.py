@@ -38,7 +38,6 @@ from .cones import (
     face_lattice,
     full_cone,
     is_pointed,
-    minimal_face_of_point,
     zero_cone,
 )
 from .intlinalg import (
@@ -82,7 +81,7 @@ __all__ = [
     "ray_limit", "ray_point", "zero_character",
     "Cone", "FaceHandle", "FaceLattice", "cone_contains_cone",
     "cone_from_inequalities", "cone_from_rays", "dual_cone", "face_lattice",
-    "full_cone", "is_pointed", "minimal_face_of_point", "zero_cone",
+    "full_cone", "is_pointed", "zero_cone",
     "IntVector", "InvariantViolation", "Lattice", "RationalVector", "hnf", "int_kernel",
     "lattice_contains", "quotient_invariants", "saturation_index",
     "FaceData", "Generators", "MembershipUndecided", "SemigroupSpec",

@@ -205,7 +205,8 @@ def ray_limit(atlas: SpectrumAtlas, ray: Ray) -> int:
     lam = tuple(Fraction(v) for v in ray.lam)
     if not base.dual_cone_local.contains(lam):
         raise ValueError("ray data must lie in the dual cone of its base face")
-    candidates = [j for j in range(len(atlas.faces)) if atlas.leq(j, ray.base_face_id)
+    below = atlas.order[0][ray.base_face_id]
+    candidates = [j for j in range(len(atlas.faces)) if below >> j & 1
                   and _vanishes_on_face(atlas, lam, ray.base_face_id, j)]
     limit = atlas.join_of(candidates)
     if limit not in candidates:

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 from .intlinalg import (
     IntVector,
-    InvariantViolation,
     dot,
     hnf,
     int_kernel,
@@ -258,7 +257,8 @@ def zero_cone(n: int) -> Cone:
 
 
 def cone_contains_cone(inner: Cone, outer: Cone) -> bool:
-    """Exact set containment ``inner <= outer``."""
+    """Exact set containment ``inner <= outer``.  On the face cones of an
+    atlas it is the face order, read off no mask."""
     if inner.ambient_rank != outer.ambient_rank:
         raise ValueError("ambient rank mismatch")
     for r in inner.rays:
@@ -323,17 +323,3 @@ def face_lattice(cone: Cone) -> FaceLattice:
     return FaceLattice(cone, handles, tuple(covers),
                        tuple(tuple(sorted(rs)) for _, _, rs in entries))
 
-
-def minimal_face_of_point(cone: Cone, x: Sequence) -> FaceHandle:
-    """The face having x in its relative interior; x must lie in the cone."""
-    if not cone.contains(x):
-        raise ValueError(f"point {tuple(x)} is not in the cone")
-    tight = {i for i, a in enumerate(cone.inequalities) if dot(a, x) == 0}
-    lattice = face_lattice(cone)
-    member_rays = tuple(sorted(
-        j for j in range(len(cone.rays))
-        if all(dot(cone.inequalities[i], cone.rays[j]) == 0 for i in tight)))
-    for handle, rs in zip(lattice.faces, lattice.ray_sets):
-        if rs == member_rays:
-            return handle
-    raise InvariantViolation("tight set does not define a face")  # pragma: no cover

@@ -40,8 +40,7 @@ lattice need the Smith diagonal (:func:`quotient_invariants`).
 Every entry point that eliminates or reduces requires integer entries and
 converts with ``operator.index``, so a ``Fraction`` or a float raises
 TypeError instead of being truncated.  ``fractions.Fraction`` appears only
-at the :func:`rational_coordinates` boundary and in the input of
-:func:`primitive_vector`.
+in the input of :func:`primitive_vector`.
 """
 
 from __future__ import annotations
@@ -245,16 +244,6 @@ def scaled_coordinates(basis: Sequence[IntVector],
         row = rows[i]
         y[i] = (d * row[k] - sum(row[t] * y[t] for t in range(i + 1, k))) // row[i]
     return (tuple(y), d) if d > 0 else (tuple(-c for c in y), -d)
-
-
-def rational_coordinates(basis: Sequence[IntVector], x: Sequence[int]) -> Optional[RationalVector]:
-    """Coefficients c with ``sum(c_i * basis_i) == x``, or None if x is not in
-    the rational row span.  The basis rows must be linearly independent."""
-    solved = scaled_coordinates(basis, x)
-    if solved is None:
-        return None
-    y, d = solved
-    return tuple(Fraction(c, d) for c in y)
 
 
 def hnf_coordinates(basis: Sequence[IntVector],

@@ -20,7 +20,8 @@ semigroup are the faces of its asymptotic cone, so one double description
 (for that cone) and one :func:`~toric_spectrum.cones.face_lattice` give
 them all: each face cone is read off the lattice (a subset of the rays, the
 cone's inequalities tight on its facets), its local cone is the face cone
-written on its lattice basis, and the face order is ray-set inclusion.
+written on its lattice basis, and the face order is the closure of the
+lattice's covers.
 
 A tower is flattened once into Z^n (:func:`_flatten`): one half space per
 level, then its innermost generators embedded as a generated spec of rank n.
@@ -32,7 +33,7 @@ the generators only at height zero on every level.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional, Sequence, Union
@@ -280,7 +281,6 @@ class SpectrumAtlas:
     antisymmetric: bool
     separating: bool
     interior_member: IntVector
-    leq_table: tuple[tuple[bool, ...], ...] = field(repr=False)
 
     @property
     def top_id(self) -> int:
@@ -295,13 +295,25 @@ class SpectrumAtlas:
     def order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The face order as two bitmask tables, bit i standing for face i:
         ``down[j]`` holds the faces below face j and ``up[j]`` the faces
-        above it, both including face j.  Derived from ``leq_table`` once per
+        above it, both including face j.  The order is the reflexive and
+        transitive closure of its Hasse diagram ``covers`` (Kaibel & Pfetsch
+        2002).  Ids run by decreasing dimension, so every cover ``(a, b)``
+        has ``a < b`` and the sorted covers close in one pass each: from the
+        last cover the down-sets, from the first the up-sets.  Built once per
         atlas; every order query is a lookup in these tables."""
-        down = tuple(sum(1 << i for i, row in enumerate(self.leq_table) if row[j])
-                     for j in range(len(self.faces)))
-        up = tuple(sum(1 << k for k, above in enumerate(row) if above)
-                   for row in self.leq_table)
-        return down, up
+        down = [1 << j for j in range(len(self.faces))]
+        up = down.copy()
+        for a, b in reversed(self.covers):
+            down[a] |= down[b]
+        for a, b in self.covers:
+            up[b] |= up[a]
+        return tuple(down), tuple(up)
+
+    @cached_property
+    def leq_table(self) -> tuple[tuple[bool, ...], ...]:
+        """``leq_table[j][k]`` is ``leq(j, k)``, read off the up-sets once."""
+        return tuple(tuple(mask >> k & 1 == 1 for k in range(len(self.faces)))
+                     for mask in self.order[1])
 
     @cached_property
     def _face_of_mask(self) -> tuple[dict, dict]:
@@ -339,7 +351,7 @@ class SpectrumAtlas:
 
     def leq(self, j: int, k: int) -> bool:
         """Face order: j <= k iff the j-th face is contained in the k-th."""
-        return self.leq_table[j][k]
+        return self.order[1][j] >> k & 1 == 1
 
     def meet(self, j: int, k: int) -> int:
         return self._bound(0, (j, k))
@@ -367,8 +379,8 @@ def _generator_faces(spec: Generators):
     lineality.  Its facets are the faces it covers, and a cone inequality
     tight on a facet but not on the face is, modulo the face's equations,
     the normal of that facet.  The member generators are those on which the
-    tight inequalities vanish.  Returns ``(faces, ray_sets, covers)`` in
-    lattice order, face 0 being the whole cone; each face is
+    tight inequalities vanish.  Returns ``(faces, covers)`` in lattice
+    order, face 0 being the whole cone; each face is
     ``(cone, lattice, member generators, dim, tight set)``.
     """
     n = spec.ambient_rank
@@ -390,7 +402,7 @@ def _generator_faces(spec: Generators):
         members = tuple(g for g in spec.generators if all(dot(a, g) == 0 for a in tight))
         cone = Cone(n, rays, tuple(sorted(normals)), ambient.lineality, equations)
         faces.append((cone, hnf(members, n), members, handle.dim, handle.tight_set))
-    return faces, lattice.ray_sets, lattice.covers
+    return faces, lattice.covers
 
 
 def _flatten(spec: SemigroupSpec):
@@ -430,10 +442,9 @@ def _raw_faces(spec: SemigroupSpec):
 
     A tower's faces are its half spaces, one per level, above the faces of
     its innermost generators embedded into Z^n (see :func:`_flatten`).
-    Returns ``(faces, keys, covers)``: ``faces`` as in
-    :func:`_generator_faces`, a ``(level, ray set)`` key per face for
-    :func:`_below` (the ray set is None for a half space), and the cover
-    pairs as indices into ``faces``.
+    Returns ``(faces, covers)``: ``faces`` as in :func:`_generator_faces`
+    and the cover pairs as indices into ``faces``.  Each half space covers
+    the next level, and the last one covers the whole base.
 
     A tight set indexes the inequalities of face 0's cone.  The level-0 half
     space has the single inequality, its normal, which vanishes on every
@@ -441,25 +452,13 @@ def _raw_faces(spec: SemigroupSpec):
     """
     half_spaces, base = _flatten(spec)
     depth = len(half_spaces)
-    base_faces, ray_sets, base_covers = _generator_faces(base)
+    base_faces, base_covers = _generator_faces(base)
     faces = [(cone, lattice, None, lattice.rank, (0,) if level else ())
              for level, (cone, lattice) in enumerate(half_spaces)]
     faces += base_faces if not depth else [face[:4] + ((0,),) for face in base_faces]
-    keys = [(level, None) for level in range(depth)] + \
-        [(depth, frozenset(rs)) for rs in ray_sets]
     covers = [(level, level + 1) for level in range(depth)] + \
         [(depth + a, depth + b) for a, b in base_covers]
-    return faces, keys, covers
-
-
-def _below(key_a, key_b) -> bool:
-    """Face order on ``(level, ray set)`` keys: a half space contains every
-    face of a deeper level, and faces of the generated base compare by the
-    inclusion of their ray sets."""
-    (level_a, rays_a), (level_b, rays_b) = key_a, key_b
-    if rays_a is None or rays_b is None:
-        return level_a >= level_b
-    return rays_a <= rays_b
+    return faces, covers
 
 
 def _local_coordinates(basis: Sequence[IntVector], v: IntVector) -> IntVector:
@@ -512,15 +511,15 @@ def enumerate_faces(spec: SemigroupSpec) -> SpectrumAtlas:
     generated semigroup they correspond one-to-one with the closed faces of
     the asymptotic cone, so the atlas comes from one double description (the
     asymptotic cone) and one :func:`face_lattice`: every face cone, its
-    lattice and its local cone are read off that lattice, and the order and
-    the covers are its ray-set inclusion and its covers.  A tower
-    contributes one half space per level above the faces of its innermost
-    generators embedded into Z^n.  Face 0 is the whole semigroup;
+    lattice and its local cone are read off that lattice, and the covers
+    are its covers; the order is their closure (:attr:`SpectrumAtlas.order`).
+    A tower contributes one half space per level above the faces of its
+    innermost generators embedded into Z^n.  Face 0 is the whole semigroup;
     the rest are ordered by decreasing cone dimension, then lexicographic
     cone data.
     """
     n = spec.ambient_rank
-    raw, keys, raw_covers = _raw_faces(spec)
+    raw, raw_covers = _raw_faces(spec)
     order = [0] + sorted(range(1, len(raw)),
                          key=lambda i: (-raw[i][3], raw[i][0].rays, raw[i][0].lineality))
     position = {i: fid for fid, i in enumerate(order)}
@@ -531,12 +530,11 @@ def enumerate_faces(spec: SemigroupSpec) -> SpectrumAtlas:
         torsion, cone_local, dual_local = _finalize_face(n, cone, lattice, dim)
         faces.append(FaceData(fid, dim, cone, lattice, torsion,
                               cone_local, dual_local, members, tight))
-    leq = tuple(tuple(_below(keys[i], keys[k]) for k in order) for i in order)
     covers = tuple(sorted((position[a], position[b]) for a, b in raw_covers))
     # ids run by decreasing dimension, so a least face, the group of units
     # S intersect (-S), is the last one
     atlas = SpectrumAtlas(spec, ambient, tuple(faces), covers, faces[-1].dim == 0,
-                          is_separating(spec), _interior_member(spec), leq)
+                          is_separating(spec), _interior_member(spec))
     if atlas.minimal_id != len(faces) - 1 or atlas.join_of(range(len(faces))) != 0:
         raise InvariantViolation("face order is not bounded")
     return atlas
@@ -574,13 +572,22 @@ def validate_atlas(atlas: SpectrumAtlas) -> list[str]:
     For comparable faces j < k the smaller cone must lie in a proper face of
     the larger cone, its dimension must be smaller and the face lattices must
     be nested; face ids must run by decreasing dimension, which the chain of
-    rays relies on; every face cone must be generated by its own lattice
-    points.  Returns human readable violations (expected: none).
+    rays relies on; the covers must be sorted, each from a face to a later
+    one of smaller dimension, which the closure of the order relies on;
+    every face cone must be generated by its own lattice points.  Returns
+    human readable violations (expected: none).
     """
     problems = []
     faces = atlas.faces
     if any(a.dim < b.dim for a, b in zip(faces, faces[1:])):
         problems.append("face ids do not run by decreasing dimension")
+    if list(atlas.covers) != sorted(atlas.covers):
+        problems.append("covers are not sorted")
+    for a, b in atlas.covers:
+        if not (0 <= a < b < len(faces) and faces[a].dim > faces[b].dim):
+            problems.append(f"cover ({a}, {b}) does not run to a later, smaller face")
+    if not all(0 <= i < len(faces) for cover in atlas.covers for i in cover):
+        return problems  # no order can be read off these covers
     for j in range(len(faces)):
         for k in range(len(faces)):
             if j == k or not atlas.leq(j, k) or atlas.leq(k, j):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 from toric_spectrum import Cone, Generators, Tower, cones
 from toric_spectrum.intlinalg import (
@@ -68,6 +69,17 @@ def random_tower(rng, depth, bases=TORSION_BASES):
         n = spec.ambient_rank + 1
         spec = Tower(n, skew_normal(rng, n), spec)
     return spec
+
+
+def rational_coordinates(basis, x):
+    """Reference: the coefficients c, as Fractions, with
+    ``sum(c_i * basis_i) == x``, or None if x is not in the rational row
+    span.  The basis rows must be linearly independent."""
+    solved = scaled_coordinates(basis, x)
+    if solved is None:
+        return None
+    y, d = solved
+    return tuple(Fraction(c, d) for c in y)
 
 
 def canonical_sides(ray_gens, lin_gens, n):

@@ -11,7 +11,6 @@ from toric_spectrum.cones import (
     face_lattice,
     full_cone,
     is_pointed,
-    minimal_face_of_point,
     zero_cone,
 )
 from toric_spectrum.intlinalg import dot, rank_of_rows, vec_neg
@@ -99,30 +98,6 @@ def test_face_lattice_closed_under_meet():
         # the lineality face is below everything
         bottom = min(sets, key=len)
         assert all(bottom <= s for s in sets)
-
-
-def test_minimal_face_of_point():
-    assert minimal_face_of_point(QUADRANT, (1, 1)).id == 0
-    handle = minimal_face_of_point(QUADRANT, (3, 0))
-    assert handle.dim == 1 and handle.tight_set == (0,)
-    assert minimal_face_of_point(QUADRANT, (0, 0)).tight_set == (0, 1)
-    with pytest.raises(ValueError):
-        minimal_face_of_point(QUADRANT, (-1, 0))
-
-
-def test_minimal_face_point_is_strictly_inside():
-    rng = random.Random(909)
-    for _ in range(25):
-        cone = random_cone(rng, max_rank=3)
-        point = cone.interior_point()
-        if not cone.contains(point):
-            continue
-        handle = minimal_face_of_point(cone, point)
-        for i, a in enumerate(cone.inequalities):
-            value = dot(a, point)
-            assert (value == 0) == (i in handle.tight_set)
-            if i not in handle.tight_set:
-                assert value > 0
 
 
 def test_is_pointed():

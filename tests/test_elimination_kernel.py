@@ -32,11 +32,12 @@ from toric_spectrum.intlinalg import (  # noqa: E402
     lattice_residue,
     primitive_vector,
     rank_of_rows,
-    rational_coordinates,
     saturate,
     scaled_coordinates,
 )
 from toric_spectrum.oracle import _orank, _osolve  # noqa: E402
+
+from helpers import rational_coordinates  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None)
 entries = st.integers(-6, 6)

@@ -31,10 +31,10 @@ from toric_spectrum import (
     quotient_invariants,
 )
 from toric_spectrum import cones
-from toric_spectrum.intlinalg import dot, full_lattice, primitive_vector, rational_coordinates
+from toric_spectrum.intlinalg import dot, full_lattice, primitive_vector
 from toric_spectrum.semigroups import _membership_data, boundary_basis, embed_point
 
-from helpers import FIXTURES, random_tower, skew_normal
+from helpers import FIXTURES, random_tower, rational_coordinates, skew_normal
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toric_spectrum"
 

@@ -6,6 +6,9 @@ The atlas answers the same queries from its down-set and up-set bitmasks.
 On real atlases both must agree everywhere; on tampered orders that are
 partial orders but not lattices, both must give the same answer or both
 raise.
+
+The order itself, the closure of the covers, is checked against cone
+containment, which reads no mask.
 """
 
 import random
@@ -22,6 +25,7 @@ from toric_spectrum import (
     Ray,
     Tower,
     chain_of_rays,
+    cone_contains_cone,
     contains,
     enumerate_faces,
     idempotent_lattice_ops,
@@ -215,6 +219,22 @@ def test_order_queries_match_scans_on_seeded_corpus():
         check_against_scans(atlas, rng, sample=60)
 
 
+def test_order_is_cone_containment_on_seeded_corpus():
+    """j <= k iff face j's cone lies in face k's, and the covers are the Hasse
+    reduction of that containment."""
+    for spec in corpus():
+        atlas = enumerate_faces(spec)
+        cones = [face.cone for face in atlas.faces]
+        m = len(cones)
+        inside = [[cone_contains_cone(a, b) for b in cones] for a in cones]
+        assert [[atlas.leq(j, k) for k in range(m)] for j in range(m)] == inside, spec
+        reduction = sorted(
+            (a, b) for a in range(m) for b in range(m)
+            if a != b and inside[b][a]
+            and not any(c not in (a, b) and inside[b][c] and inside[c][a] for c in range(m)))
+        assert list(atlas.covers) == reduction, spec
+
+
 def test_order_queries_match_scans_on_the_rank_6_cube():
     atlas = enumerate_faces(CUBE6)
     assert len(atlas.faces) == 244
@@ -225,7 +245,9 @@ def tampered(atlas, rng, extra, drop_least):
     """A partial order on the atlas's faces that need not be a lattice: the
     face order plus ``extra`` random relations from a face to one of larger
     dimension, closed transitively, optionally with the least face cut off
-    from every other face.  Dimension still drops strictly along it."""
+    from every other face.  Dimension still drops strictly along it, so each
+    strict pair (k, j), face j below face k, has k < j by id; the pairs go
+    in as the covers, whose closure they already are."""
     m = len(atlas.faces)
     leq = [list(row) for row in atlas.leq_table]
     for _ in range(extra):
@@ -241,7 +263,8 @@ def tampered(atlas, rng, extra, drop_least):
         least = atlas.minimal_id
         for k in range(m):
             leq[least][k] = k == least
-    return replace(atlas, leq_table=tuple(map(tuple, leq)))
+    pairs = sorted((k, j) for j in range(m) for k in range(m) if j != k and leq[j][k])
+    return replace(atlas, covers=tuple(pairs))
 
 
 def test_non_lattice_orders_raise_where_the_scans_raised():
@@ -277,6 +300,22 @@ def test_validate_atlas_reports_dimension_order():
     problems = validate_atlas(replace(atlas, faces=faces))
     assert "face ids do not run by decreasing dimension" in problems
     assert f"face {least} < face 1 but its dimension does not drop" in problems
+
+
+def test_validate_atlas_reports_covers_the_order_cannot_close():
+    atlas = enumerate_faces(Generators(2, ((1, 0), (0, 1))))
+    swapped = replace(atlas, covers=tuple(sorted((b, a) for a, b in atlas.covers)))
+    assert "cover (1, 0) does not run to a later, smaller face" in validate_atlas(swapped)
+    backwards = replace(atlas, covers=atlas.covers[::-1])
+    assert "covers are not sorted" in validate_atlas(backwards)
+    level = replace(atlas, covers=tuple(sorted(atlas.covers + ((1, 2),))))
+    assert "cover (1, 2) does not run to a later, smaller face" in validate_atlas(level)
+    outside = replace(atlas, covers=atlas.covers + ((3, 4),))
+    assert validate_atlas(outside) == ["cover (3, 4) does not run to a later, smaller face"]
+    # a cover may drop more than one dimension: a half space over a ray
+    tower = enumerate_faces(Tower(3, (0, 0, 1), Generators(2, ((1, 0),))))
+    assert tower.covers == ((0, 1), (1, 2)) and tower.faces[1].dim == 1
+    assert validate_atlas(tower) == []
 
 
 QUADRANT = enumerate_faces(Generators(2, ((1, 0), (0, 1))))

@@ -11,11 +11,12 @@ from toric_spectrum.intlinalg import (
     lattice_coordinates,
     lattice_residue,
     quotient_invariants,
-    rational_coordinates,
     saturation_index,
     solve_unit_functional,
 )
 from toric_spectrum.semigroups import embed_point
+
+from helpers import rational_coordinates
 
 
 def combos(rows, bound):
