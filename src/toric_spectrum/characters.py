@@ -11,6 +11,18 @@ the radial decay.  On a face member ``x = sum(c_i b_i)`` the value is
 and 0 off the face.  Storing data on the face lattice basis makes equality of
 characters a plain comparison of canonical triples.
 
+The arithmetic runs in integers: each rational vector is taken as integer
+numerators over the least common denominator of its entries, and Fractions
+are built only for the returned character or value.  A positive rescale does
+not change cone membership, so the dual cone tests read the numerators.
+Entries must be ints or Fractions; a float raises TypeError.
+
+Restriction from a face to a face below it is an integer matrix, the rows of
+the smaller face's lattice basis on the larger one's.  Each matrix is built
+once per atlas, when first queried, and kept in a table on the atlas.  A face
+lattice spans its cone, so a functional vanishes on a face cone exactly when
+it vanishes on the rows of that face's restriction.
+
 The face order is read from the atlas's down-set and up-set bitmasks
 (:attr:`~toric_spectrum.semigroups.SpectrumAtlas.order`), so every order query
 is a lookup.  A product lives on the meet of the two faces; the limit of a
@@ -27,14 +39,13 @@ import cmath
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, pi
+from math import exp, lcm, pi
 from typing import Optional, Sequence
 
 from .intlinalg import (
     IntVector,
     InvariantViolation,
     dot,
-    hnf_coordinates,
     lattice_coordinates,
 )
 from .semigroups import SpectrumAtlas, contains, zero_face
@@ -63,6 +74,7 @@ class ExactValue:
 
 
 ZERO_VALUE = ExactValue(True)
+_ZERO = Fraction(0)
 
 
 def multiply_values(a: ExactValue, b: ExactValue) -> ExactValue:
@@ -80,25 +92,37 @@ class Ray:
     lam: tuple[Fraction, ...]
 
 
+def _numerators(vec: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of rational entries over their least common
+    denominator d > 0.  TypeError for an entry that is not an int or a
+    Fraction, such as a float."""
+    try:
+        d = lcm(*(v.denominator for v in vec))
+        return [v.numerator * (d // v.denominator) for v in vec], d
+    except AttributeError:
+        raise TypeError(f"entries must be ints or Fractions, got {tuple(vec)}") from None
+
+
 def make_character(atlas: SpectrumAtlas, face_id: int,
                    theta: Sequence, lam: Sequence) -> Character:
     """Validate and canonicalise character data against the atlas."""
     face = atlas.face(face_id)
-    theta = tuple(Fraction(t) % 1 for t in theta)
-    lam = tuple(Fraction(v) for v in lam)
+    theta, lam = tuple(theta), tuple(lam)
     if len(theta) != face.rank or len(lam) != face.rank:
         raise ValueError(
             f"face {face_id} has lattice rank {face.rank}, got theta/lambda of "
             f"lengths {len(theta)}/{len(lam)}")
-    if not face.dual_cone_local.contains(lam):
+    angles, d = _numerators(theta)
+    decay, e = _numerators(lam)
+    if not face.dual_cone_local.contains(decay):
         raise ValueError(f"lambda {lam} is not in the dual cone of face {face_id}")
-    return Character(face_id, theta, lam)
+    return Character(face_id, tuple(Fraction(n % d, d) for n in angles),
+                     tuple(Fraction(n, e) for n in decay))
 
 
 def idempotent(atlas: SpectrumAtlas, face_id: int) -> Character:
     """The characteristic function of a face: 1 on it, 0 elsewhere."""
-    rank = atlas.face(face_id).rank
-    zero = tuple(Fraction(0) for _ in range(rank))
+    zero = (_ZERO,) * atlas.face(face_id).rank
     return Character(face_id, zero, zero)
 
 
@@ -126,31 +150,44 @@ def evaluate(atlas: SpectrumAtlas, chi: Character, x: Sequence[int]) -> ExactVal
     exponent ``<lam, c>`` where c are the coordinates of x on the face
     lattice basis.  Non-integer coordinates are rejected (TypeError).
     """
+    face = atlas.face(chi.face_id)
     x = tuple(map(operator.index, x))
     if not contains(atlas.spec, x):
         raise ValueError(f"{x} is not a member of the semigroup")
-    face = atlas.faces[chi.face_id]
     if not face.cone.contains(x):
         return ZERO_VALUE
     coords = _face_coordinates(atlas, chi.face_id, x)
-    angle = sum((t * c for t, c in zip(chi.theta, coords)), Fraction(0)) % 1
-    exponent = sum((v * c for v, c in zip(chi.lam, coords)), Fraction(0))
+    angles, d = _numerators(chi.theta)
+    decay, e = _numerators(chi.lam)
+    exponent = dot(decay, coords)
     if exponent < 0:
         raise InvariantViolation("dual cone constraint keeps the modulus inside the disc")
-    return ExactValue(False, angle, exponent)
+    return ExactValue(False, Fraction(dot(angles, coords) % d, d), Fraction(exponent, e))
 
 
-def _restriction_matrix(atlas: SpectrumAtlas, sub_face: int, face: int) -> list[tuple[int, ...]]:
-    """Rows expressing the sub-face lattice basis on the parent face basis.
+def _restriction(atlas: SpectrumAtlas, sub_face: int, face: int) -> tuple[IntVector, ...]:
+    """Rows expressing the sub-face lattice basis on the parent face basis,
+    built on first use and kept in the atlas's table.
 
     Integrality is guaranteed by the nesting of face lattices and checked.
     """
-    return [_face_coordinates(atlas, face, b) for b in atlas.faces[sub_face].lattice.basis]
+    table = atlas._restrictions
+    rows = table.get((sub_face, face))
+    if rows is None:
+        rows = table[sub_face, face] = tuple(
+            _face_coordinates(atlas, face, b) for b in atlas.faces[sub_face].lattice.basis)
+    return rows
 
 
-def _restrict(vec: Sequence[Fraction], matrix: list[tuple[int, ...]]) -> tuple[Fraction, ...]:
-    return tuple(sum((Fraction(m) * v for m, v in zip(row, vec)), Fraction(0))
-                 for row in matrix)
+def _sum_on_meet(atlas: SpectrumAtlas, meet: int, a_face: int, a_vec: Sequence,
+                 b_face: int, b_vec: Sequence) -> tuple[list[int], int]:
+    """Numerators of the sum of two vectors restricted to the meet lattice,
+    over their common denominator."""
+    nums, d = _numerators((*a_vec, *b_vec))
+    na, nb = nums[:len(a_vec)], nums[len(a_vec):]
+    return [dot(ra, na) + dot(rb, nb)
+            for ra, rb in zip(_restriction(atlas, meet, a_face),
+                              _restriction(atlas, meet, b_face))], d
 
 
 def multiply(atlas: SpectrumAtlas, a: Character, b: Character) -> Character:
@@ -160,41 +197,39 @@ def multiply(atlas: SpectrumAtlas, a: Character, b: Character) -> Character:
     added and restricted to the meet lattice.
     """
     meet = atlas.meet(a.face_id, b.face_id)
-    ma = _restriction_matrix(atlas, meet, a.face_id)
-    mb = _restriction_matrix(atlas, meet, b.face_id)
-    theta = tuple((ta + tb) % 1 for ta, tb in zip(_restrict(a.theta, ma),
-                                                  _restrict(b.theta, mb)))
-    lam = tuple(la + lb for la, lb in zip(_restrict(a.lam, ma), _restrict(b.lam, mb)))
-    if not atlas.faces[meet].dual_cone_local.contains(lam):
+    angles, d = _sum_on_meet(atlas, meet, a.face_id, a.theta, b.face_id, b.theta)
+    decay, e = _sum_on_meet(atlas, meet, a.face_id, a.lam, b.face_id, b.lam)
+    if not atlas.faces[meet].dual_cone_local.contains(decay):
         raise InvariantViolation("product decay leaves the dual cone of the meet")
-    return Character(meet, theta, lam)
+    return Character(meet, tuple(Fraction(n % d, d) for n in angles),
+                     tuple(Fraction(n, e) for n in decay))
 
 
 def involute(atlas: SpectrumAtlas, chi: Character) -> Character:
     """Complex conjugation: negate the angles, keep the decay."""
+    atlas.face(chi.face_id)  # ValueError for an unknown face
     return Character(chi.face_id, tuple((-t) % 1 for t in chi.theta), chi.lam)
 
 
 def polar_decompose(atlas: SpectrumAtlas, chi: Character) -> tuple[Character, Character]:
     """Split into a unitary part (angles only) and the unique nonnegative
     radial part (decay only) on the same face."""
-    rank = atlas.faces[chi.face_id].rank
-    zero = tuple(Fraction(0) for _ in range(rank))
+    zero = (_ZERO,) * atlas.face(chi.face_id).rank
     return (Character(chi.face_id, chi.theta, zero),
             Character(chi.face_id, zero, chi.lam))
 
 
 def ray_point(atlas: SpectrumAtlas, ray: Ray, t) -> Character:
     """The character ``exp(-t lam)`` on the base face; t >= 0."""
-    t = Fraction(t)
-    if t < 0:
+    (s,), q = _numerators((t,))
+    if s < 0:
         raise ValueError("ray parameter must be nonnegative")
     face = atlas.face(ray.base_face_id)
-    lam = tuple(Fraction(v) for v in ray.lam)
-    if not face.dual_cone_local.contains(lam):
+    decay, e = _numerators(ray.lam)
+    if not face.dual_cone_local.contains(decay):
         raise ValueError("ray data must lie in the dual cone of its base face")
-    zero = tuple(Fraction(0) for _ in range(face.rank))
-    return Character(ray.base_face_id, zero, tuple(t * v for v in lam))
+    return Character(ray.base_face_id, (_ZERO,) * face.rank,
+                     tuple(Fraction(s * n, q * e) for n in decay))
 
 
 def ray_limit(atlas: SpectrumAtlas, ray: Ray) -> int:
@@ -202,12 +237,12 @@ def ray_limit(atlas: SpectrumAtlas, ray: Ray) -> int:
     base on whose cone the decay functional vanishes, the join of those
     faces."""
     base = atlas.face(ray.base_face_id)
-    lam = tuple(Fraction(v) for v in ray.lam)
-    if not base.dual_cone_local.contains(lam):
+    decay = _numerators(ray.lam)[0]
+    if not base.dual_cone_local.contains(decay):
         raise ValueError("ray data must lie in the dual cone of its base face")
     below = atlas.order[0][ray.base_face_id]
     candidates = [j for j in range(len(atlas.faces)) if below >> j & 1
-                  and _vanishes_on_face(atlas, lam, ray.base_face_id, j)]
+                  and _vanishes_on_face(atlas, decay, ray.base_face_id, j)]
     limit = atlas.join_of(candidates)
     if limit not in candidates:
         raise InvariantViolation("limit face is not unique")
@@ -217,16 +252,9 @@ def ray_limit(atlas: SpectrumAtlas, ray: Ray) -> int:
 def _vanishes_on_face(atlas: SpectrumAtlas, lam: Sequence,
                       base_id: int, face_id: int) -> bool:
     """Whether the functional ``lam`` on the base face lattice vanishes on
-    the cone of a face below the base."""
-    base = atlas.faces[base_id]
-    cone = atlas.faces[face_id].cone
-    for v in list(cone.rays) + list(cone.lineality):
-        solved = hnf_coordinates(base.lattice.basis, v)
-        if solved is None:
-            raise InvariantViolation("face cone leaves the span of the base lattice")
-        if dot(lam, solved[0]) != 0:
-            return False
-    return True
+    the cone of a face below the base: on its lattice basis, which spans
+    that cone."""
+    return all(dot(lam, row) == 0 for row in _restriction(atlas, face_id, base_id))
 
 
 def idempotent_lattice_ops(atlas: SpectrumAtlas, face_ids: Sequence[int]) -> tuple[int, int]:
@@ -260,9 +288,7 @@ def chain_of_rays(atlas: SpectrumAtlas, from_face: int, to_face: int) -> list[Ra
                    if _vanishes_on_face(atlas, a, current, target)]
         if not normals:
             raise InvariantViolation("a strictly smaller face lies on at least one facet")
-        lam = tuple(sum(Fraction(a[i]) for a in normals)
-                    for i in range(face.rank))
-        ray = Ray(current, lam)
+        ray = Ray(current, tuple(Fraction(sum(column)) for column in zip(*normals)))
         landed = ray_limit(atlas, ray)
         if landed != target or atlas.faces[landed].rank >= face.rank:
             raise InvariantViolation("ray does not land on the chosen face")

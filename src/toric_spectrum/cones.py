@@ -69,13 +69,6 @@ class Cone:
         return (all(dot(e, x) == 0 for e in self.equations)
                 and all(dot(a, x) > 0 for a in self.inequalities))
 
-    def interior_point(self) -> IntVector:
-        """An integer point in the relative interior (sum of the rays)."""
-        out = [0] * self.ambient_rank
-        for r in self.rays:
-            out = [a + b for a, b in zip(out, r)]
-        return tuple(out)
-
 
 def _reduce_mod_span(vec: Sequence, span_rows: Sequence[IntVector]) -> IntVector:
     """Canonical representative of a direction modulo a subspace: project onto

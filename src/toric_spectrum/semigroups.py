@@ -320,6 +320,13 @@ class SpectrumAtlas:
         """The face of each down-set, and the face of each up-set."""
         return tuple({mask: j for j, mask in enumerate(masks)} for masks in self.order)
 
+    @cached_property
+    def _restrictions(self) -> dict[tuple[int, int], tuple[IntVector, ...]]:
+        """Restriction matrices of the character algebra by ``(sub_face,
+        face)``, filled on first query by :mod:`~toric_spectrum.characters`;
+        at most one entry per pair of faces."""
+        return {}
+
     def face(self, face_id: int) -> FaceData:
         """The face with this id; ValueError for an id outside the atlas."""
         if not 0 <= face_id < len(self.faces):

@@ -4,7 +4,16 @@ import math
 import random
 from fractions import Fraction
 
-from toric_spectrum import Cone, Generators, Tower, cones
+from toric_spectrum import (
+    Character,
+    Cone,
+    ExactValue,
+    Generators,
+    InvariantViolation,
+    Ray,
+    Tower,
+    cones,
+)
 from toric_spectrum.intlinalg import (
     Lattice,
     dot,
@@ -123,3 +132,99 @@ def two_pass_cone_from_rays(rays, lineality, n):
     normals = {primitive_vector(lift(scaled_coordinates(gram, a)[0]))
                for a in local.inequalities}
     return Cone(n, rays_c, tuple(sorted(normals)), lin_c, equations)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references of the character algebra: restriction matrices solved
+# per call, every sum taken in Fractions, vanishing read on the rays
+
+
+def vanishes_on_face(atlas, lam, base_id, face_id):
+    """Whether ``lam`` on the base face lattice is zero at the coordinates
+    of every ray and lineality vector of a face below the base."""
+    basis = atlas.faces[base_id].lattice.basis
+    cone = atlas.faces[face_id].cone
+    for v in cone.rays + cone.lineality:
+        coords = rational_coordinates(basis, v)
+        if coords is None:
+            raise InvariantViolation("face cone leaves the span of the base lattice")
+        if dot(lam, coords) != 0:
+            return False
+    return True
+
+
+def face_coordinates(atlas, face_id, x):
+    coords = rational_coordinates(atlas.faces[face_id].lattice.basis, x)
+    if coords is None or any(c.denominator != 1 for c in coords):
+        raise InvariantViolation(f"{x} must lie in the lattice of face {face_id}")
+    return tuple(int(c) for c in coords)
+
+
+def restriction_matrix(atlas, sub_face, face):
+    return [face_coordinates(atlas, face, b) for b in atlas.faces[sub_face].lattice.basis]
+
+
+def restrict(vec, matrix):
+    return tuple(sum((Fraction(m) * v for m, v in zip(row, vec)), Fraction(0))
+                 for row in matrix)
+
+
+def ref_multiply(atlas, a, b):
+    meet = atlas.meet(a.face_id, b.face_id)
+    ma = restriction_matrix(atlas, meet, a.face_id)
+    mb = restriction_matrix(atlas, meet, b.face_id)
+    theta = tuple((ta + tb) % 1 for ta, tb in zip(restrict(a.theta, ma),
+                                                  restrict(b.theta, mb)))
+    lam = tuple(la + lb for la, lb in zip(restrict(a.lam, ma), restrict(b.lam, mb)))
+    return Character(meet, theta, lam)
+
+
+def ref_evaluate(atlas, chi, x):
+    """The value at a semigroup member x."""
+    if not atlas.faces[chi.face_id].cone.contains(x):
+        return ExactValue(True)
+    coords = face_coordinates(atlas, chi.face_id, x)
+    angle = sum((t * c for t, c in zip(chi.theta, coords)), Fraction(0)) % 1
+    exponent = sum((v * c for v, c in zip(chi.lam, coords)), Fraction(0))
+    return ExactValue(False, angle, exponent)
+
+
+def ref_ray_limit(atlas, ray):
+    """The largest face below the base on which the decay vanishes, by a
+    scan of ``leq_table``."""
+    lam = tuple(Fraction(v) for v in ray.lam)
+    candidates = [f.face_id for f in atlas.faces
+                  if atlas.leq_table[f.face_id][ray.base_face_id]
+                  and vanishes_on_face(atlas, lam, ray.base_face_id, f.face_id)]
+    best = [j for j in candidates if all(atlas.leq_table[k][j] for k in candidates)]
+    if len(best) != 1:
+        raise InvariantViolation("limit face is not unique")
+    return best[0]
+
+
+def ref_chain(atlas, from_face, to_face):
+    """Chain of rays from one face down to another, each step to the least
+    id among the maximal faces strictly between, by scans of ``leq_table``."""
+    leq = atlas.leq_table
+    if not leq[to_face][from_face]:
+        raise ValueError(f"face {to_face} is not below face {from_face}")
+    chain = []
+    current = from_face
+    while current != to_face:
+        below = [j for j in range(len(atlas.faces))
+                 if leq[to_face][j] and leq[j][current] and j != current]
+        step = [j for j in below if not any(k != j and leq[j][k] for k in below)]
+        target = min(step)
+        face = atlas.faces[current]
+        normals = [a for a in face.cone_local.inequalities
+                   if vanishes_on_face(atlas, a, current, target)]
+        if not normals:
+            raise InvariantViolation("a strictly smaller face lies on at least one facet")
+        lam = tuple(sum(Fraction(a[i]) for a in normals) for i in range(face.rank))
+        ray = Ray(current, lam)
+        landed = ref_ray_limit(atlas, ray)
+        if landed != target or atlas.faces[landed].rank >= face.rank:
+            raise InvariantViolation("ray does not land on the chosen face")
+        chain.append(ray)
+        current = landed
+    return chain

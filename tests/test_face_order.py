@@ -1,7 +1,8 @@
 """The face-order queries of an atlas against O(F^2) scans of ``leq_table``.
 
-The scans below are the reference: each reads the order one entry at a time
-and raises InvariantViolation when the element it looks for is not unique.
+The scans below, and those of the ray limit and the chain of rays in
+helpers.py, are the reference: each reads the order one entry at a time and
+raises InvariantViolation when the element it looks for is not unique.
 The atlas answers the same queries from its down-set and up-set bitmasks.
 On real atlases both must agree everywhere; on tampered orders that are
 partial orders but not lattices, both must give the same answer or both
@@ -25,18 +26,28 @@ from toric_spectrum import (
     Ray,
     Tower,
     chain_of_rays,
+    classify,
     cone_contains_cone,
     contains,
     enumerate_faces,
+    evaluate,
     idempotent_lattice_ops,
     identity_character,
+    involute,
     multiply,
+    polar_decompose,
     ray_limit,
     validate_atlas,
 )
-from toric_spectrum.characters import _vanishes_on_face
 
-from helpers import FIXTURES, TORSION_BASES, random_generators, random_tower
+from helpers import (
+    FIXTURES,
+    TORSION_BASES,
+    random_generators,
+    random_tower,
+    ref_chain,
+    ref_ray_limit,
+)
 
 CUBE6 = Generators(6, tuple((1,) + v for v in product((-1, 1), repeat=5)))
 
@@ -79,49 +90,12 @@ def ref_face_of_member(atlas, x):
     return best[0]
 
 
-def ref_ray_limit(atlas, ray):
-    lam = tuple(F(v) for v in ray.lam)
-    candidates = [f.face_id for f in atlas.faces
-                  if atlas.leq_table[f.face_id][ray.base_face_id]
-                  and _vanishes_on_face(atlas, lam, ray.base_face_id, f.face_id)]
-    best = [j for j in candidates if all(atlas.leq_table[k][j] for k in candidates)]
-    if len(best) != 1:
-        raise InvariantViolation("limit face is not unique")
-    return best[0]
-
-
 def ref_lattice_ops(atlas, ids):
     inf = sup = ids[0]
     for j in ids[1:]:
         inf = ref_meet(atlas, inf, j)
         sup = ref_join(atlas, sup, j)
     return inf, sup
-
-
-def ref_chain(atlas, from_face, to_face):
-    leq = atlas.leq_table
-    if not leq[to_face][from_face]:
-        raise ValueError(f"face {to_face} is not below face {from_face}")
-    chain = []
-    current = from_face
-    while current != to_face:
-        below = [j for j in range(len(atlas.faces))
-                 if leq[to_face][j] and leq[j][current] and j != current]
-        step = [j for j in below if not any(k != j and leq[j][k] for k in below)]
-        target = min(step)
-        face = atlas.faces[current]
-        normals = [a for a in face.cone_local.inequalities
-                   if _vanishes_on_face(atlas, a, current, target)]
-        if not normals:
-            raise InvariantViolation("a strictly smaller face lies on at least one facet")
-        lam = tuple(sum(F(a[i]) for a in normals) for i in range(face.rank))
-        ray = Ray(current, lam)
-        landed = ref_ray_limit(atlas, ray)
-        if landed != target or atlas.faces[landed].rank >= face.rank:
-            raise InvariantViolation("ray does not land on the chosen face")
-        chain.append(ray)
-        current = landed
-    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +317,18 @@ def test_multiply_rejects_unknown_faces():
     for face in (-1, 4):
         with pytest.raises(ValueError, match="unknown face"):
             multiply(QUADRANT, one, Character(face, (), ()))
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, chi: evaluate(a, chi, (1, 1)),
+    polar_decompose,
+    involute,
+    classify,
+])
+def test_character_map_rejects_unknown_faces(call):
+    for face in (-1, len(QUADRANT.faces)):
+        with pytest.raises(ValueError, match="unknown face"):
+            call(QUADRANT, Character(face, (), ()))
 
 
 def test_idempotent_lattice_ops_rejects_unknown_faces():
