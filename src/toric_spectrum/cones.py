@@ -17,6 +17,11 @@ normals, in the rank of the cone's linear span: a cone that does not span
 Q^n is converted on the coordinates of a saturated basis of its span and
 its normals are mapped back.  The lineality and the extreme rays are then
 read off the normals and the input (:func:`cone_from_rays`).
+
+Projections onto a span or modulo it, and the lifts of normals out of a
+span's coordinates, solve the span's Gram system: one fraction-free
+elimination for all the vectors of a call (:func:`_gram_solve`,
+:func:`_project`).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .intlinalg import (
     lattice_coordinates,
     primitive_vector,
     rank_of_rows,
-    scaled_coordinates,
+    scaled_solutions,
     vec_neg,
     vec_sub,
 )
@@ -70,21 +75,37 @@ class Cone:
                 and all(dot(a, x) > 0 for a in self.inequalities))
 
 
-def _reduce_mod_span(vec: Sequence, span_rows: Sequence[IntVector]) -> IntVector:
-    """Canonical representative of a direction modulo a subspace: project onto
-    the orthogonal complement and rescale to a primitive integer vector.
+def _gram_solve(rows: Sequence[IntVector], rhs: Sequence[Sequence[int]]):
+    """Integers ``(ys, d)`` with ``d > 0`` and ``(R R^T) y = d b`` for each
+    right-hand side b, one y each: a single elimination of the Gram system
+    ``[R R^T | b_1 ... b_m]`` of the independent rows R.  Every projection
+    onto a span or modulo it, and every lift of a normal out of a span's
+    coordinates, goes through it."""
+    return scaled_solutions([[dot(u, v) for v in rows] for u in rows], rhs)
 
-    The direction may be rational; clearing its denominators first is a
-    positive rescale.  The projection is ``x - R^T c`` with ``(R R^T) c = R x``
-    for the span rows R; with ``c = y / d`` it is ``d x - R^T y`` up to the
-    positive factor ``d``, all in integers.
+
+def _project(vecs: Sequence[Sequence], rows: Sequence[IntVector], onto: bool = False
+             ) -> list[IntVector]:
+    """Canonical representatives of directions modulo a subspace, or, with
+    ``onto``, their parts in it: each the primitive integer vector of the
+    orthogonal projection onto the complement of ``span(R)``, or onto
+    ``span(R)``.
+
+    A direction may be rational; clearing its denominators first is a
+    positive rescale.  The part of x in the span is ``R^T c`` with
+    ``(R R^T) c = R x``; with ``c = y / d`` the two projections are ``R^T y``
+    and ``d x - R^T y`` up to the positive factor ``d``, all in integers, and
+    one Gram elimination (:func:`_gram_solve`) serves every direction.
     """
-    vec = primitive_vector(vec)
-    if not span_rows:
-        return vec
-    gram = [[dot(u, v) for v in span_rows] for u in span_rows]
-    y, d = scaled_coordinates(gram, [dot(r, vec) for r in span_rows])
-    return primitive_vector([d * a - dot(y, column) for a, column in zip(vec, zip(*span_rows))])
+    vecs = [primitive_vector(v) for v in vecs]
+    if not rows or not vecs:
+        return [tuple(0 for _ in v) for v in vecs] if onto else vecs
+    ys, d = _gram_solve(rows, [[dot(r, v) for r in rows] for v in vecs])
+    columns = list(zip(*rows))
+    parts = ([dot(y, c) for c in columns] for y in ys)
+    if onto:
+        return [primitive_vector(p) for p in parts]
+    return [primitive_vector([d * a - b for a, b in zip(v, p)]) for v, p in zip(vecs, parts)]
 
 
 def _adjacent(p: IntVector, q: IntVector, constraints: list[IntVector],
@@ -147,8 +168,7 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
                                 else vec_sub(tuple(w0 * c for c in r), tuple(v * c for c in l0)))
             new_rays.append(l0)
             rays = list(dict.fromkeys(
-                rr for rr in (_reduce_mod_span(r, lin) for r in new_rays)
-                if not is_zero_vector(rr)))
+                rr for rr in _project(new_rays, lin) if not is_zero_vector(rr)))
             constraints.append(a)
             continue
         values = [dot(a, r) for r in rays]
@@ -160,8 +180,10 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
                 for q, vq in minus:
                     if not _adjacent(p, q, constraints, n, len(lin)):
                         continue
-                    combo = vec_sub(tuple(vp * c for c in q), tuple(vq * c for c in p))
-                    combo = _reduce_mod_span(combo, lin)
+                    # p and q are orthogonal to the lineality, so their
+                    # combination is already its own representative
+                    combo = primitive_vector(vec_sub(tuple(vp * c for c in q),
+                                                     tuple(vq * c for c in p)))
                     if not is_zero_vector(combo):
                         new_rays.append(combo)
             rays = list(dict.fromkeys(new_rays))
@@ -193,17 +215,15 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
     if equations:
         span = int_kernel(equations, n)
         columns = list(zip(*span.basis))
-        gram = [[dot(u, v) for v in span.basis] for u in span.basis]
         local, _ = _double_description([lattice_coordinates(span, v) for v in gens],
                                        [lattice_coordinates(span, v) for v in lins], span.rank)
-        lifts = (scaled_coordinates(gram, a)[0] for a in local)
-        normals = [tuple(dot(y, c) for c in columns) for y in lifts]
+        normals = [tuple(dot(y, c) for c in columns) for y in _gram_solve(span.basis, local)[0]]
     else:
         normals, _ = _double_description(gens, lins, n)
     normals = tuple(sorted({primitive_vector(a) for a in normals}))
     lin = int_kernel(normals + equations, n).basis
     ray_rank = n - len(equations) - len(lin) - 1
-    candidates = {_reduce_mod_span(g, lin) for g in gens}
+    candidates = set(_project(gens, lin))
     extreme = (r for r in candidates if not is_zero_vector(r)
                and rank_of_rows([a for a in normals if dot(a, r) == 0]) == ray_rank)
     return Cone(n, tuple(sorted(extreme)), normals, lin, equations)

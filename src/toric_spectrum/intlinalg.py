@@ -20,10 +20,11 @@ positive denominator:
   (:mod:`toric_spectrum.semigroups`), the vanishing test of a character's
   decay on a face (:mod:`toric_spectrum.characters`), and, as its
   denominator-free case, :func:`lattice_coordinates`.
-* :func:`scaled_coordinates` eliminates with :func:`_echelon`; it serves the
-  Gram systems of :mod:`toric_spectrum.cones` (the projection modulo a span
-  and the lift of a normal out of a span's coordinates), whose rows are in
-  no echelon form.
+* :func:`scaled_solutions` eliminates with :func:`_echelon`, once for any
+  number of right-hand sides; it serves the Gram systems of
+  :mod:`toric_spectrum.cones` (the projection onto a span or modulo it, and
+  the lift of a normal out of a span's coordinates), whose rows are in no
+  echelon form.
 
 Lattices run on a second kernel, :func:`_triangulate`: unimodular row
 operations after Euclid, the least nonzero entry of a column being the
@@ -223,27 +224,33 @@ def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
     return len(_echelon(rows)[1])
 
 
-def scaled_coordinates(basis: Sequence[IntVector],
-                       x: Sequence[int]) -> Optional[tuple[IntVector, int]]:
-    """Integers ``(y, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``,
-    or None if x is not in the rational row span.  The basis rows must be
-    linearly independent.
+def scaled_solutions(basis: Sequence[IntVector], xs: Sequence[Sequence[int]]
+                     ) -> Optional[tuple[tuple[IntVector, ...], int]]:
+    """Integers ``(ys, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``
+    for the x of ``xs`` in turn, one ``y`` each, or None if some x is not in
+    the rational row span.  The basis rows must be linearly independent.
 
-    Eliminates ``[basis^T | x]``: x is outside the span exactly when a pivot
-    falls in its column.  Otherwise ``d`` is the last pivot (the determinant
-    of the pivot rows, up to sign) and, by Cramer's rule, back-substitution
-    on ``d * x`` stays in the integers.
+    One elimination of ``[basis^T | x_1 ... x_m]`` serves every x: the pivots
+    of the basis columns depend on those columns alone, and some x is
+    outside the span exactly when a pivot falls right of them.  Otherwise
+    ``d`` is the last pivot (the determinant of the pivot rows, up to sign)
+    and, by Cramer's rule, back-substitution on each ``d * x`` stays in the
+    integers.
     """
     k = len(basis)
-    rows, pivots = _echelon([[b[j] for b in basis] + [x[j]] for j in range(len(x))])
-    if pivots and pivots[-1] == k:
+    n = len(xs[0]) if xs else len(basis[0]) if basis else 0
+    rows, pivots = _echelon([[b[j] for b in basis] + [x[j] for x in xs] for j in range(n)])
+    if pivots and pivots[-1] >= k:
         return None
     d = rows[-1][k - 1] if k else 1
-    y = [0] * k
-    for i in reversed(range(k)):
-        row = rows[i]
-        y[i] = (d * row[k] - sum(row[t] * y[t] for t in range(i + 1, k))) // row[i]
-    return (tuple(y), d) if d > 0 else (tuple(-c for c in y), -d)
+    ys = []
+    for column in range(k, k + len(xs)):
+        y = [0] * k
+        for i in reversed(range(k)):
+            row = rows[i]
+            y[i] = (d * row[column] - sum(row[t] * y[t] for t in range(i + 1, k))) // row[i]
+        ys.append(tuple(y) if d > 0 else tuple(-c for c in y))
+    return tuple(ys), abs(d)
 
 
 def hnf_coordinates(basis: Sequence[IntVector],

@@ -23,11 +23,20 @@ cone's inequalities tight on its facets), its local cone is the face cone
 written on its lattice basis, and the face order is the closure of the
 lattice's covers.
 
+A face's member generators are read off bitmasks: each generator's mask of
+the cone inequalities that vanish on it is found once per atlas, and a face
+holds the generators whose mask contains its tight set.  Its facet normals
+are projected onto its span by one Gram elimination, on the smaller of its
+two sides: its lattice basis or its equations.
+
 A tower is flattened once into Z^n (:func:`_flatten`): one half space per
 level, then its innermost generators embedded as a generated spec of rank n.
-The atlas is the half spaces above the faces of that generated spec;
-membership reads the half spaces' functionals level by level and searches
-the generators only at height zero on every level.
+The atlas is the half spaces above the faces of that generated spec.  A half
+space's local cone is read off the flag with no Smith form and no solve
+(:func:`_half_space_local`); only the generated faces are finalised
+(:func:`_finalize_face`).  Membership reads the half spaces' functionals
+level by level and searches the generators only at height zero on every
+level.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from typing import Optional, Sequence, Union
 from .cones import (
     CACHE_SIZE,
     Cone,
-    _reduce_mod_span,
+    _project,
     cone_from_rays,
     dual_cone,
     face_lattice,
@@ -129,7 +138,14 @@ def asymptotic_cone(spec: SemigroupSpec) -> Cone:
     """
     if isinstance(spec, Generators):
         return cone_from_rays(spec.generators, (), spec.ambient_rank)
-    return Cone(spec.ambient_rank, (spec.normal,), (spec.normal,), boundary_basis(spec), ())
+    return _half_space(spec.normal, spec.ambient_rank)
+
+
+def _half_space(normal: IntVector, n: int) -> Cone:
+    """The closed half space of a primitive normal in canonical form: the
+    normal is its only ray and its only inequality, and the integer kernel
+    of the normal is its lineality."""
+    return Cone(n, (normal,), (normal,), int_kernel([normal], n).basis, ())
 
 
 def is_antisymmetric(spec: SemigroupSpec) -> bool:
@@ -384,11 +400,15 @@ def _generator_faces(spec: Generators):
 
     A lattice face keeps the cone's rays in its ray set and the cone's
     lineality.  Its facets are the faces it covers, and a cone inequality
-    tight on a facet but not on the face is, modulo the face's equations,
+    tight on a facet but not on the face is, projected onto the face's span,
     the normal of that facet.  The member generators are those on which the
-    tight inequalities vanish.  Returns ``(faces, covers)`` in lattice
-    order, face 0 being the whole cone; each face is
-    ``(cone, lattice, member generators, dim, tight set)``.
+    tight inequalities vanish: those whose mask of vanishing inequalities,
+    found once per atlas, holds the face's tight set.  The members span the
+    face, so the normals are projected in one Gram elimination on the
+    smaller side: onto the members' lattice basis, or modulo the face's
+    equations.  Returns ``(faces, covers)`` in lattice order, face 0 being
+    the whole cone; each face is ``(cone, lattice, member generators, dim,
+    tight set, (torsion, local cone, dual local cone))``.
     """
     n = spec.ambient_rank
     ambient = asymptotic_cone(spec)
@@ -397,18 +417,23 @@ def _generator_faces(spec: Generators):
     facets: list[list[int]] = [[] for _ in handles]
     for larger, smaller in lattice.covers:
         facets[larger].append(smaller)
+    vanishing = [sum(1 << i for i, a in enumerate(ambient.inequalities) if dot(a, g) == 0)
+                 for g in spec.generators]
     faces = []
     for handle, ray_set in zip(handles, lattice.ray_sets):
         rays = tuple(ambient.rays[j] for j in ray_set)
         equations = int_kernel(rays + ambient.lineality, n).basis
-        normals = set()
-        for f in facets[handle.id]:
-            i = next(i for i in handles[f].tight_set if i not in handle.tight_set)
-            normals.add(_reduce_mod_span(ambient.inequalities[i], equations))
-        tight = [ambient.inequalities[i] for i in handle.tight_set]
-        members = tuple(g for g in spec.generators if all(dot(a, g) == 0 for a in tight))
-        cone = Cone(n, rays, tuple(sorted(normals)), ambient.lineality, equations)
-        faces.append((cone, hnf(members, n), members, handle.dim, handle.tight_set))
+        tight = sum(1 << i for i in handle.tight_set)
+        members = tuple(g for g, mask in zip(spec.generators, vanishing) if mask & tight == tight)
+        span = hnf(members, n)
+        normals = [ambient.inequalities[next(i for i in handles[f].tight_set
+                                             if i not in handle.tight_set)]
+                   for f in facets[handle.id]]
+        onto = span.rank < len(equations)
+        normals = _project(normals, span.basis if onto else equations, onto)
+        cone = Cone(n, rays, tuple(sorted(set(normals))), ambient.lineality, equations)
+        faces.append((cone, span, members, handle.dim, handle.tight_set,
+                      _finalize_face(n, cone, span, handle.dim)))
     return faces, lattice.covers
 
 
@@ -423,10 +448,14 @@ def _flatten(spec: SemigroupSpec):
     flag is walked in one pass: a level's lineality, ``hnf`` of the next
     embedding, is the next level's lattice, and the kernel of the next
     embedding is the next level's equations, so each level runs one ``hnf``
-    and one kernel.  The innermost generators are embedded once, into a
-    :class:`Generators` spec of rank n.  A generated spec is its own base,
-    with no half spaces.  Returns ``(half spaces, base)``, each half space a
-    ``(cone, lattice)`` pair.
+    and one kernel.  Those equations span this level's equations and the
+    ray, and ``E^T normal`` is orthogonal to this level's equations, so the
+    ray is also its projection onto them: one Gram elimination on whichever
+    side, the next equations or the lineality, has fewer rows.  The
+    innermost generators are embedded once, into a :class:`Generators` spec
+    of rank n.  A generated spec is its own base, with no half spaces.
+    Returns ``(half spaces, base)``, each half space a ``(cone, lattice)``
+    pair.
     """
     n = spec.ambient_rank
     half_spaces = []
@@ -435,11 +464,13 @@ def _flatten(spec: SemigroupSpec):
     while isinstance(spec, Tower):
         inner = tuple(embed_point(embedding, b, n) for b in boundary_basis(spec))
         lineality = hnf(inner, n)
-        normal = _reduce_mod_span(embed_point(embedding, spec.normal, n), lineality.basis)
+        below = int_kernel(inner, n).basis if isinstance(spec.inner, Tower) else None
+        direction = embed_point(embedding, spec.normal, n)
+        onto = below is not None and len(below) < lineality.rank
+        (normal,) = _project([direction], below if onto else lineality.basis, onto)
         half_spaces.append((Cone(n, (normal,), (normal,), lineality.basis, equations), lattice))
         embedding, spec = inner, spec.inner
-        if isinstance(spec, Tower):
-            lattice, equations = lineality, int_kernel(inner, n).basis
+        lattice, equations = lineality, below
     return half_spaces, Generators(n, tuple(embed_point(embedding, g, n)
                                             for g in spec.generators))
 
@@ -460,12 +491,30 @@ def _raw_faces(spec: SemigroupSpec):
     half_spaces, base = _flatten(spec)
     depth = len(half_spaces)
     base_faces, base_covers = _generator_faces(base)
-    faces = [(cone, lattice, None, lattice.rank, (0,) if level else ())
+    faces = [(cone, lattice, None, lattice.rank, (0,) if level else (),
+              _half_space_local(cone, lattice))
              for level, (cone, lattice) in enumerate(half_spaces)]
-    faces += base_faces if not depth else [face[:4] + ((0,),) for face in base_faces]
+    faces += base_faces if not depth else [face[:4] + ((0,), face[5]) for face in base_faces]
     covers = [(level, level + 1) for level in range(depth)] + \
         [(depth + a, depth + b) for a, b in base_covers]
     return faces, covers
+
+
+def _half_space_local(cone: Cone, lattice: Lattice):
+    """Torsion, local cone and dual local cone of a tower level's half
+    space, read off the flag.
+
+    The level's lattice L is a direct summand of Z^n (each boundary basis
+    with a unit vector of its normal is unimodular), so it has no torsion,
+    and the next level, L intersected with the hyperplane of the half
+    space's normal v, is saturated in L.  On the basis B of L the half space
+    is therefore the half space of the primitive ``a = B v``
+    (:func:`_half_space`), the form :func:`asymptotic_cone` writes for a
+    :class:`Tower`.
+    """
+    a = primitive_vector([dot(row, cone.inequalities[0]) for row in lattice.basis])
+    cone_local = _half_space(a, lattice.rank)
+    return (), cone_local, dual_cone(cone_local)
 
 
 def _local_coordinates(basis: Sequence[IntVector], v: IntVector) -> IntVector:
@@ -476,7 +525,8 @@ def _local_coordinates(basis: Sequence[IntVector], v: IntVector) -> IntVector:
 
 
 def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
-    """Torsion, local cone and dual local cone of a face.
+    """Torsion, local cone and dual local cone of a generated face; a tower's
+    half spaces read theirs off the flag (:func:`_half_space_local`).
 
     The face lattice spans the face, so on the lattice basis B the cone is
     full dimensional: its facet normals are ``B a`` for the face's normals
@@ -493,8 +543,7 @@ def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
     lineality = hnf([_local_coordinates(basis, v) for v in cone.lineality], dim)
     # on a saturated face lattice the coordinates already span a saturated lattice
     lineality = (saturate(lineality) if torsion and lineality.basis else lineality).basis
-    rays = tuple(sorted(_reduce_mod_span(_local_coordinates(basis, r), lineality)
-                        for r in cone.rays))
+    rays = tuple(sorted(_project([_local_coordinates(basis, r) for r in cone.rays], lineality)))
     inequalities = tuple(sorted({primitive_vector([dot(b, a) for b in basis])
                                  for a in cone.inequalities}))
     cone_local = Cone(dim, rays, inequalities, lineality, ())
@@ -533,15 +582,15 @@ def enumerate_faces(spec: SemigroupSpec) -> SpectrumAtlas:
     ambient = raw[0][0]
     faces = []
     for fid, index in enumerate(order):
-        cone, lattice, members, dim, tight = raw[index]
-        torsion, cone_local, dual_local = _finalize_face(n, cone, lattice, dim)
-        faces.append(FaceData(fid, dim, cone, lattice, torsion,
-                              cone_local, dual_local, members, tight))
+        cone, lattice, members, dim, tight, local = raw[index]
+        faces.append(FaceData(fid, dim, cone, lattice, *local, members, tight))
     covers = tuple(sorted((position[a], position[b]) for a, b in raw_covers))
     # ids run by decreasing dimension, so a least face, the group of units
-    # S intersect (-S), is the last one
+    # S intersect (-S), is the last one; S generates Z^n iff the lattice of
+    # face 0, the whole semigroup, is Z^n
+    separating = faces[0].rank == n and not faces[0].torsion
     atlas = SpectrumAtlas(spec, ambient, tuple(faces), covers, faces[-1].dim == 0,
-                          is_separating(spec), _interior_member(spec))
+                          separating, _interior_member(spec))
     if atlas.minimal_id != len(faces) - 1 or atlas.join_of(range(len(faces))) != 0:
         raise InvariantViolation("face order is not bounded")
     return atlas

@@ -17,12 +17,15 @@ from toric_spectrum import (
 from toric_spectrum.intlinalg import (
     Lattice,
     dot,
+    hnf,
+    hnf_coordinates,
     int_kernel,
     is_zero_vector,
     lattice_coordinates,
     primitive_vector,
+    quotient_invariants,
     saturate,
-    scaled_coordinates,
+    scaled_solutions,
 )
 
 # quadrant semigroup with a doubled x-axis generator: p,q >= 0, p even when q=0
@@ -80,6 +83,14 @@ def random_tower(rng, depth, bases=TORSION_BASES):
     return spec
 
 
+def scaled_coordinates(basis, x):
+    """Integers ``(y, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``,
+    or None if x is not in the rational row span: ``scaled_solutions`` for
+    one x.  The basis rows must be linearly independent."""
+    solved = scaled_solutions(basis, [x])
+    return None if solved is None else (solved[0][0], solved[1])
+
+
 def rational_coordinates(basis, x):
     """Reference: the coefficients c, as Fractions, with
     ``sum(c_i * basis_i) == x``, or None if x is not in the rational row
@@ -91,12 +102,51 @@ def rational_coordinates(basis, x):
     return tuple(Fraction(c, d) for c in y)
 
 
+def reduce_mod_span(vec, span_rows):
+    """Reference: the primitive integer vector on the projection of one
+    direction onto the orthogonal complement of the span, from its own Gram
+    elimination, ``d x - R^T y`` with ``(R R^T) y = d R x``."""
+    vec = primitive_vector(vec)
+    if not span_rows:
+        return vec
+    gram = [[dot(u, v) for v in span_rows] for u in span_rows]
+    y, d = scaled_coordinates(gram, [dot(r, vec) for r in span_rows])
+    return primitive_vector([d * a - dot(y, column) for a, column in zip(vec, zip(*span_rows))])
+
+
+def finalize_face(n, cone, lattice, dim):
+    """Reference: torsion, local cone and dual local cone of any face, by
+    the generic path that once served the half spaces of a tower too.  The
+    torsion comes from the Smith form, the lineality from the coordinates of
+    the cone's lineality on the lattice basis B (saturated when there is
+    torsion), the rays from their coordinates taken modulo it, and the
+    inequalities as ``primitive(B a)``."""
+    if lattice.rank != dim:
+        raise InvariantViolation("face lattice does not span its cone")
+    torsion = quotient_invariants(n, lattice)[1]
+    basis = lattice.basis
+
+    def local(v):
+        solved = hnf_coordinates(basis, v)
+        if solved is None:
+            raise InvariantViolation("face cone leaves the span of its lattice")
+        return primitive_vector(solved[0])
+
+    lineality = hnf([local(v) for v in cone.lineality], dim)
+    lineality = (saturate(lineality) if torsion and lineality.basis else lineality).basis
+    rays = tuple(sorted(reduce_mod_span(local(r), lineality) for r in cone.rays))
+    inequalities = tuple(sorted({primitive_vector([dot(b, a) for b in basis])
+                                 for a in cone.inequalities}))
+    cone_local = Cone(dim, rays, inequalities, lineality, ())
+    return torsion, cone_local, cones.dual_cone(cone_local)
+
+
 def canonical_sides(ray_gens, lin_gens, n):
     """Canonical (rays, lineality) from arbitrary generating data: the
     lineality saturated, each ray reduced modulo it, deduplicated, sorted."""
     # saturate takes any generating rows, in HNF or not
     lin_rows = saturate(Lattice(n, tuple(lin_gens))).basis if lin_gens else ()
-    rays = dict.fromkeys(r for r in (cones._reduce_mod_span(v, lin_rows) for v in ray_gens)
+    rays = dict.fromkeys(r for r in (reduce_mod_span(v, lin_rows) for v in ray_gens)
                          if not is_zero_vector(r))
     return tuple(sorted(rays)), lin_rows
 

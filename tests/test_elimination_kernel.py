@@ -1,6 +1,6 @@
 """Property tests of the fraction-free elimination kernel in ``intlinalg``.
 
-Rank, solving and the projection modulo a span (``cones._reduce_mod_span``)
+Rank, solving and the projection modulo a span (``cones._project``)
 all run on one Bareiss elimination; they are checked here against the
 independent ``Fraction`` Gauss-Jordan code of the oracle.  Coordinates on an
 echelon basis run on no elimination at all (``hnf_coordinates``); they are
@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from toric_spectrum.cones import (  # noqa: E402
-    _reduce_mod_span,
+    _project,
     cone_from_inequalities,
     cone_from_rays,
 )
@@ -33,11 +33,10 @@ from toric_spectrum.intlinalg import (  # noqa: E402
     primitive_vector,
     rank_of_rows,
     saturate,
-    scaled_coordinates,
 )
 from toric_spectrum.oracle import _orank, _osolve  # noqa: E402
 
-from helpers import rational_coordinates  # noqa: E402
+from helpers import rational_coordinates, scaled_coordinates  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None)
 entries = st.integers(-6, 6)
@@ -133,7 +132,7 @@ def test_rational_coordinates_match_oracle(case):
 @given(independent_rows_and_point())
 def test_projection_is_orthogonal_and_differs_by_the_span(case):
     rows, x = case
-    p = _reduce_mod_span(x, rows)
+    (p,) = _project([x], rows)
     assert all(dot(p, r) == 0 for r in rows)
     if any(p):
         # p is a positive multiple of the projection proj of x, so
@@ -156,7 +155,7 @@ def test_projection_of_a_rational_point(case, data):
     gram = [[dot(u, v) for v in rows] for u in rows]
     c = _osolve(gram, [dot(r, q) for r in rows])
     proj = [a - sum((ci * r[j] for ci, r in zip(c, rows)), Fraction(0)) for j, a in enumerate(q)]
-    assert _reduce_mod_span(q, rows) == primitive_vector(proj)
+    assert _project([q], rows) == [primitive_vector(proj)]
 
 
 @st.composite

@@ -180,7 +180,7 @@ def test_membership_setup_runs_one_double_description(dd_runs):
 
 def test_no_assert_statements_in_package():
     # invariants are raised explicitly so that python -O keeps them
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert statements at lines {lines}"
