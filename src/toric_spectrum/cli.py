@@ -27,7 +27,8 @@ from .characters import (
     polar_decompose,
     ray_limit,
 )
-from .oracle import BoxSpec, brute_force_faces, dd_cross_check, numeric_homomorphism_check
+from .oracle import (BoxSpec, OracleBudgetExceeded, brute_force_faces, dd_cross_check,
+                     numeric_homomorphism_check)
 from .semigroups import (
     Generators,
     SemigroupSpec,
@@ -448,7 +449,10 @@ def _run(args, out) -> int:
             raise InputError("--trials: must be >= 0")
         box = BoxSpec(args.box if args.box is not None else _default_box())
         atlas_sets = {frozenset(s) for s in face_members_in_box(atlas, box.radius)}
-        oracle_sets = brute_force_faces(spec, box)
+        try:
+            oracle_sets = brute_force_faces(spec, box)
+        except OracleBudgetExceeded as exc:
+            raise InputError(f"oracle verify: {exc}") from None
         faces_ok = atlas_sets == oracle_sets
         out.write(f"faces: atlas {len(atlas_sets)}, oracle {len(oracle_sets)}, "
                   f"agree: {str(faces_ok).lower()}\n")

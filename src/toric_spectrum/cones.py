@@ -11,12 +11,13 @@ A :class:`Cone` stores both representations in canonical form:
 
 The H-side of a cone is literally the V-side of its dual, so dualising is an
 exact involution by construction.  A conversion runs the double
-description method once, with integer pivots and a rank-based adjacency
-test; no floating point is used anywhere.  That pass gives the facet
-normals, in the rank of the cone's linear span: a cone that does not span
-Q^n is converted on the coordinates of a saturated basis of its span and
-its normals are mapped back.  The lineality and the extreme rays are then
-read off the normals and the input (:func:`cone_from_rays`).
+description method once, with integer pivots and a combinatorial adjacency
+test on tight-set bitmasks; no floating point and no rank is used.  That
+pass gives the facet normals, in the rank of the cone's linear span: a cone
+that does not span Q^n is converted on the coordinates of a saturated basis
+of its span and its normals are mapped back.  The lineality and the extreme
+rays are then read off the normals and the input, the rays by the same
+bitmask rule (:func:`cone_from_rays`).
 
 Projections onto a span or modulo it, and the lifts of normals out of a
 span's coordinates, solve the span's Gram system: one fraction-free
@@ -35,6 +36,7 @@ from .intlinalg import (
     IntVector,
     dot,
     hnf,
+    identity_rows,
     int_kernel,
     is_zero_vector,
     lattice_coordinates,
@@ -42,7 +44,6 @@ from .intlinalg import (
     rank_of_rows,
     scaled_solutions,
     vec_neg,
-    vec_sub,
 )
 
 # Entries kept by the face lattice and membership caches; the least
@@ -108,25 +109,18 @@ def _project(vecs: Sequence[Sequence], rows: Sequence[IntVector], onto: bool = F
     return [primitive_vector([d * a - b for a, b in zip(v, p)]) for v, p in zip(vecs, parts)]
 
 
-def _adjacent(p: IntVector, q: IntVector, constraints: list[IntVector],
-              ambient_rank: int, lineality_dim: int) -> bool:
-    """Rank test: two extreme rays are adjacent iff the constraints tight at
-    both span a space of rank n - dim(lineality) - 2."""
-    tight = [c for c in constraints if dot(c, p) == 0 and dot(c, q) == 0]
-    needed = ambient_rank - lineality_dim - 2
-    if needed < 0:
-        return True
-    return rank_of_rows(tight) == needed
-
-
 def _double_description(inequalities: Sequence[IntVector], equations: Sequence[IntVector],
                         ambient_rank: int):
     """Extreme rays and lineality basis of
     ``{x : <a, x> >= 0 for a in inequalities, <e, x> = 0 for e in equations}``.
 
     Incremental DD: lineality starts as the full space and shrinks; rays are
-    kept canonical modulo the current lineality.  Non-integer entries are
-    rejected (TypeError).
+    kept canonical modulo the current lineality, each with the bitmask of
+    the processed constraints tight on it (bit k for the k-th).  Two rays
+    are adjacent iff their common tight set is large enough for a
+    two-dimensional face and no third ray is tight on all of it (Fukuda &
+    Prodon 1996), so no rank is taken.  Non-integer entries are rejected
+    (TypeError).
     """
     n = ambient_rank
     todo: list[IntVector] = []
@@ -144,52 +138,40 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
         if not is_zero_vector(a):
             todo.append(a)
 
-    lin: list[IntVector] = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    rays: list[IntVector] = []
-    constraints: list[IntVector] = []
+    lin = identity_rows(n)
+    rays: dict[IntVector, int] = {}
 
-    for a in todo:
+    for k, a in enumerate(todo):
+        bit = 1 << k
         lin_vals = [dot(a, l) for l in lin]
-        if any(v != 0 for v in lin_vals):
-            j0 = next(i for i, v in enumerate(lin_vals) if v != 0)
+        j0 = next((i for i, v in enumerate(lin_vals) if v != 0), None)
+        if j0 is not None:
             l0 = lin[j0] if lin_vals[j0] > 0 else vec_neg(lin[j0])
             w0 = abs(lin_vals[j0])
-            new_lin = []
-            for i, l in enumerate(lin):
-                if i == j0:
-                    continue
-                new_lin.append(primitive_vector(vec_sub(tuple(w0 * c for c in l),
-                                                        tuple(lin_vals[i] * c for c in l0))))
-            lin = new_lin
-            new_rays = []
-            for r in rays:
-                v = dot(a, r)
-                new_rays.append(tuple(w0 * c for c in r) if v == 0
-                                else vec_sub(tuple(w0 * c for c in r), tuple(v * c for c in l0)))
-            new_rays.append(l0)
-            rays = list(dict.fromkeys(
-                rr for rr in _project(new_rays, lin) if not is_zero_vector(rr)))
-            constraints.append(a)
+            lin = [primitive_vector([w0 * x - v * y for x, y in zip(l, l0)])
+                   for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != j0]
+            # every ray moves onto a = 0 and becomes tight on it; l0 is tight
+            # on every earlier constraint, as they all vanish on the old lineality
+            moved = [[w0 * x - dot(a, r) * y for x, y in zip(r, l0)] for r in rays] + [l0]
+            masks = [m | bit for m in rays.values()] + [bit - 1]
+            rays = {r: m for r, m in zip(_project(moved, lin), masks) if not is_zero_vector(r)}
             continue
-        values = [dot(a, r) for r in rays]
-        plus = [(r, v) for r, v in zip(rays, values) if v > 0]
-        minus = [(r, v) for r, v in zip(rays, values) if v < 0]
-        if minus:
-            new_rays = [r for r, v in zip(rays, values) if v == 0] + [p for p, _ in plus]
-            for p, vp in plus:
-                for q, vq in minus:
-                    if not _adjacent(p, q, constraints, n, len(lin)):
-                        continue
+        needed = n - len(lin) - 2
+        signed = [(r, m, dot(a, r)) for r, m in rays.items()]
+        minus = [t for t in signed if t[2] < 0]
+        new_rays = {r: m | bit if v == 0 else m for r, m, v in signed if v >= 0}
+        for p, mp, vp in (t for t in signed if t[2] > 0):
+            for q, mq, vq in minus:
+                common = mp & mq
+                if (common.bit_count() >= needed
+                        and sum(m & common == common for m in rays.values()) == 2):
                     # p and q are orthogonal to the lineality, so their
                     # combination is already its own representative
-                    combo = primitive_vector(vec_sub(tuple(vp * c for c in q),
-                                                     tuple(vq * c for c in p)))
-                    if not is_zero_vector(combo):
-                        new_rays.append(combo)
-            rays = list(dict.fromkeys(new_rays))
-        constraints.append(a)
+                    combo = primitive_vector([vp * x - vq * y for x, y in zip(q, p)])
+                    new_rays[combo] = common | bit
+        rays = new_rays
 
-    return rays, hnf(lin, n).basis
+    return list(rays), hnf(lin, n).basis
 
 
 def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[int]] = (),
@@ -205,8 +187,8 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
     lift ``B^T (B B^T)^{-1} a``, the vector of the span that pairs with
     ``B^T y`` as a pairs with y.  The rest is read off the input: the
     lineality is the saturated kernel of the normals and equations, and the
-    rays are the generators, taken modulo it, whose tight normals have the
-    rank of a ray.
+    rays are the nonzero generators, taken modulo it, whose set of vanishing
+    normals lies strictly inside no other generator's.
     """
     n = _infer_rank(rays, lineality, ambient_rank)
     gens = [tuple(map(operator.index, r)) for r in rays]
@@ -222,10 +204,10 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
         normals, _ = _double_description(gens, lins, n)
     normals = tuple(sorted({primitive_vector(a) for a in normals}))
     lin = int_kernel(normals + equations, n).basis
-    ray_rank = n - len(equations) - len(lin) - 1
-    candidates = set(_project(gens, lin))
-    extreme = (r for r in candidates if not is_zero_vector(r)
-               and rank_of_rows([a for a in normals if dot(a, r) == 0]) == ray_rank)
+    tight = {r: sum(1 << i for i, a in enumerate(normals) if dot(a, r) == 0)
+             for r in _project(gens, lin) if not is_zero_vector(r)}
+    extreme = (r for r, m in tight.items()
+               if not any(o != m and o & m == m for o in tight.values()))
     return Cone(n, tuple(sorted(extreme)), normals, lin, equations)
 
 

@@ -26,6 +26,17 @@ from .cones import Cone
 from .semigroups import Generators, SemigroupSpec, SpectrumAtlas
 
 
+# Points the membership closure of a box may hold.  Its window is the box
+# widened by n times the largest generator entry, so a generator far outside
+# the box would make it astronomically large; past this count the closure
+# stops with OracleBudgetExceeded.
+MAX_ORACLE_POINTS = 10**6
+
+
+class OracleBudgetExceeded(RuntimeError):
+    """The brute-force membership closure outgrew ``MAX_ORACLE_POINTS``."""
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     radius: int
@@ -209,7 +220,8 @@ def _height(view, x) -> int:
 def _reachable(gens, window: int, n: int) -> set:
     """All sums of the generators whose greedy partial sums stay inside the
     window; by the rearrangement bound this covers every semigroup member of
-    sup-norm at most ``window - n * max_step``."""
+    sup-norm at most ``window - n * max_step``.  Raises
+    OracleBudgetExceeded rather than hold more than ``MAX_ORACLE_POINTS``."""
     start = tuple([0] * n)
     seen = {start}
     frontier = [start]
@@ -219,6 +231,10 @@ def _reachable(gens, window: int, n: int) -> set:
             for g in gens:
                 y = tuple(a + b for a, b in zip(x, g))
                 if y not in seen and all(abs(c) <= window for c in y):
+                    if len(seen) == MAX_ORACLE_POINTS:
+                        raise OracleBudgetExceeded(
+                            f"the membership closure exceeds {MAX_ORACLE_POINTS} points "
+                            f"in a window of radius {window}")
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt

@@ -1,6 +1,7 @@
 """Shared fixtures and generators for the test suite."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -24,8 +25,11 @@ from toric_spectrum.intlinalg import (
     lattice_coordinates,
     primitive_vector,
     quotient_invariants,
+    rank_of_rows,
     saturate,
     scaled_solutions,
+    vec_neg,
+    vec_sub,
 )
 
 # quadrant semigroup with a doubled x-axis generator: p,q >= 0, p even when q=0
@@ -151,11 +155,95 @@ def canonical_sides(ray_gens, lin_gens, n):
     return tuple(sorted(rays)), lin_rows
 
 
+def _adjacent(p, q, constraints, ambient_rank, lineality_dim):
+    """Rank test: two extreme rays are adjacent iff the constraints tight at
+    both span a space of rank n - dim(lineality) - 2."""
+    tight = [c for c in constraints if dot(c, p) == 0 and dot(c, q) == 0]
+    needed = ambient_rank - lineality_dim - 2
+    if needed < 0:
+        return True
+    return rank_of_rows(tight) == needed
+
+
+def ref_double_description(inequalities, equations, ambient_rank):
+    """Reference: the double description with the rank-based adjacency test
+    in place of the tight-set bitmasks of ``cones._double_description``;
+    extreme rays and lineality basis of
+    ``{x : <a, x> >= 0 for a in inequalities, <e, x> = 0 for e in equations}``.
+
+    Incremental DD: lineality starts as the full space and shrinks; rays are
+    kept canonical modulo the current lineality.  Non-integer entries are
+    rejected (TypeError).
+    """
+    n = ambient_rank
+    todo = []
+    for e in equations:
+        e = tuple(map(operator.index, e))
+        if len(e) != n:
+            raise ValueError("equation length does not match ambient rank")
+        if not is_zero_vector(e):
+            todo.append(e)
+            todo.append(vec_neg(e))
+    for a in inequalities:
+        a = tuple(map(operator.index, a))
+        if len(a) != n:
+            raise ValueError("inequality length does not match ambient rank")
+        if not is_zero_vector(a):
+            todo.append(a)
+
+    lin = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    rays = []
+    constraints = []
+
+    for a in todo:
+        lin_vals = [dot(a, l) for l in lin]
+        if any(v != 0 for v in lin_vals):
+            j0 = next(i for i, v in enumerate(lin_vals) if v != 0)
+            l0 = lin[j0] if lin_vals[j0] > 0 else vec_neg(lin[j0])
+            w0 = abs(lin_vals[j0])
+            new_lin = []
+            for i, l in enumerate(lin):
+                if i == j0:
+                    continue
+                new_lin.append(primitive_vector(vec_sub(tuple(w0 * c for c in l),
+                                                        tuple(lin_vals[i] * c for c in l0))))
+            lin = new_lin
+            new_rays = []
+            for r in rays:
+                v = dot(a, r)
+                new_rays.append(tuple(w0 * c for c in r) if v == 0
+                                else vec_sub(tuple(w0 * c for c in r), tuple(v * c for c in l0)))
+            new_rays.append(l0)
+            rays = list(dict.fromkeys(
+                rr for rr in cones._project(new_rays, lin) if not is_zero_vector(rr)))
+            constraints.append(a)
+            continue
+        values = [dot(a, r) for r in rays]
+        plus = [(r, v) for r, v in zip(rays, values) if v > 0]
+        minus = [(r, v) for r, v in zip(rays, values) if v < 0]
+        if minus:
+            new_rays = [r for r, v in zip(rays, values) if v == 0] + [p for p, _ in plus]
+            for p, vp in plus:
+                for q, vq in minus:
+                    if not _adjacent(p, q, constraints, n, len(lin)):
+                        continue
+                    # p and q are orthogonal to the lineality, so their
+                    # combination is already its own representative
+                    combo = primitive_vector(vec_sub(tuple(vp * c for c in q),
+                                                     tuple(vq * c for c in p)))
+                    if not is_zero_vector(combo):
+                        new_rays.append(combo)
+            rays = list(dict.fromkeys(new_rays))
+        constraints.append(a)
+
+    return rays, hnf(lin, n).basis
+
+
 def two_pass_cone(gens, lins, n):
     """Reference conversion in rank n: one double description to the facet
     normals, a second one back to the rays, each side made canonical."""
-    normals, eqs = canonical_sides(*cones._double_description(gens, lins, n), n)
-    rays, lin = canonical_sides(*cones._double_description(normals, eqs, n), n)
+    normals, eqs = canonical_sides(*ref_double_description(gens, lins, n), n)
+    rays, lin = canonical_sides(*ref_double_description(normals, eqs, n), n)
     return Cone(n, rays, normals, lin, eqs)
 
 

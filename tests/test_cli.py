@@ -311,3 +311,16 @@ def test_oracle_box_zero_exits_2_without_traceback(tmp_path):
                              "--box", "0"], capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "input error: --box: must be >= 1\n"
+
+
+def test_oracle_on_a_huge_generator_exits_2_within_its_point_budget(tmp_path):
+    # the closure window widens with the largest generator entry, so this
+    # spec once ran without end; the point budget stops it
+    huge = write(tmp_path, "huge.json", {"kind": "generators", "ambient_rank": 2,
+                                         "generators": [[99999999999999999999999, 1], [0, 1]]})
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "oracle", "verify", huge],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("input error: oracle verify: the membership closure exceeds "
+                                    "1000000 points")
+    assert result.stderr.count("\n") == 1

@@ -206,26 +206,68 @@ def reference_input(rng):
     return rays, lineality, n, proper
 
 
-def test_one_pass_conversion_matches_the_two_pass_reference():
+def reference_corpus():
+    """The seeded inputs of the one-pass conversion tests, with counts of
+    the kinds they cover."""
     rng = random.Random(1996)
     seen = {"proper": 0, "full": 0, "lineality": 0, "zero": 0, "ranks": set()}
+    corpus = []
     for _ in range(600):
         rays, lineality, n, proper = reference_input(rng)
         seen["proper" if proper else "full"] += 1
         seen["lineality"] += bool(lineality)
         seen["zero"] += (0,) * n in rays
         seen["ranks"].add(n)
+        corpus.append((rays, lineality, n))
+    return corpus, seen
+
+
+def pointed_generators(rng, n, m, coord=3):
+    """m generators of full rank n, all strictly positive on one functional,
+    drawn as ``perfbench/workloads.pointed_generators`` draws them."""
+    w = [rng.randint(1, 3) for _ in range(n)]
+    while True:
+        gens = []
+        while len(gens) < m:
+            g = tuple(rng.randint(-coord, coord) for _ in range(n))
+            if dot(w, g) > 0:
+                gens.append(g)
+        if rank_of_rows(gens) == n:
+            return tuple(gens)
+
+
+# a cone over the cyclic 4-polytope with 12 vertices: 54 facets
+CYCLIC = [tuple(t ** k for k in range(5)) for t in range(12)]
+# a rank-5 cone on 60 seeded generators: 48 facets
+SIXTY = pointed_generators(random.Random(5), 5, 60)
+
+
+def test_one_pass_conversion_matches_the_two_pass_reference():
+    corpus, seen = reference_corpus()
+    for rays, lineality, n in corpus:
         expected = two_pass_cone_from_rays(rays, lineality, n)
         assert cone_from_rays(rays, lineality, n) == expected, (rays, lineality, n)
         assert cone_from_inequalities(rays, lineality, n) == dual_cone(expected)
     assert seen["ranks"] == set(range(7))
     assert min(seen["proper"], seen["full"], seen["lineality"], seen["zero"]) >= 50, seen
-    # a cone over the cyclic 4-polytope with 12 vertices: 54 facets
-    cyclic = [tuple(t ** k for k in range(5)) for t in range(12)]
-    cone = cone_from_rays(cyclic)
-    assert len(cone.inequalities) == 54
-    assert cone == two_pass_cone_from_rays(cyclic, (), 5)
-    assert cone_from_inequalities(cyclic) == dual_cone(cone)
+    for gens, facets in ((CYCLIC, 54), (SIXTY, 48)):
+        cone = cone_from_rays(gens)
+        assert len(cone.inequalities) == facets
+        assert cone == two_pass_cone_from_rays(gens, (), 5)
+        assert cone_from_inequalities(gens) == dual_cone(cone)
+
+
+def test_conversion_takes_no_rank(monkeypatch):
+    """Adjacency and extreme rays are read off tight-set bitmasks: a
+    conversion never calls ``rank_of_rows``."""
+    def refuse(rows):
+        raise AssertionError("rank_of_rows called during a conversion")
+
+    monkeypatch.setattr(cones, "rank_of_rows", refuse)
+    corpus, _ = reference_corpus()
+    for rays, lineality, n in corpus + [(CYCLIC, (), 5), (SIXTY, (), 5)]:
+        cone_from_rays(rays, lineality, n)
+        cone_from_inequalities(rays, lineality, n)
 
 
 def test_double_description_refuses_rationals():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from toric_spectrum import (
     Generators,
     cone_from_inequalities,
@@ -9,8 +11,10 @@ from toric_spectrum import (
     members_in_box,
     zero_cone,
 )
+from toric_spectrum import oracle
 from toric_spectrum.oracle import (
     BoxSpec,
+    OracleBudgetExceeded,
     brute_force_faces,
     dd_cross_check,
     numeric_homomorphism_check,
@@ -119,3 +123,13 @@ def test_numeric_check_is_deterministic():
     a = numeric_homomorphism_check(atlas, members, 100, seed=9)
     b = numeric_homomorphism_check(atlas, members, 100, seed=9)
     assert a == b
+
+
+def test_membership_closure_stops_at_its_point_budget(monkeypatch):
+    # the box of radius 2 over the quadrant widens to the window [0, 4]^2
+    quadrant = Generators(2, ((1, 0), (0, 1)))
+    monkeypatch.setattr(oracle, "MAX_ORACLE_POINTS", 25)
+    assert len(oracle_members(quadrant, BoxSpec(2))) == 9
+    monkeypatch.setattr(oracle, "MAX_ORACLE_POINTS", 24)
+    with pytest.raises(OracleBudgetExceeded):
+        oracle_members(quadrant, BoxSpec(2))
