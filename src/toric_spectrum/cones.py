@@ -15,9 +15,10 @@ description method once, with integer pivots and a combinatorial adjacency
 test on tight-set bitmasks; no floating point and no rank is used.  That
 pass gives the facet normals, in the rank of the cone's linear span: a cone
 that does not span Q^n is converted on the coordinates of a saturated basis
-of its span and its normals are mapped back.  The lineality and the extreme
-rays are then read off the normals and the input, the rays by the same
-bitmask rule (:func:`cone_from_rays`).
+of its span and its normals are mapped back.  The lineality is the integer
+kernel of the normals in that same rank, mapped back through the span's
+saturated basis, and the extreme rays are read off the normals and the
+input by the same bitmask rule (:func:`cone_from_rays`).
 
 Projections onto a span or modulo it, and the lifts of normals out of a
 span's coordinates, solve the span's Gram system: one fraction-free
@@ -185,10 +186,12 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
     of the span, and the cone computed there is full dimensional, so its
     dual has no lineality.  A facet normal a goes back to Z^n by the Gram
     lift ``B^T (B B^T)^{-1} a``, the vector of the span that pairs with
-    ``B^T y`` as a pairs with y.  The rest is read off the input: the
-    lineality is the saturated kernel of the normals and equations, and the
-    rays are the nonzero generators, taken modulo it, whose set of vanishing
-    normals lies strictly inside no other generator's.
+    ``B^T y`` as a pairs with y.  The lineality is the integer kernel of the
+    normals, taken in the same rank: for a cone in a proper subspace it is
+    the kernel of the local normals in Z^d, mapped through B, which is
+    saturated because B is.  The rays are read off the input: the nonzero
+    generators, taken modulo the lineality, whose set of vanishing normals
+    lies strictly inside no other generator's.
     """
     n = _infer_rank(rays, lineality, ambient_rank)
     gens = [tuple(map(operator.index, r)) for r in rays]
@@ -200,10 +203,12 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
         local, _ = _double_description([lattice_coordinates(span, v) for v in gens],
                                        [lattice_coordinates(span, v) for v in lins], span.rank)
         normals = [tuple(dot(y, c) for c in columns) for y in _gram_solve(span.basis, local)[0]]
+        lin = hnf([[dot(y, c) for c in columns] for y in int_kernel(local, span.rank).basis],
+                  n).basis
     else:
         normals, _ = _double_description(gens, lins, n)
+        lin = int_kernel(normals, n).basis
     normals = tuple(sorted({primitive_vector(a) for a in normals}))
-    lin = int_kernel(normals + equations, n).basis
     tight = {r: sum(1 << i for i, a in enumerate(normals) if dot(a, r) == 0)
              for r in _project(gens, lin) if not is_zero_vector(r)}
     extreme = (r for r, m in tight.items()

@@ -28,14 +28,18 @@ positive denominator:
 
 Lattices run on a second kernel, :func:`_triangulate`: unimodular row
 operations after Euclid, the least nonzero entry of a column being the
-pivot that reduces the others.  :func:`hnf` triangulates every column and
+pivot that reduces the others, and only the rows still nonzero in a
+column take part in its rounds.  :func:`hnf` triangulates every column and
 then reduces above each pivot.  :func:`int_kernel` triangulates only the
 data block of ``[rows^T | I_n]`` and takes one :func:`hnf` of what is left
 (Cohen, *A Course in Computational Algebraic Number Theory*, 1993, section
-2.4), and :func:`saturate` is two kernels.  An HNF basis also reduces: at
-each pivot, :func:`lattice_residue` leaves the canonical representative of a
-vector modulo the lattice (ibid.), the key of the membership search in
-:mod:`toric_spectrum.semigroups`.  Only the invariants of Z^n modulo a
+2.4); the kernel of a single nonzero row, the boundary of a tower level or
+of a half space, is written down in closed form from the Bezout
+coefficients of its suffixes (:func:`_one_row_kernel`), with no
+triangulation.  :func:`saturate` is two kernels.  An HNF basis also
+reduces: at each pivot, :func:`lattice_residue` leaves the canonical
+representative of a vector modulo the lattice (ibid.), the key of the
+membership search in :mod:`toric_spectrum.semigroups`.  Only the invariants of Z^n modulo a
 lattice need the Smith diagonal (:func:`quotient_invariants`).
 
 Every entry point that eliminates or reduces requires integer entries and
@@ -130,33 +134,36 @@ class Lattice:
 
 def _triangulate(mat: list[list[int]], cols: int) -> tuple[list[list[int]], list[list[int]]]:
     """Unimodular row operations that make the first ``cols`` columns of an
-    integer matrix upper triangular, in place.
+    integer matrix upper triangular.
 
     Returns ``(pivot rows, rest)``: each pivot row has its first nonzero
     entry in a later column than the row before, and the rest vanish on the
     first ``cols`` columns.  Together they span the rows' lattice.  Each
-    column runs Euclid's algorithm on its entries: the least nonzero
-    ``|entry|`` is the pivot, and the rows below are reduced by floor
-    quotient until only the pivot is nonzero.
+    column runs Euclid's algorithm on the rows still nonzero in it: the
+    least nonzero ``|entry|`` is the pivot, the other live rows are reduced
+    by floor quotient, and a row that reaches zero leaves the column's
+    rounds, until only the pivot is left.
     """
-    r = 0
+    pivots: list[list[int]] = []
     for j in range(cols):
-        while r < len(mat):
-            nz = [i for i in range(r, len(mat)) if mat[i][j]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][j]))
-            mat[r], mat[i0] = mat[i0], mat[r]
-            if len(nz) == 1:
-                r += 1
-                break
-            pivot_row = mat[r]
+        live = [row for row in mat if row[j]]
+        if not live:
+            continue
+        mat = [row for row in mat if not row[j]]
+        while len(live) > 1:
+            pivot_row = live.pop(min(range(len(live)), key=lambda i: abs(live[i][j])))
             p = pivot_row[j]
-            for i in range(r + 1, len(mat)):
-                if mat[i][j]:
-                    q = mat[i][j] // p
-                    mat[i] = [a - q * b for a, b in zip(mat[i], pivot_row)]
-    return mat[:r], mat[r:]
+            rest = [pivot_row]
+            for row in live:
+                q = row[j] // p
+                row = [a - q * b for a, b in zip(row, pivot_row)]
+                if row[j]:
+                    rest.append(row)
+                else:
+                    mat.append(row)
+            live = rest
+        pivots.append(live[0])
+    return pivots, mat
 
 
 def hnf(rows: Iterable[Sequence[int]], ambient_rank: Optional[int] = None) -> Lattice:
@@ -391,16 +398,55 @@ def quotient_invariants(ambient_rank: int, lattice: Lattice) -> tuple[int, tuple
 def int_kernel(rows: Sequence[IntVector], ambient_rank: int) -> Lattice:
     """Canonical basis of ``{x in Z^n : <row, x> = 0 for every row}``.
 
-    The result is automatically saturated.  After Cohen (1993), section
-    2.4: triangulating the first block of ``[rows^T | I_n]`` leaves rows
-    that vanish on it, and their second block is a kernel basis.
+    The result is automatically saturated.  Zero rows are dropped, and the
+    number of rows left picks the method: none gives Z^n, one gives the
+    closed form of :func:`_one_row_kernel`, and more run Cohen (1993),
+    section 2.4: triangulating the first block of ``[rows^T | I_n]`` leaves
+    rows that vanish on it, and their second block is a kernel basis.
     """
     rows = [tuple(map(operator.index, r)) for r in rows]
     n = _check_rows(rows, ambient_rank) if rows else ambient_rank
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return full_lattice(n)
+    if len(rows) == 1:
+        return _one_row_kernel(rows[0], n)
     m = len(rows)
     aug = [[r[j] for r in rows] + [1 if t == j else 0 for t in range(n)] for j in range(n)]
     _, rest = _triangulate(aug, m)
     return hnf([row[m:] for row in rest], n)
+
+
+def _one_row_kernel(v: IntVector, n: int) -> Lattice:
+    """The HNF basis of ``v^perp intersect Z^n`` for a nonzero v, in closed
+    form.
+
+    Let t be the last column where v is nonzero.  Every column but t is a
+    pivot, and the rows after t are unit vectors.  The row at a pivot j < t
+    is the least positive multiple of e_j that some kernel vector supported
+    on columns j..t starts with: with ``g = gcd(v_{j+1..t})`` the pivot is
+    ``g / gcd(v_j, g)``, and the tail is ``-v_j / gcd(v_j, g)`` times the
+    Bezout coefficients of that suffix, which pair with it to g.  The rows
+    are built from the bottom up, so each tail is reduced at the later
+    pivots by rows already in normal form.
+    """
+    t = max(j for j, a in enumerate(v) if a)
+    zeros = [0] * (n - 1 - t)
+    rows: list[list[int]] = []  # the rows at pivots j + 1 .. t - 1, in order
+    g, s, _ = _xgcd(v[t], 0)
+    bezout = [s]
+    for j in range(t - 1, -1, -1):
+        h, s, u = _xgcd(v[j], g)
+        c = -v[j] // h
+        row = [0] * j + [g // h] + [c * b for b in bezout] + zeros
+        for k, below in enumerate(rows, j + 1):
+            q = row[k] // below[k]
+            if q:
+                row = [a - q * b for a, b in zip(row, below)]
+        rows.insert(0, row)
+        g, bezout = h, [s] + [u * b for b in bezout]
+    units = tuple((0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(t + 1, n))
+    return Lattice(n, tuple(map(tuple, rows)) + units)
 
 
 def saturate(lattice: Lattice) -> Lattice:
@@ -420,28 +466,29 @@ def saturation_index(ambient_rank: int, lattice: Lattice) -> tuple[Lattice, int]
     return sat, index
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, s, t)`` with ``g = gcd(a, b) >= 0`` and ``s * a + t * b == g``:
+    the extended Euclidean algorithm."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def solve_unit_functional(v: IntVector) -> IntVector:
     """An integer x with <v, x> = 1; v must be primitive and nonzero."""
     g = 0
     coeffs: list[int] = []
     for a in v:
-        if g == 0:
-            coeffs = [0] * len(coeffs) + [0 if a == 0 else (1 if a > 0 else -1)]
-            g = abs(a)
-            continue
-        # extended gcd of (g, a)
-        old_r, r = g, a
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r != 0:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        if old_r < 0:
-            old_r, old_s, old_t = -old_r, -old_s, -old_t
-        coeffs = [c * old_s for c in coeffs] + [old_t]
-        g = old_r
+        g, s, t = _xgcd(g, a)
+        coeffs = [c * s for c in coeffs] + [t]
     if g != 1:
         raise ValueError(f"vector is not primitive: gcd {g}")
     return tuple(coeffs)

@@ -220,8 +220,15 @@ def _height(view, x) -> int:
 def _reachable(gens, window: int, n: int) -> set:
     """All sums of the generators whose greedy partial sums stay inside the
     window; by the rearrangement bound this covers every semigroup member of
-    sup-norm at most ``window - n * max_step``.  Raises
-    OracleBudgetExceeded rather than hold more than ``MAX_ORACLE_POINTS``."""
+    sup-norm at most ``window - n * max_step``.  The generators must be
+    nonzero.  Raises OracleBudgetExceeded rather than hold more than
+    ``MAX_ORACLE_POINTS``, before the walk when the multiples of one
+    generator in the window already outnumber it."""
+    exceeded = OracleBudgetExceeded(f"the membership closure exceeds {MAX_ORACLE_POINTS} "
+                                    f"points in a window of radius {window}")
+    # the multiples of a generator inside the window are all in the closure
+    if any(1 + window // max(map(abs, g)) > MAX_ORACLE_POINTS for g in gens):
+        raise exceeded
     start = tuple([0] * n)
     seen = {start}
     frontier = [start]
@@ -232,9 +239,7 @@ def _reachable(gens, window: int, n: int) -> set:
                 y = tuple(a + b for a, b in zip(x, g))
                 if y not in seen and all(abs(c) <= window for c in y):
                     if len(seen) == MAX_ORACLE_POINTS:
-                        raise OracleBudgetExceeded(
-                            f"the membership closure exceeds {MAX_ORACLE_POINTS} points "
-                            f"in a window of radius {window}")
+                        raise exceeded
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt

@@ -244,12 +244,17 @@ SIXTY = pointed_generators(random.Random(5), 5, 60)
 
 def test_one_pass_conversion_matches_the_two_pass_reference():
     corpus, seen = reference_corpus()
+    # cones in a proper subspace with lineality: only these read their
+    # lineality in the span's rank, off the kernel of the local normals
+    seen["proper with lineality"] = 0
     for rays, lineality, n in corpus:
         expected = two_pass_cone_from_rays(rays, lineality, n)
         assert cone_from_rays(rays, lineality, n) == expected, (rays, lineality, n)
         assert cone_from_inequalities(rays, lineality, n) == dual_cone(expected)
+        seen["proper with lineality"] += bool(expected.equations and expected.lineality)
     assert seen["ranks"] == set(range(7))
-    assert min(seen["proper"], seen["full"], seen["lineality"], seen["zero"]) >= 50, seen
+    assert min(seen["proper"], seen["full"], seen["lineality"], seen["zero"],
+               seen["proper with lineality"]) >= 50, seen
     for gens, facets in ((CYCLIC, 54), (SIXTY, 48)):
         cone = cone_from_rays(gens)
         assert len(cone.inequalities) == facets

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -133,3 +134,17 @@ def test_membership_closure_stops_at_its_point_budget(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ORACLE_POINTS", 24)
     with pytest.raises(OracleBudgetExceeded):
         oracle_members(quadrant, BoxSpec(2))
+
+
+def test_membership_closure_refuses_a_huge_window_before_walking():
+    # the multiples of (0, 1) alone outnumber the point budget in the window
+    # widened by the 23-digit entry, so nothing is walked
+    huge = Generators(2, ((99999999999999999999999, 1), (0, 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleBudgetExceeded):
+            brute_force_faces(huge, BoxSpec(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak

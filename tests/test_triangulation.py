@@ -123,6 +123,31 @@ def test_triangulation_splits_the_lattice(case, data):
     assert reference_hnf(pivots + rest, n) == reference_hnf(rows, n)
 
 
+@st.composite
+def one_row(draw):
+    """Exactly one nonzero row among zero rows, in rank 1-7: its leading and
+    trailing entries are often zero, and it is often a multiple of a row."""
+    n = draw(st.integers(1, 7))
+    lead = draw(st.integers(0, n - 1))
+    tail = draw(st.integers(lead, n - 1))
+    row = [0] * n
+    row[lead:tail + 1] = draw(st.lists(entries, min_size=tail + 1 - lead,
+                                       max_size=tail + 1 - lead))
+    row[draw(st.integers(lead, tail))] = draw(entries.filter(bool))
+    scale = draw(st.sampled_from((1, -1, 2, 6, 3 ** 40)))
+    row = tuple(scale * a for a in row)
+    rows = [(0,) * n] * draw(st.integers(0, 3))
+    rows.insert(draw(st.integers(0, len(rows))), row)
+    return n, rows
+
+
+@SETTINGS
+@given(one_row())
+def test_one_row_kernel_matches_the_reference(case):
+    n, rows = case
+    assert int_kernel(rows, n) == reference_int_kernel(rows, n)
+
+
 fractions = st.fractions(max_denominator=30).filter(lambda q: abs(q.numerator) < 2 ** 70)
 
 
