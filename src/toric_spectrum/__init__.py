@@ -60,9 +60,7 @@ from .semigroups import (
     Tower,
     asymptotic_cone,
     contains,
-    dual_face_cone,
     enumerate_faces,
-    face_group,
     face_members_in_box,
     hull_contains,
     is_antisymmetric,
@@ -85,8 +83,8 @@ __all__ = [
     "IntVector", "InvariantViolation", "Lattice", "RationalVector", "hnf", "int_kernel",
     "lattice_contains", "quotient_invariants", "saturation_index",
     "FaceData", "Generators", "MembershipUndecided", "SemigroupSpec",
-    "SpectrumAtlas", "Tower", "asymptotic_cone", "contains", "dual_face_cone",
-    "enumerate_faces", "face_group", "face_members_in_box", "hull_contains",
+    "SpectrumAtlas", "Tower", "asymptotic_cone", "contains",
+    "enumerate_faces", "face_members_in_box", "hull_contains",
     "is_antisymmetric", "is_separating", "members_in_box", "validate_atlas",
     "zero_face",
     "__version__",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -299,17 +298,6 @@ def _format_value(value) -> str:
             f"~ {approx.real:+.12f}{approx.imag:+.12f}j")
 
 
-def _default_box() -> int:
-    raw = os.environ.get("TORIC_SPECTRUM_BOX", "6")
-    try:
-        value = int(raw, 10)
-    except ValueError:
-        raise InputError(f"TORIC_SPECTRUM_BOX: bad integer {raw!r}") from None
-    if value < 1:
-        raise InputError("TORIC_SPECTRUM_BOX: must be >= 1")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toric-spectrum",
@@ -358,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_sub = p.add_subparsers(dest="oracle_op", required=True)
     q = oracle_sub.add_parser("verify")
     q.add_argument("path")
-    q.add_argument("--box", type=int, default=None)
+    q.add_argument("--box", type=int, default=6)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--trials", type=int, default=200)
     return parser
@@ -443,11 +431,11 @@ def _run(args, out) -> int:
             out.write(f"ray {i}: base face {ray.base_face_id}, lambda {lam}\n")
         return 0
     if args.command == "oracle":
-        if args.box is not None and args.box < 1:
+        if args.box < 1:
             raise InputError("--box: must be >= 1")
         if args.trials < 0:
             raise InputError("--trials: must be >= 0")
-        box = BoxSpec(args.box if args.box is not None else _default_box())
+        box = BoxSpec(args.box)
         atlas_sets = {frozenset(s) for s in face_members_in_box(atlas, box.radius)}
         try:
             oracle_sets = brute_force_faces(spec, box)

@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 
 from .intlinalg import (
     IntVector,
+    _check_rows,
     dot,
     hnf,
     identity_rows,
@@ -42,7 +43,6 @@ from .intlinalg import (
     is_zero_vector,
     lattice_coordinates,
     primitive_vector,
-    rank_of_rows,
     scaled_solutions,
     vec_neg,
 )
@@ -61,7 +61,9 @@ class Cone:
     equations: tuple[IntVector, ...]
 
     def dim(self) -> int:
-        return rank_of_rows((*self.rays, *self.lineality))
+        """The dimension of the span, cut out by the independent equations
+        of a canonical cone."""
+        return self.ambient_rank - len(self.equations)
 
     def contains(self, x: Sequence) -> bool:
         """H-side membership test; exact for int or Fraction entries."""
@@ -193,7 +195,7 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
     generators, taken modulo the lineality, whose set of vanishing normals
     lies strictly inside no other generator's.
     """
-    n = _infer_rank(rays, lineality, ambient_rank)
+    n = _check_rows([*rays, *lineality], ambient_rank)
     gens = [tuple(map(operator.index, r)) for r in rays]
     lins = [tuple(map(operator.index, l)) for l in lineality]
     equations = int_kernel(gens + lins, n).basis
@@ -222,17 +224,6 @@ def cone_from_inequalities(inequalities: Sequence[Sequence[int]],
     """Solution cone of ``<a, x> >= 0`` and ``<e, x> = 0`` constraints: the
     dual of the cone the constraints generate."""
     return dual_cone(cone_from_rays(inequalities, equations, ambient_rank))
-
-
-def _infer_rank(primary, secondary, ambient_rank: Optional[int]) -> int:
-    lengths = {len(v) for v in primary} | {len(v) for v in secondary}
-    if ambient_rank is not None:
-        lengths.add(ambient_rank)
-    if len(lengths) > 1:
-        raise ValueError(f"mismatched vector lengths: {sorted(lengths)}")
-    if not lengths:
-        raise ValueError("ambient rank unknown: pass ambient_rank for empty input")
-    return lengths.pop()
 
 
 def dual_cone(cone: Cone) -> Cone:

@@ -7,18 +7,17 @@ Hermite normal form with positive pivots and entries above each pivot reduced
 into ``[0, pivot)``, which makes the basis a canonical form: two generating
 sets span the same lattice exactly when their normal forms are equal.
 
-Rank and solving over the rationals on arbitrary rows run on one kernel,
+Solving over the rationals on arbitrary rows runs on one kernel,
 :func:`_echelon`: fraction-free Gaussian elimination after Bareiss (1968),
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", in which every division is exact and every entry stays an
 integer.  Two solvers return coordinates as integer numerators over one
-positive denominator:
+positive denominator, for any number of vectors at once:
 
 * :func:`hnf_coordinates` back-substitutes on the pivots of an echelon
   basis, with no elimination.  Every basis a caller holds in HNF goes
-  through it: the local coordinates and span checks of a face
-  (:mod:`toric_spectrum.semigroups`), the vanishing test of a character's
-  decay on a face (:mod:`toric_spectrum.characters`), and, as its
+  through it: the local coordinates and span check of a face's cone
+  (:mod:`toric_spectrum.semigroups`), one call per face, and, as its
   denominator-free case, :func:`lattice_coordinates`.
 * :func:`scaled_solutions` eliminates with :func:`_echelon`, once for any
   number of right-hand sides; it serves the Gram systems of
@@ -74,14 +73,6 @@ def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     return sum(map(operator.mul, u, v))
-
-
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_neg(u: Sequence) -> tuple:
@@ -226,11 +217,6 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]
     return mat[:len(pivots)], pivots
 
 
-def rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals."""
-    return len(_echelon(rows)[1])
-
-
 def scaled_solutions(basis: Sequence[IntVector], xs: Sequence[Sequence[int]]
                      ) -> Optional[tuple[tuple[IntVector, ...], int]]:
     """Integers ``(ys, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``
@@ -260,46 +246,52 @@ def scaled_solutions(basis: Sequence[IntVector], xs: Sequence[Sequence[int]]
     return tuple(ys), abs(d)
 
 
-def hnf_coordinates(basis: Sequence[IntVector],
-                    x: Sequence[int]) -> Optional[tuple[IntVector, int]]:
-    """Integers ``(y, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``,
-    or None if x is not in the rational row span.  The basis must be in row
-    echelon form with positive pivots, as an HNF basis is.
+def hnf_coordinates(basis: Sequence[IntVector], xs: Sequence[Sequence[int]]
+                    ) -> Optional[list[tuple[IntVector, int]]]:
+    """Integers ``(y, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``
+    for the x of ``xs`` in turn, one pair each, or None if some x is not in
+    the rational row span.  The basis must be in row echelon form with
+    positive pivots, as an HNF basis is.
 
     Back-substitution on the pivots, with no elimination: each basis row is
-    zero left of its pivot, so the pivot columns fix the coefficients one
-    row at a time.  Where a pivot does not divide what remains in its
-    column, everything found so far is scaled by the missing factor, so
-    ``d`` is the least denominator of the rational coordinates, and x is in
-    the span exactly when nothing remains.
+    zero left of its pivot, so the pivot columns, found once for every x,
+    fix the coefficients one row at a time.  Where a pivot does not divide
+    what remains in its column, everything found so far is scaled by the
+    missing factor, so ``d`` is the least denominator of x's rational
+    coordinates, and x is in the span exactly when nothing remains.
     """
-    rem = list(map(operator.index, x))
-    coords: list[int] = []
-    d = 1
-    for row in basis:
-        j = next(i for i, a in enumerate(row) if a != 0)
-        p = row[j]
-        q, r = divmod(rem[j], p)
-        if r:
-            scale = p // gcd(p, r)
-            d *= scale
-            coords = [c * scale for c in coords]
-            rem = [a * scale for a in rem]
-            q = rem[j] // p
-        coords.append(q)
-        if q != 0:
-            rem = [a - q * b for a, b in zip(rem, row)]
-    return (tuple(coords), d) if is_zero_vector(rem) else None
+    pivots = [(row, next(i for i, a in enumerate(row) if a)) for row in basis]
+    solved = []
+    for x in xs:
+        rem = list(map(operator.index, x))
+        coords: list[int] = []
+        d = 1
+        for row, j in pivots:
+            p = row[j]
+            q, r = divmod(rem[j], p)
+            if r:
+                scale = p // gcd(p, r)
+                d *= scale
+                coords = [c * scale for c in coords]
+                rem = [a * scale for a in rem]
+                q = rem[j] // p
+            coords.append(q)
+            if q != 0:
+                rem = [a - q * b for a, b in zip(rem, row)]
+        if any(rem):
+            return None
+        solved.append((tuple(coords), d))
+    return solved
 
 
 def lattice_coordinates(lattice: Lattice, x: Sequence[int]) -> Optional[IntVector]:
     """Integer coefficients c with ``sum(c_i * basis_i) == x`` on the lattice
     basis, or None if x is not in the lattice: the :func:`hnf_coordinates`
-    that need no denominator."""
+    of ``[x]`` that need no denominator."""
     if len(x) != lattice.ambient_rank:
         raise ValueError("vector length does not match ambient rank")
-    solved = hnf_coordinates(lattice.basis, x)
-    return solved[0] if solved is not None and solved[1] == 1 else None
+    solved = hnf_coordinates(lattice.basis, [x])
+    return solved[0][0] if solved is not None and solved[0][1] == 1 else None
 
 
 def lattice_contains(lattice: Lattice, x: Sequence[int]) -> bool:

@@ -72,7 +72,6 @@ from .intlinalg import (
     quotient_invariants,
     saturate,
     solve_unit_functional,
-    vec_add,
     vec_neg,
 )
 
@@ -120,10 +119,13 @@ def boundary_basis(spec: Tower) -> tuple[IntVector, ...]:
 
 
 def embed_point(basis: Sequence[IntVector], y: Sequence[int], ambient_rank: int) -> IntVector:
-    """The point ``sum y_i basis_i`` of Z^n; zero when the basis is empty."""
+    """The point ``sum y_i basis_i`` of Z^n; zero when the basis is empty.
+    Zero coefficients are skipped: a boundary basis is mostly unit vectors,
+    so a deep tower embeds rows that are mostly zero."""
     out = [0] * ambient_rank
     for c, row in zip(y, basis):
-        out = [a + c * b for a, b in zip(out, row)]
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
     return tuple(out)
 
 
@@ -326,12 +328,6 @@ class SpectrumAtlas:
         return tuple(down), tuple(up)
 
     @cached_property
-    def leq_table(self) -> tuple[tuple[bool, ...], ...]:
-        """``leq_table[j][k]`` is ``leq(j, k)``, read off the up-sets once."""
-        return tuple(tuple(mask >> k & 1 == 1 for k in range(len(self.faces)))
-                     for mask in self.order[1])
-
-    @cached_property
     def _face_of_mask(self) -> tuple[dict, dict]:
         """The face of each down-set, and the face of each up-set."""
         return tuple({mask: j for j, mask in enumerate(masks)} for masks in self.order)
@@ -517,13 +513,6 @@ def _half_space_local(cone: Cone, lattice: Lattice):
     return (), cone_local, dual_cone(cone_local)
 
 
-def _local_coordinates(basis: Sequence[IntVector], v: IntVector) -> IntVector:
-    solved = hnf_coordinates(basis, v)
-    if solved is None:
-        raise InvariantViolation("face cone leaves the span of its lattice")
-    return primitive_vector(solved[0])
-
-
 def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
     """Torsion, local cone and dual local cone of a generated face; a tower's
     half spaces read theirs off the flag (:func:`_half_space_local`).
@@ -531,19 +520,25 @@ def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
     The face lattice spans the face, so on the lattice basis B the cone is
     full dimensional: its facet normals are ``B a`` for the face's normals
     ``a``, and no double description runs.  Rays and lineality are written
-    on B by back-substitution on its HNF pivots.  Without torsion the face
-    lattice is saturated; the lineality then has integer coordinates that
-    span a saturated lattice, so their ``hnf`` is canonical and only a face
-    with torsion saturates it.
+    on B by one back-substitution on its HNF pivots, which also checks that
+    they lie in its span.  Without torsion the face lattice is saturated;
+    the lineality then has integer coordinates that span a saturated
+    lattice, so their ``hnf`` is canonical and only a face with torsion
+    saturates it.
     """
     if lattice.rank != dim:
         raise InvariantViolation("face lattice does not span its cone")
     torsion = quotient_invariants(n, lattice)[1]
     basis = lattice.basis
-    lineality = hnf([_local_coordinates(basis, v) for v in cone.lineality], dim)
+    solved = hnf_coordinates(basis, cone.lineality + cone.rays)
+    if solved is None:
+        raise InvariantViolation("face cone leaves the span of its lattice")
+    local = [primitive_vector(y) for y, _ in solved]
+    k = len(cone.lineality)
+    lineality = hnf(local[:k], dim)
     # on a saturated face lattice the coordinates already span a saturated lattice
     lineality = (saturate(lineality) if torsion and lineality.basis else lineality).basis
-    rays = tuple(sorted(_project([_local_coordinates(basis, r) for r in cone.rays], lineality)))
+    rays = tuple(sorted(_project(local[k:], lineality)))
     inequalities = tuple(sorted({primitive_vector([dot(b, a) for b in basis])
                                  for a in cone.inequalities}))
     cone_local = Cone(dim, rays, inequalities, lineality, ())
@@ -554,10 +549,7 @@ def _interior_member(spec: SemigroupSpec) -> IntVector:
     """A semigroup member in the relative interior of the asymptotic cone."""
     if isinstance(spec, Tower):
         return solve_unit_functional(spec.normal)
-    total = tuple([0] * spec.ambient_rank)
-    for g in spec.generators:
-        total = vec_add(total, g)
-    return total
+    return tuple(map(sum, zip((0,) * spec.ambient_rank, *spec.generators)))
 
 
 def enumerate_faces(spec: SemigroupSpec) -> SpectrumAtlas:
@@ -594,16 +586,6 @@ def enumerate_faces(spec: SemigroupSpec) -> SpectrumAtlas:
     if atlas.minimal_id != len(faces) - 1 or atlas.join_of(range(len(faces))) != 0:
         raise InvariantViolation("face order is not bounded")
     return atlas
-
-
-def face_group(atlas: SpectrumAtlas, face_id: int) -> Lattice:
-    """Subgroup of Z^n generated by the lattice points on the face."""
-    return atlas.faces[face_id].lattice
-
-
-def dual_face_cone(atlas: SpectrumAtlas, face_id: int) -> Cone:
-    """Dual of the face cone, in coordinates of the face lattice basis."""
-    return atlas.faces[face_id].dual_cone_local
 
 
 def hull_contains(atlas: SpectrumAtlas, x: Sequence[int]) -> bool:
@@ -662,12 +644,8 @@ def validate_atlas(atlas: SpectrumAtlas) -> list[str]:
                         f"lattice of face {j} is not contained in lattice of face {k}")
                     break
     for j, face in enumerate(faces):
-        for r in face.cone.rays:
-            if hnf_coordinates(face.lattice.basis, r) is None:
-                problems.append(f"face {j}: ray {r} outside the span of its lattice")
-        for l in face.cone.lineality:
-            if hnf_coordinates(face.lattice.basis, l) is None:
-                problems.append(f"face {j}: lineality {l} outside the span of its lattice")
+        if hnf_coordinates(face.lattice.basis, face.cone.lineality + face.cone.rays) is None:
+            problems.append(f"face {j}: cone leaves the span of its lattice")
     return problems
 
 

@@ -25,12 +25,11 @@ from toric_spectrum.intlinalg import (
     lattice_coordinates,
     primitive_vector,
     quotient_invariants,
-    rank_of_rows,
     saturate,
     scaled_solutions,
     vec_neg,
-    vec_sub,
 )
+from toric_spectrum.oracle import _orank
 
 # quadrant semigroup with a doubled x-axis generator: p,q >= 0, p even when q=0
 EVEN_AXIS = Generators(2, ((2, 0), (0, 1), (1, 1)))
@@ -131,10 +130,10 @@ def finalize_face(n, cone, lattice, dim):
     basis = lattice.basis
 
     def local(v):
-        solved = hnf_coordinates(basis, v)
+        solved = hnf_coordinates(basis, [v])
         if solved is None:
             raise InvariantViolation("face cone leaves the span of its lattice")
-        return primitive_vector(solved[0])
+        return primitive_vector(solved[0][0])
 
     lineality = hnf([local(v) for v in cone.lineality], dim)
     lineality = (saturate(lineality) if torsion and lineality.basis else lineality).basis
@@ -162,7 +161,7 @@ def _adjacent(p, q, constraints, ambient_rank, lineality_dim):
     needed = ambient_rank - lineality_dim - 2
     if needed < 0:
         return True
-    return rank_of_rows(tight) == needed
+    return _orank(tight) == needed
 
 
 def ref_double_description(inequalities, equations, ambient_rank):
@@ -205,14 +204,13 @@ def ref_double_description(inequalities, equations, ambient_rank):
             for i, l in enumerate(lin):
                 if i == j0:
                     continue
-                new_lin.append(primitive_vector(vec_sub(tuple(w0 * c for c in l),
-                                                        tuple(lin_vals[i] * c for c in l0))))
+                new_lin.append(primitive_vector([w0 * c - lin_vals[i] * d
+                                                 for c, d in zip(l, l0)]))
             lin = new_lin
             new_rays = []
             for r in rays:
                 v = dot(a, r)
-                new_rays.append(tuple(w0 * c for c in r) if v == 0
-                                else vec_sub(tuple(w0 * c for c in r), tuple(v * c for c in l0)))
+                new_rays.append(tuple(w0 * c - v * d for c, d in zip(r, l0)))
             new_rays.append(l0)
             rays = list(dict.fromkeys(
                 rr for rr in cones._project(new_rays, lin) if not is_zero_vector(rr)))
@@ -229,8 +227,7 @@ def ref_double_description(inequalities, equations, ambient_rank):
                         continue
                     # p and q are orthogonal to the lineality, so their
                     # combination is already its own representative
-                    combo = primitive_vector(vec_sub(tuple(vp * c for c in q),
-                                                     tuple(vq * c for c in p)))
+                    combo = primitive_vector([vp * c - vq * d for c, d in zip(q, p)])
                     if not is_zero_vector(combo):
                         new_rays.append(combo)
             rays = list(dict.fromkeys(new_rays))
@@ -329,12 +326,12 @@ def ref_evaluate(atlas, chi, x):
 
 def ref_ray_limit(atlas, ray):
     """The largest face below the base on which the decay vanishes, by a
-    scan of ``leq_table``."""
+    scan of ``leq``."""
     lam = tuple(Fraction(v) for v in ray.lam)
     candidates = [f.face_id for f in atlas.faces
-                  if atlas.leq_table[f.face_id][ray.base_face_id]
+                  if atlas.leq(f.face_id, ray.base_face_id)
                   and vanishes_on_face(atlas, lam, ray.base_face_id, f.face_id)]
-    best = [j for j in candidates if all(atlas.leq_table[k][j] for k in candidates)]
+    best = [j for j in candidates if all(atlas.leq(k, j) for k in candidates)]
     if len(best) != 1:
         raise InvariantViolation("limit face is not unique")
     return best[0]
@@ -342,16 +339,16 @@ def ref_ray_limit(atlas, ray):
 
 def ref_chain(atlas, from_face, to_face):
     """Chain of rays from one face down to another, each step to the least
-    id among the maximal faces strictly between, by scans of ``leq_table``."""
-    leq = atlas.leq_table
-    if not leq[to_face][from_face]:
+    id among the maximal faces strictly between, by scans of ``leq``."""
+    leq = atlas.leq
+    if not leq(to_face, from_face):
         raise ValueError(f"face {to_face} is not below face {from_face}")
     chain = []
     current = from_face
     while current != to_face:
         below = [j for j in range(len(atlas.faces))
-                 if leq[to_face][j] and leq[j][current] and j != current]
-        step = [j for j in below if not any(k != j and leq[j][k] for k in below)]
+                 if leq(to_face, j) and leq(j, current) and j != current]
+        step = [j for j in below if not any(k != j and leq(j, k) for k in below)]
         target = min(step)
         face = atlas.faces[current]
         normals = [a for a in face.cone_local.inequalities

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from toric_spectrum import cli
 from toric_spectrum.cli import MAX_TOWER_DEPTH, main, parse_spec
 
 EVEN_AXIS_DOC = {"kind": "generators", "ambient_rank": 2,
@@ -156,8 +157,6 @@ def test_tower_at_the_cap_parses_and_hashes():
 
 
 def test_out_of_memory_is_exit_5(tmp_path, monkeypatch, capsys):
-    import toric_spectrum.cli as cli
-
     def exhausted(spec):
         raise MemoryError
 
@@ -279,13 +278,23 @@ def test_determinism_across_processes(tmp_path, doc):
     assert outputs[0] == outputs[1]
 
 
-def test_box_env_override(tmp_path, monkeypatch):
+def test_box_flag_sets_the_oracle_radius(tmp_path, monkeypatch):
+    """``--box`` is the one way to set the radius, 6 by default; no
+    environment variable is read."""
     gap = write(tmp_path, "gap.json", GAP_DOC)
-    monkeypatch.setenv("TORIC_SPECTRUM_BOX", "5")
-    code, text = run_cli(["oracle", "verify", gap, "--seed", "0", "--trials", "10"])
-    assert code == 0 and "agree: true" in text
+    radii = []
+    original = cli.brute_force_faces
+
+    def recorded(spec, box):
+        radii.append(box.radius)
+        return original(spec, box)
+
+    monkeypatch.setattr(cli, "brute_force_faces", recorded)
     monkeypatch.setenv("TORIC_SPECTRUM_BOX", "zero")
-    assert main(["oracle", "verify", gap], out=io.StringIO()) == 2
+    code, text = run_cli(["oracle", "verify", gap, "--box", "5", "--seed", "0", "--trials", "10"])
+    assert code == 0 and "agree: true" in text
+    assert run_cli(["oracle", "verify", gap, "--trials", "10"])[0] == 0
+    assert radii == [5, 6]
 
 
 @pytest.mark.parametrize("flags, message", [

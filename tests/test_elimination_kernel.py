@@ -1,7 +1,7 @@
 """Property tests of the fraction-free elimination kernel in ``intlinalg``.
 
 Rank, solving and the projection modulo a span (``cones._project``)
-all run on one Bareiss elimination; they are checked here against the
+all run on one Bareiss elimination (``_echelon``); they are checked here against the
 independent ``Fraction`` Gauss-Jordan code of the oracle.  Coordinates on an
 echelon basis run on no elimination at all (``hnf_coordinates``); they are
 checked against the elimination.
@@ -22,6 +22,7 @@ from toric_spectrum.cones import (  # noqa: E402
 )
 from toric_spectrum.intlinalg import (  # noqa: E402
     Lattice,
+    _echelon,
     dot,
     full_lattice,
     hnf,
@@ -31,7 +32,6 @@ from toric_spectrum.intlinalg import (  # noqa: E402
     lattice_coordinates,
     lattice_residue,
     primitive_vector,
-    rank_of_rows,
     saturate,
 )
 from toric_spectrum.oracle import _orank, _osolve  # noqa: E402
@@ -86,23 +86,23 @@ def independent_rows_and_point(draw):
 @given(matrices())
 def test_rank_matches_oracle(case):
     _, rows = case
-    assert rank_of_rows(rows) == _orank(rows)
+    assert len(_echelon(rows)[1]) == _orank(rows)
 
 
 def test_rank_of_no_rows_is_zero():
-    assert rank_of_rows([]) == 0
-    assert rank_of_rows([(0, 0), (0, 0)]) == 0
+    assert _echelon([]) == ([], [])
+    assert _echelon([(0, 0), (0, 0)]) == ([], [])
 
 
 def test_kernel_refuses_rationals():
     # floor division or int() would silently corrupt a non-integer entry
     for row in ((Fraction(1, 2), 1), (2.7, 1)):
         calls = [
-            lambda: rank_of_rows([row]),
+            lambda: _echelon([row]),
             lambda: hnf([row], 2),
             lambda: int_kernel([row], 2),
             lambda: saturate(Lattice(2, (row,))),
-            lambda: hnf_coordinates(((1, 0), (0, 1)), row),
+            lambda: hnf_coordinates(((1, 0), (0, 1)), [(0, 0), row]),
             lambda: lattice_coordinates(full_lattice(2), row),
             lambda: lattice_contains(full_lattice(2), row),
             lambda: lattice_residue(hnf([(2, 1)], 2), row),
@@ -159,11 +159,11 @@ def test_projection_of_a_rational_point(case, data):
 
 
 @st.composite
-def echelon_bases_and_point(draw):
-    """A row echelon basis with positive pivots, and a point in its lattice,
-    in its rational span or anywhere.  The basis is either an HNF or built
-    directly, with any entries (negative, or not reduced above a later
-    pivot) right of each pivot; it may be empty."""
+def echelon_bases_and_points(draw):
+    """A row echelon basis with positive pivots, and one to four points, each
+    in its lattice, in its rational span or anywhere.  The basis is either an
+    HNF or built directly, with any entries (negative, or not reduced above
+    a later pivot) right of each pivot; it may be empty."""
     n = draw(st.integers(1, 5))
     if draw(st.booleans()):
         rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5))
@@ -173,28 +173,36 @@ def echelon_bases_and_point(draw):
         basis = [tuple([0] * j + [draw(st.integers(1, 6))]
                        + draw(st.lists(entries, min_size=n - j - 1, max_size=n - j - 1)))
                  for j in columns]
-    kind = draw(st.sampled_from(("lattice", "span", "anywhere")))
-    if kind == "anywhere":
-        return basis, tuple(draw(st.lists(entries, min_size=n, max_size=n)))
-    coeffs = draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
-    x = [0] * n
-    for c, row in zip(coeffs, basis):
-        x = [a + c * b for a, b in zip(x, row)]
-    if kind == "span":
-        # a rational point of the span, cleared of its denominator
-        x = primitive_vector(x) if any(x) else x
-    return basis, tuple(x)
+    points = []
+    for kind in draw(st.lists(st.sampled_from(("lattice", "span", "anywhere")),
+                              min_size=1, max_size=4)):
+        if kind == "anywhere":
+            points.append(tuple(draw(st.lists(entries, min_size=n, max_size=n))))
+            continue
+        coeffs = draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+        x = [0] * n
+        for c, row in zip(coeffs, basis):
+            x = [a + c * b for a, b in zip(x, row)]
+        if kind == "span":
+            # a rational point of the span, cleared of its denominator
+            x = primitive_vector(x) if any(x) else x
+        points.append(tuple(x))
+    return basis, points
 
 
 @SETTINGS
-@given(echelon_bases_and_point())
+@given(echelon_bases_and_points())
 def test_pivot_coordinates_match_elimination(case):
-    basis, x = case
-    solved = hnf_coordinates(basis, x)
-    expected = scaled_coordinates(basis, x)
-    assert (solved is None) == (expected is None)
-    if solved is not None:
-        y, d = solved
+    basis, points = case
+    singles = []
+    for x in points:
+        solved = hnf_coordinates(basis, [x])
+        expected = scaled_coordinates(basis, x)
+        assert (solved is None) == (expected is None)
+        if solved is None:
+            singles.append(None)
+            continue
+        ((y, d),) = solved
         assert d > 0
         assert [Fraction(c, d) for c in y] == [Fraction(c, expected[1]) for c in expected[0]]
         # d is the least common denominator of the coordinates
@@ -202,8 +210,17 @@ def test_pivot_coordinates_match_elimination(case):
         # on the lattice no pivot scales: the integer coordinates, or None
         lattice = Lattice(len(x), tuple(basis))
         assert lattice_coordinates(lattice, x) == (y if d == 1 else None)
+        singles.append((y, d))
+    # all points in one call: None iff some point leaves the span, and
+    # otherwise each pair is its one-point solve
+    together = hnf_coordinates(basis, points)
+    if None in singles:
+        assert together is None
+    else:
+        assert together == singles
 
 
 def test_pivot_coordinates_on_an_empty_basis():
-    assert hnf_coordinates([], (0, 0)) == ((), 1)
-    assert hnf_coordinates([], (0, 1)) is None
+    assert hnf_coordinates([], [(0, 0)]) == [((), 1)]
+    assert hnf_coordinates([], [(0, 0), (0, 1)]) is None
+    assert hnf_coordinates([(1, 2)], []) == []

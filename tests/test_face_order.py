@@ -1,4 +1,4 @@
-"""The face-order queries of an atlas against O(F^2) scans of ``leq_table``.
+"""The face-order queries of an atlas against O(F^2) scans of ``leq``.
 
 The scans below, and those of the ray limit and the chain of rays in
 helpers.py, are the reference: each reads the order one entry at a time and
@@ -23,6 +23,7 @@ from toric_spectrum import (
     Character,
     Generators,
     InvariantViolation,
+    Lattice,
     Ray,
     Tower,
     chain_of_rays,
@@ -59,24 +60,24 @@ CUBE6 = Generators(6, tuple((1,) + v for v in product((-1, 1), repeat=5)))
 def ref_minimal(atlas):
     m = len(atlas.faces)
     for j in range(m):
-        if all(atlas.leq_table[j][k] for k in range(m)):
+        if all(atlas.leq(j, k) for k in range(m)):
             return j
     raise InvariantViolation("no least face")
 
 
 def ref_meet(atlas, j, k):
-    leq = atlas.leq_table
-    lower = [f for f in range(len(atlas.faces)) if leq[f][j] and leq[f][k]]
-    tops = [f for f in lower if all(leq[g][f] for g in lower)]
+    leq = atlas.leq
+    lower = [f for f in range(len(atlas.faces)) if leq(f, j) and leq(f, k)]
+    tops = [f for f in lower if all(leq(g, f) for g in lower)]
     if len(tops) != 1:
         raise InvariantViolation("face meet is not unique")
     return tops[0]
 
 
 def ref_join(atlas, j, k):
-    leq = atlas.leq_table
-    upper = [f for f in range(len(atlas.faces)) if leq[j][f] and leq[k][f]]
-    bottoms = [f for f in upper if all(leq[f][g] for g in upper)]
+    leq = atlas.leq
+    upper = [f for f in range(len(atlas.faces)) if leq(j, f) and leq(k, f)]
+    bottoms = [f for f in upper if all(leq(f, g) for g in upper)]
     if len(bottoms) != 1:
         raise InvariantViolation("face join is not unique")
     return bottoms[0]
@@ -84,7 +85,7 @@ def ref_join(atlas, j, k):
 
 def ref_face_of_member(atlas, x):
     candidates = [f.face_id for f in atlas.faces if f.cone.contains(x)]
-    best = [j for j in candidates if all(atlas.leq_table[j][k] for k in candidates)]
+    best = [j for j in candidates if all(atlas.leq(j, k) for k in candidates)]
     if len(best) != 1:
         raise InvariantViolation("member lies on no unique smallest face")
     return best[0]
@@ -179,7 +180,7 @@ def check_against_scans(atlas, rng, sample=None, raw=False):
         # meet of the whole set exists; where the fold succeeds, both agree
         assert ops == outcome(ref_lattice_ops, atlas, chosen) or \
             raw and outcome(ref_lattice_ops, atlas, chosen) is InvariantViolation, chosen
-    pairs = [(k, j) for j in ids for k in ids if atlas.leq_table[j][k]]
+    pairs = [(k, j) for j in ids for k in ids if atlas.leq(j, k)]
     for k, j in at_most(rng, pairs, sample):
         assert same(lambda a, b: chain_of_rays(atlas, a, b),
                     lambda a, b: ref_chain(atlas, a, b), k, j), (k, j)
@@ -223,7 +224,7 @@ def tampered(atlas, rng, extra, drop_least):
     strict pair (k, j), face j below face k, has k < j by id; the pairs go
     in as the covers, whose closure they already are."""
     m = len(atlas.faces)
-    leq = [list(row) for row in atlas.leq_table]
+    leq = [[atlas.leq(j, k) for k in range(m)] for j in range(m)]
     for _ in range(extra):
         j, k = rng.randrange(m), rng.randrange(m)
         if atlas.faces[j].dim < atlas.faces[k].dim:
@@ -290,6 +291,28 @@ def test_validate_atlas_reports_covers_the_order_cannot_close():
     tower = enumerate_faces(Tower(3, (0, 0, 1), Generators(2, ((1, 0),))))
     assert tower.covers == ((0, 1), (1, 2)) and tower.faces[1].dim == 1
     assert validate_atlas(tower) == []
+
+
+def test_validate_atlas_reports_a_lattice_that_does_not_span_its_cone():
+    def with_lattice(atlas, face_id, basis):
+        lattice = Lattice(atlas.spec.ambient_rank, basis)
+        return replace(atlas, faces=tuple(replace(f, lattice=lattice) if f.face_id == face_id
+                                          else f for f in atlas.faces))
+
+    quadrant = enumerate_faces(Generators(2, ((1, 0), (0, 1))))
+    # the whole quadrant over a rank-deficient lattice: its rays leave the span
+    assert "face 0: cone leaves the span of its lattice" in \
+        validate_atlas(with_lattice(quadrant, 0, ((1, 0),)))
+    # a ray over a lattice of the right rank on the other axis
+    ray = next(f.face_id for f in quadrant.faces if f.cone.rays == ((1, 0),))
+    assert validate_atlas(with_lattice(quadrant, ray, ((0, 1),))) == \
+        [f"face {ray}: cone leaves the span of its lattice"]
+    # a line, the lineality of a half plane, over the other axis
+    half_plane = enumerate_faces(Generators(2, ((1, 0), (-1, 0), (0, 1))))
+    line = half_plane.minimal_id
+    assert half_plane.faces[line].cone.lineality == ((1, 0),)
+    assert validate_atlas(with_lattice(half_plane, line, ((0, 1),))) == \
+        [f"face {line}: cone leaves the span of its lattice"]
 
 
 QUADRANT = enumerate_faces(Generators(2, ((1, 0), (0, 1))))

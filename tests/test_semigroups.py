@@ -11,9 +11,7 @@ from toric_spectrum import (
     cone_from_rays,
     contains,
     dual_cone,
-    dual_face_cone,
     enumerate_faces,
-    face_group,
     face_lattice,
     hull_contains,
     is_antisymmetric,
@@ -103,20 +101,41 @@ def test_face_groups_even_axis():
     atlas = enumerate_faces(EVEN_AXIS)
     x_axis = find_face(atlas, [(1, 0)])
     y_axis = find_face(atlas, [(0, 1)])
-    assert face_group(atlas, x_axis.face_id).basis == ((2, 0),)
+    assert x_axis.lattice.basis == ((2, 0),)
     assert x_axis.torsion == (2,)
-    assert face_group(atlas, y_axis.face_id).basis == ((0, 1),)
-    assert face_group(atlas, 0).basis == ((1, 0), (0, 1))
+    assert y_axis.lattice.basis == ((0, 1),)
+    assert atlas.faces[0].lattice.basis == ((1, 0), (0, 1))
     assert x_axis.member_generators == ((2, 0),)
 
 
 def test_dual_face_cones_even_axis():
     atlas = enumerate_faces(EVEN_AXIS)
-    assert dual_face_cone(atlas, 0).rays == ((0, 1), (1, 0))
+    assert atlas.faces[0].dual_cone_local.rays == ((0, 1), (1, 0))
     x_axis = find_face(atlas, [(1, 0)])
-    assert dual_face_cone(atlas, x_axis.face_id).rays == ((1,),)
+    assert x_axis.dual_cone_local.rays == ((1,),)
     origin = find_face(atlas, [])
-    assert dual_face_cone(atlas, origin.face_id).ambient_rank == 0
+    assert origin.dual_cone_local.ambient_rank == 0
+
+
+def test_public_names_resolve_and_pruned_names_are_gone():
+    import toric_spectrum
+    from toric_spectrum import cli, cones, intlinalg, semigroups
+
+    namespace = {}
+    exec("from toric_spectrum import *", namespace)  # a stale entry raises here
+    assert set(toric_spectrum.__all__) <= set(namespace)
+    pruned = {
+        toric_spectrum: ("face_group", "dual_face_cone"),
+        semigroups: ("face_group", "dual_face_cone", "_local_coordinates"),
+        semigroups.SpectrumAtlas: ("leq_table",),
+        intlinalg: ("rank_of_rows", "vec_add", "vec_sub"),
+        cones: ("_infer_rank",),
+        cli: ("_default_box",),
+    }
+    for owner, names in pruned.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+            assert name not in toric_spectrum.__all__
 
 
 def test_antisymmetry_examples():
