@@ -436,11 +436,11 @@ def _run(args, out) -> int:
         if args.trials < 0:
             raise InputError("--trials: must be >= 0")
         box = BoxSpec(args.box)
-        atlas_sets = {frozenset(s) for s in face_members_in_box(atlas, box.radius)}
         try:
             oracle_sets = brute_force_faces(spec, box)
         except OracleBudgetExceeded as exc:
             raise InputError(f"oracle verify: {exc}") from None
+        atlas_sets = {frozenset(s) for s in face_members_in_box(atlas, box.radius)}
         faces_ok = atlas_sets == oracle_sets
         out.write(f"faces: atlas {len(atlas_sets)}, oracle {len(oracle_sets)}, "
                   f"agree: {str(faces_ok).lower()}\n")

@@ -38,8 +38,10 @@ coefficients of its suffixes (:func:`_one_row_kernel`), with no
 triangulation.  :func:`saturate` is two kernels.  An HNF basis also
 reduces: at each pivot, :func:`lattice_residue` leaves the canonical
 representative of a vector modulo the lattice (ibid.), the key of the
-membership search in :mod:`toric_spectrum.semigroups`.  Only the invariants of Z^n modulo a
-lattice need the Smith diagonal (:func:`quotient_invariants`).
+membership search in :mod:`toric_spectrum.semigroups`.  The invariants of
+Z^n modulo a lattice (:func:`quotient_invariants`) come from the same
+kernel: :func:`_smith_diagonal` alternates row and column passes of
+:func:`_triangulate` until the square block is diagonal.
 
 Every entry point that eliminates or reduces requires integer entries and
 converts with ``operator.index``, so a ``Fraction`` or a float raises
@@ -52,7 +54,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 IntVector = tuple[int, ...]
@@ -318,57 +320,35 @@ def lattice_residue(lattice: Lattice, x: Sequence[int]) -> IntVector:
     return rem
 
 
-def _smith_diagonal(rows: Sequence[IntVector]) -> list[int]:
-    """Nonzero Smith diagonal entries (divisibility order) of the row matrix."""
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    n = len(mat[0]) if mat else 0
-    diag: list[int] = []
-    t = 0
-    while t < m and t < n:
-        pos = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = mat[i][j]
-                if v != 0 and (pos is None or abs(v) < abs(mat[pos[0]][pos[1]])):
-                    pos = (i, j)
-        if pos is None:
+def _smith_diagonal(basis: Sequence[IntVector]) -> list[int]:
+    """Smith diagonal (divisibility order) of a basis of independent rows.
+
+    Row operations on the transpose are column operations on the basis, so
+    alternating row and column passes of :func:`_triangulate` keep the
+    invariants (Kannan & Bachem, SIAM J. Comput. 1979; Cohen 1993, section
+    2.4.4): triangulate the transposed basis, then the transpose of each
+    square triangle in turn, until one is diagonal or has unit determinant,
+    whose invariants are all 1.  The loop ends because each pass either
+    lowers ``|corner entry|`` strictly or clears the corner's row and
+    column, which then stay cleared.  The transpose of a triangle holds the
+    corner in its first row, zero elsewhere, and :func:`_triangulate` takes
+    the first of equal least entries as its pivot: when the corner divides
+    the rest of its column, it clears the column in one round; otherwise
+    the new corner, the column's gcd, is smaller.  Once the corner is
+    cleared, the same holds for the block below it.  Last, each pair
+    ``(d_i, d_j)`` with i < j becomes ``(gcd, lcm)``.
+    """
+    k = len(basis)
+    mat = [list(col) for col in zip(*basis)]
+    while True:
+        mat, _ = _triangulate(mat, k)
+        diag = [abs(row[i]) for i, row in enumerate(mat)]
+        if prod(diag) == 1 or not any(any(row[i + 1:]) for i, row in enumerate(mat)):
             break
-        i0, j0 = pos
-        mat[t], mat[i0] = mat[i0], mat[t]
-        if j0 != t:
-            for row in mat:
-                row[t], row[j0] = row[j0], row[t]
-        p = mat[t][t]
-        clean = True
-        for i in range(t + 1, m):
-            if mat[i][t] != 0:
-                q = mat[i][t] // p
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[t])]
-                if mat[i][t] != 0:
-                    clean = False
-        for j in range(t + 1, n):
-            if mat[t][j] != 0:
-                q = mat[t][j] // p
-                for row in mat:
-                    row[j] -= q * row[t]
-                if mat[t][j] != 0:
-                    clean = False
-        if not clean:
-            continue
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if mat[i][j] % p != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            mat[t] = [a + b for a, b in zip(mat[t], mat[bad])]
-            continue
-        diag.append(abs(p))
-        t += 1
+        mat = [list(col) for col in zip(*mat)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return diag
 
 

@@ -26,15 +26,22 @@ from .cones import Cone
 from .semigroups import Generators, SemigroupSpec, SpectrumAtlas
 
 
-# Points the membership closure of a box may hold.  Its window is the box
-# widened by n times the largest generator entry, so a generator far outside
-# the box would make it astronomically large; past this count the closure
-# stops with OracleBudgetExceeded.
+# Points a box, or the membership closure of a box, may hold.  The closure's
+# window is the box widened by n times the largest generator entry, so a
+# generator far outside the box would make it astronomically large; past this
+# count the oracle stops with OracleBudgetExceeded.
 MAX_ORACLE_POINTS = 10**6
+
+# Candidate face sets times box members squared that the pair check of
+# brute_force_faces may cost; each candidate tests up to two passes over
+# pairs of members.  The largest product over the test suite, the
+# benchmark's smoke test and the CI steps is 5.65M.
+MAX_ORACLE_PAIRS = 10**7
 
 
 class OracleBudgetExceeded(RuntimeError):
-    """The brute-force membership closure outgrew ``MAX_ORACLE_POINTS``."""
+    """A brute-force oracle outgrew ``MAX_ORACLE_POINTS`` or
+    ``MAX_ORACLE_PAIRS``."""
 
 
 @dataclass(frozen=True)
@@ -261,11 +268,18 @@ def _view_members(view, domain: frozenset) -> frozenset:
     return above | _view_members(view[3], boundary)
 
 
+def _domain(spec: SemigroupSpec, box: BoxSpec) -> frozenset:
+    """The points of the box, refused before they are built when there are
+    more than ``MAX_ORACLE_POINTS``."""
+    if (2 * box.radius + 1) ** spec.ambient_rank > MAX_ORACLE_POINTS:
+        raise OracleBudgetExceeded(f"the box of radius {box.radius} in rank "
+                                   f"{spec.ambient_rank} exceeds {MAX_ORACLE_POINTS} points")
+    return frozenset(product(range(-box.radius, box.radius + 1), repeat=spec.ambient_rank))
+
+
 def oracle_members(spec: SemigroupSpec, box: BoxSpec) -> frozenset:
     """Box-restricted membership recomputed from the raw description."""
-    domain = frozenset(product(range(-box.radius, box.radius + 1),
-                               repeat=spec.ambient_rank))
-    return _view_members(_top_view(spec), domain)
+    return _view_members(_top_view(spec), _domain(spec, box))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +344,18 @@ def brute_force_faces(spec: SemigroupSpec, box: BoxSpec) -> set:
 
     Candidate subsets come from hyperplane cuts spanned by generator data;
     each one must pass the subsemigroup plus complement-ideal test inside the
-    box before being reported.
+    box before being reported.  Raises OracleBudgetExceeded before that test
+    when the candidates times the members squared exceed
+    ``MAX_ORACLE_PAIRS``.
     """
-    members = oracle_members(spec, box)
-    domain = frozenset(product(range(-box.radius, box.radius + 1),
-                               repeat=spec.ambient_rank))
-    sets = _view_face_sets(_top_view(spec), members, spec.ambient_rank)
+    domain = _domain(spec, box)
+    view = _top_view(spec)
+    members = _view_members(view, domain)
+    sets = _view_face_sets(view, members, spec.ambient_rank)
+    if len(sets) * len(members) ** 2 > MAX_ORACLE_PAIRS:
+        raise OracleBudgetExceeded(f"the pair check of {len(sets)} candidate faces over "
+                                   f"{len(members)} box members exceeds {MAX_ORACLE_PAIRS} "
+                                   "pair tests")
     return {P for P in sets if _face_conditions_hold(P, members, domain)}
 
 

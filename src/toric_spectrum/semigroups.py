@@ -166,9 +166,7 @@ def is_separating(spec: SemigroupSpec) -> bool:
     """Whether the group generated by S is all of Z^n."""
     if isinstance(spec, Tower):
         return True
-    lattice = hnf(spec.generators, spec.ambient_rank)
-    free, torsion = quotient_invariants(spec.ambient_rank, lattice)
-    return free == 0 and not torsion
+    return hnf(spec.generators, spec.ambient_rank) == full_lattice(spec.ambient_rank)
 
 
 # ---------------------------------------------------------------------------

@@ -324,31 +324,38 @@ def ref_evaluate(atlas, chi, x):
     return ExactValue(False, angle, exponent)
 
 
-def ref_ray_limit(atlas, ray):
+def leq_table(atlas):
+    """The face order as a table, ``leq[j][k]`` for face j <= face k, read
+    from ``atlas.leq`` once per atlas for the reference scans."""
+    ids = range(len(atlas.faces))
+    return [[atlas.leq(j, k) for k in ids] for j in ids]
+
+
+def ref_ray_limit(atlas, leq, ray):
     """The largest face below the base on which the decay vanishes, by a
-    scan of ``leq``."""
+    scan of the order table ``leq``."""
     lam = tuple(Fraction(v) for v in ray.lam)
     candidates = [f.face_id for f in atlas.faces
-                  if atlas.leq(f.face_id, ray.base_face_id)
+                  if leq[f.face_id][ray.base_face_id]
                   and vanishes_on_face(atlas, lam, ray.base_face_id, f.face_id)]
-    best = [j for j in candidates if all(atlas.leq(k, j) for k in candidates)]
+    best = [j for j in candidates if all(leq[k][j] for k in candidates)]
     if len(best) != 1:
         raise InvariantViolation("limit face is not unique")
     return best[0]
 
 
-def ref_chain(atlas, from_face, to_face):
+def ref_chain(atlas, leq, from_face, to_face):
     """Chain of rays from one face down to another, each step to the least
-    id among the maximal faces strictly between, by scans of ``leq``."""
-    leq = atlas.leq
-    if not leq(to_face, from_face):
+    id among the maximal faces strictly between, by scans of the order
+    table ``leq``."""
+    if not leq[to_face][from_face]:
         raise ValueError(f"face {to_face} is not below face {from_face}")
     chain = []
     current = from_face
     while current != to_face:
         below = [j for j in range(len(atlas.faces))
-                 if leq(to_face, j) and leq(j, current) and j != current]
-        step = [j for j in below if not any(k != j and leq(j, k) for k in below)]
+                 if leq[to_face][j] and leq[j][current] and j != current]
+        step = [j for j in below if not any(k != j and leq[j][k] for k in below)]
         target = min(step)
         face = atlas.faces[current]
         normals = [a for a in face.cone_local.inequalities
@@ -357,7 +364,7 @@ def ref_chain(atlas, from_face, to_face):
             raise InvariantViolation("a strictly smaller face lies on at least one facet")
         lam = tuple(sum(Fraction(a[i]) for a in normals) for i in range(face.rank))
         ray = Ray(current, lam)
-        landed = ref_ray_limit(atlas, ray)
+        landed = ref_ray_limit(atlas, leq, ray)
         if landed != target or atlas.faces[landed].rank >= face.rank:
             raise InvariantViolation("ray does not land on the chosen face")
         chain.append(ray)

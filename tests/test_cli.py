@@ -333,3 +333,17 @@ def test_oracle_on_a_huge_generator_exits_2_within_its_point_budget(tmp_path):
     assert result.stderr.startswith("input error: oracle verify: the membership closure exceeds "
                                     "1000000 points")
     assert result.stderr.count("\n") == 1
+
+
+def test_oracle_pair_check_over_its_budget_exits_2_within_10_s(tmp_path):
+    # 8 candidate faces over the 9261 members of the box of radius 20 would
+    # take ~7 * 10^8 pair tests; the pair budget refuses them before the
+    # atlas-side box scan runs
+    orthant = write(tmp_path, "orthant.json", {
+        "kind": "generators", "ambient_rank": 3,
+        "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]})
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "oracle", "verify",
+                             orthant, "--box", "20"], capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("input error: oracle verify: the pair check of 8 candidate faces "
+                             "over 9261 box members exceeds 10000000 pair tests\n")

@@ -1,8 +1,9 @@
 """The face-order queries of an atlas against O(F^2) scans of ``leq``.
 
 The scans below, and those of the ray limit and the chain of rays in
-helpers.py, are the reference: each reads the order one entry at a time and
-raises InvariantViolation when the element it looks for is not unique.
+helpers.py, are the reference: each reads the order one entry at a time
+from a table of ``leq``, built once per atlas, and raises
+InvariantViolation when the element it looks for is not unique.
 The atlas answers the same queries from its down-set and up-set bitmasks.
 On real atlases both must agree everywhere; on tampered orders that are
 partial orders but not lattices, both must give the same answer or both
@@ -44,6 +45,7 @@ from toric_spectrum import (
 from helpers import (
     FIXTURES,
     TORSION_BASES,
+    leq_table,
     random_generators,
     random_tower,
     ref_chain,
@@ -57,45 +59,42 @@ CUBE6 = Generators(6, tuple((1,) + v for v in product((-1, 1), repeat=5)))
 # reference scans
 
 
-def ref_minimal(atlas):
-    m = len(atlas.faces)
-    for j in range(m):
-        if all(atlas.leq(j, k) for k in range(m)):
+def ref_minimal(leq):
+    for j, row in enumerate(leq):
+        if all(row):
             return j
     raise InvariantViolation("no least face")
 
 
-def ref_meet(atlas, j, k):
-    leq = atlas.leq
-    lower = [f for f in range(len(atlas.faces)) if leq(f, j) and leq(f, k)]
-    tops = [f for f in lower if all(leq(g, f) for g in lower)]
+def ref_meet(leq, j, k):
+    lower = [f for f in range(len(leq)) if leq[f][j] and leq[f][k]]
+    tops = [f for f in lower if all(leq[g][f] for g in lower)]
     if len(tops) != 1:
         raise InvariantViolation("face meet is not unique")
     return tops[0]
 
 
-def ref_join(atlas, j, k):
-    leq = atlas.leq
-    upper = [f for f in range(len(atlas.faces)) if leq(j, f) and leq(k, f)]
-    bottoms = [f for f in upper if all(leq(f, g) for g in upper)]
+def ref_join(leq, j, k):
+    upper = [f for f in range(len(leq)) if leq[j][f] and leq[k][f]]
+    bottoms = [f for f in upper if all(leq[f][g] for g in upper)]
     if len(bottoms) != 1:
         raise InvariantViolation("face join is not unique")
     return bottoms[0]
 
 
-def ref_face_of_member(atlas, x):
+def ref_face_of_member(atlas, leq, x):
     candidates = [f.face_id for f in atlas.faces if f.cone.contains(x)]
-    best = [j for j in candidates if all(atlas.leq(j, k) for k in candidates)]
+    best = [j for j in candidates if all(leq[j][k] for k in candidates)]
     if len(best) != 1:
         raise InvariantViolation("member lies on no unique smallest face")
     return best[0]
 
 
-def ref_lattice_ops(atlas, ids):
+def ref_lattice_ops(leq, ids):
     inf = sup = ids[0]
     for j in ids[1:]:
-        inf = ref_meet(atlas, inf, j)
-        sup = ref_join(atlas, sup, j)
+        inf = ref_meet(leq, inf, j)
+        sup = ref_join(leq, sup, j)
     return inf, sup
 
 
@@ -161,29 +160,30 @@ def check_against_scans(atlas, rng, sample=None, raw=False):
     same = (lambda fn, ref, *args: outcome(fn, *args) == outcome(ref, *args)) if raw \
         else (lambda fn, ref, *args: fn(*args) == ref(*args))
     ids = range(len(atlas.faces))
-    assert same(lambda a: a.minimal_id, ref_minimal, atlas)
+    leq = leq_table(atlas)
+    assert same(lambda a: a.minimal_id, lambda a: ref_minimal(leq), atlas)
     for j in ids:
         for k in ids:
-            assert same(atlas.meet, lambda j, k: ref_meet(atlas, j, k), j, k), (j, k)
-            assert same(atlas.join, lambda j, k: ref_join(atlas, j, k), j, k), (j, k)
+            assert same(atlas.meet, lambda j, k: ref_meet(leq, j, k), j, k), (j, k)
+            assert same(atlas.join, lambda j, k: ref_join(leq, j, k), j, k), (j, k)
     for x in sample_points(rng, atlas.spec):
-        assert same(atlas.face_of_member, lambda x: ref_face_of_member(atlas, x), x), x
+        assert same(atlas.face_of_member, lambda x: ref_face_of_member(atlas, leq, x), x), x
     for j in at_most(rng, ids, sample):
         for lam in decays(rng, atlas.faces[j]):
             ray = Ray(j, lam)
             assert same(lambda r: ray_limit(atlas, r),
-                        lambda r: ref_ray_limit(atlas, r), ray), ray
+                        lambda r: ref_ray_limit(atlas, leq, r), ray), ray
     for _ in range(20):
         chosen = rng.sample(ids, rng.randint(1, min(4, len(ids))))
         ops = outcome(idempotent_lattice_ops, atlas, chosen)
         # a fold of pairwise meets can fail on a non-lattice order where the
         # meet of the whole set exists; where the fold succeeds, both agree
-        assert ops == outcome(ref_lattice_ops, atlas, chosen) or \
-            raw and outcome(ref_lattice_ops, atlas, chosen) is InvariantViolation, chosen
-    pairs = [(k, j) for j in ids for k in ids if atlas.leq(j, k)]
+        assert ops == outcome(ref_lattice_ops, leq, chosen) or \
+            raw and outcome(ref_lattice_ops, leq, chosen) is InvariantViolation, chosen
+    pairs = [(k, j) for j in ids for k in ids if leq[j][k]]
     for k, j in at_most(rng, pairs, sample):
         assert same(lambda a, b: chain_of_rays(atlas, a, b),
-                    lambda a, b: ref_chain(atlas, a, b), k, j), (k, j)
+                    lambda a, b: ref_chain(atlas, leq, a, b), k, j), (k, j)
 
 
 def test_order_queries_match_scans_on_seeded_corpus():
@@ -202,7 +202,7 @@ def test_order_is_cone_containment_on_seeded_corpus():
         cones = [face.cone for face in atlas.faces]
         m = len(cones)
         inside = [[cone_contains_cone(a, b) for b in cones] for a in cones]
-        assert [[atlas.leq(j, k) for k in range(m)] for j in range(m)] == inside, spec
+        assert leq_table(atlas) == inside, spec
         reduction = sorted(
             (a, b) for a in range(m) for b in range(m)
             if a != b and inside[b][a]
@@ -224,7 +224,7 @@ def tampered(atlas, rng, extra, drop_least):
     strict pair (k, j), face j below face k, has k < j by id; the pairs go
     in as the covers, whose closure they already are."""
     m = len(atlas.faces)
-    leq = [[atlas.leq(j, k) for k in range(m)] for j in range(m)]
+    leq = leq_table(atlas)
     for _ in range(extra):
         j, k = rng.randrange(m), rng.randrange(m)
         if atlas.faces[j].dim < atlas.faces[k].dim:
@@ -253,13 +253,14 @@ def test_non_lattice_orders_raise_where_the_scans_raised():
         for extra, drop_least in ((3, False), (6, False), (2, True)):
             broken = tampered(atlas, rng, extra, drop_least)
             check_against_scans(broken, rng, raw=True)
+            leq = leq_table(broken)
             for j in range(len(atlas.faces)):
                 for k in range(len(atlas.faces)):
-                    if outcome(ref_meet, broken, j, k) is InvariantViolation:
+                    if outcome(ref_meet, leq, j, k) is InvariantViolation:
                         raised.add("meet")
-                    if outcome(ref_join, broken, j, k) is InvariantViolation:
+                    if outcome(ref_join, leq, j, k) is InvariantViolation:
                         raised.add("join")
-            if outcome(ref_minimal, broken) is InvariantViolation:
+            if outcome(ref_minimal, leq) is InvariantViolation:
                 raised.add("minimal")
     # the tampered orders do reach the raising branches
     assert raised == {"meet", "join", "minimal"}

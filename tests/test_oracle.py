@@ -136,6 +136,19 @@ def test_membership_closure_stops_at_its_point_budget(monkeypatch):
         oracle_members(quadrant, BoxSpec(2))
 
 
+def test_oracle_refuses_a_box_over_the_point_budget_before_building_it():
+    # 13^6 points in the default box of rank 6
+    orthant = Generators(6, tuple(tuple(int(i == j) for j in range(6)) for i in range(6)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleBudgetExceeded, match="box of radius 6 in rank 6"):
+            brute_force_faces(orthant, BoxSpec(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
 def test_membership_closure_refuses_a_huge_window_before_walking():
     # the multiples of (0, 1) alone outnumber the point budget in the window
     # widened by the 23-digit entry, so nothing is walked

@@ -1,20 +1,22 @@
-"""Property tests of the Euclid triangulation under ``hnf``, ``int_kernel``
-and ``saturate``, and of ``primitive_vector``.
+"""Property tests of the Euclid triangulation under ``hnf``, ``int_kernel``,
+``saturate`` and ``quotient_invariants``, and of ``primitive_vector``.
 
 The references below are the earlier bodies of these functions: ``hnf``
 reduced above each pivot as soon as its column was done, and ``int_kernel``
 ran a full HNF over every column of ``[rows^T | I_n]`` before a second HNF
 of the kernel block.  HNF bases are canonical, so the results must agree
-exactly.
+exactly.  The Smith invariants are checked against their definition by
+determinantal divisors, with the oracle's cofactor determinant.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from toric_spectrum.intlinalg import (  # noqa: E402
     Lattice,
@@ -22,8 +24,10 @@ from toric_spectrum.intlinalg import (  # noqa: E402
     hnf,
     int_kernel,
     primitive_vector,
+    quotient_invariants,
     saturate,
 )
+from toric_spectrum.oracle import _det  # noqa: E402
 
 SETTINGS = settings(max_examples=200, deadline=None)
 entries = st.one_of(st.integers(-6, 6), st.integers(-2 ** 70, 2 ** 70))
@@ -121,6 +125,45 @@ def test_triangulation_splits_the_lattice(case, data):
     assert all(not any(row[:cols]) for row in rest)
     assert len(pivots) + len(rest) == len(rows)
     assert reference_hnf(pivots + rest, n) == reference_hnf(rows, n)
+
+
+def reference_quotient_invariants(basis, n):
+    """Free rank and torsion of Z^n modulo independent rows, by definition:
+    with d_k the gcd of all k x k minors (d_0 = 1), the k-th invariant
+    factor is d_k / d_{k-1}."""
+    divisors = [1]
+    for k in range(1, len(basis) + 1):
+        divisors.append(gcd(*(_det([[basis[i][j] for j in cols] for i in rows])
+                              for rows in combinations(range(len(basis)), k)
+                              for cols in combinations(range(n), k))))
+    factors = [b // a for a, b in zip(divisors, divisors[1:])]
+    return n - len(basis), tuple(d for d in factors if d > 1)
+
+
+@st.composite
+def torsion_lattices(draw):
+    """HNF lattices of rank 1-4 in Z^1..Z^6, often of lower rank than their
+    space: small entries scaled by row and column factors, so that the
+    quotient has much torsion, among entries up to 2^70."""
+    n = draw(st.integers(1, 6))
+    factors = st.sampled_from((1, 2, 3, 4, 6, 12))
+    column_factors = [draw(factors) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(1, min(4, n)))):
+        f = draw(factors)
+        rows.append([draw(st.one_of(st.integers(-6, 6).map(lambda a: f * c * a),
+                                    st.integers(-2 ** 70, 2 ** 70)))
+                     for c in column_factors])
+    lattice = hnf(rows, n)
+    assume(lattice.basis)
+    return n, lattice
+
+
+@SETTINGS
+@given(torsion_lattices())
+def test_quotient_invariants_match_the_determinantal_divisors(case):
+    n, lattice = case
+    assert quotient_invariants(n, lattice) == reference_quotient_invariants(lattice.basis, n)
 
 
 @st.composite
