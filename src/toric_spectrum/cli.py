@@ -436,22 +436,19 @@ def _run(args, out) -> int:
         if args.trials < 0:
             raise InputError("--trials: must be >= 0")
         box = BoxSpec(args.box)
+        cones = [atlas.ambient_cone] + [f.cone for f in atlas.faces]
+        # every budget is met before the first line is written
         try:
             oracle_sets = brute_force_faces(spec, box)
+            reports = [dd_cross_check(cone, BoxSpec(min(box.radius, 4))) for cone in cones]
         except OracleBudgetExceeded as exc:
             raise InputError(f"oracle verify: {exc}") from None
         atlas_sets = {frozenset(s) for s in face_members_in_box(atlas, box.radius)}
         faces_ok = atlas_sets == oracle_sets
         out.write(f"faces: atlas {len(atlas_sets)}, oracle {len(oracle_sets)}, "
                   f"agree: {str(faces_ok).lower()}\n")
-        dd_ok = True
-        cones = [atlas.ambient_cone] + [f.cone for f in atlas.faces]
-        points = 0
-        for cone in cones:
-            report = dd_cross_check(cone, BoxSpec(min(box.radius, 4)))
-            points += report.points_checked
-            if report.mismatches:
-                dd_ok = False
+        dd_ok = not any(report.mismatches for report in reports)
+        points = sum(report.points_checked for report in reports)
         out.write(f"dd cross-check: {len(cones)} cones, {points} points, "
                   f"agree: {str(dd_ok).lower()}\n")
         members = members_in_box(spec, min(box.radius, 4))

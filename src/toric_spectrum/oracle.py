@@ -9,7 +9,11 @@ extensionally, and cone representations by exhaustive lattice scans against a
 simplicial (Caratheodory) decomposition of the generator side.  The only
 shared vocabulary with the main modules is the plain tuple-of-ints vector
 type and the public dataclasses being validated; all linear algebra is
-reimplemented locally.
+reimplemented locally, nothing is imported from ``intlinalg``.  It has one
+Gauss-Jordan elimination over ``Fraction`` (``_orref``), from which rank,
+nullspaces, solves and the reduction modulo a lineality span are read; one
+Euclid HNF for lattices (``_ohnf``); and cofactor determinants and adjugates
+for the simplicial subcones of the cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from .characters import evaluate, make_character, multiply
@@ -38,10 +42,18 @@ MAX_ORACLE_POINTS = 10**6
 # benchmark's smoke test and the CI steps is 5.65M.
 MAX_ORACLE_PAIRS = 10**7
 
+# Simplicial subcones the double description cross-check may build: the
+# subsets of at most rank-many reduced rays, sum over s <= rank of C(m, s) for
+# m rays.  Each box point is tested against each subcone, so a rank-4 cone of
+# 24 rays, 12,950 subcones, took about a minute at radius 2.  Apart from that
+# cone, which tests the refusal, the largest count over the test suite, the
+# benchmark's smoke test and the CI steps is 15.
+MAX_ORACLE_SUBCONES = 1000
+
 
 class OracleBudgetExceeded(RuntimeError):
-    """A brute-force oracle outgrew ``MAX_ORACLE_POINTS`` or
-    ``MAX_ORACLE_PAIRS``."""
+    """A brute-force oracle outgrew ``MAX_ORACLE_POINTS``,
+    ``MAX_ORACLE_PAIRS`` or ``MAX_ORACLE_SUBCONES``."""
 
 
 @dataclass(frozen=True)
@@ -75,81 +87,54 @@ def _oprimitive(vec) -> tuple[int, ...]:
     return tuple(a // g for a in ints)
 
 
-def _orank(rows) -> int:
+def _orref(rows, width):
+    """Reduced row echelon form over the rationals by Gauss-Jordan: the
+    nonzero reduced rows, each with pivot 1 and every other entry of its
+    pivot column 0, and their pivot columns in increasing order."""
     work = [[Fraction(a) for a in r] for r in rows if any(r)]
-    n = len(work[0]) if work else 0
-    rank = 0
-    for j in range(n):
-        piv = next((i for i in range(rank, len(work)) if work[i][j] != 0), None)
+    pivots = []
+    for j in range(width):
+        if len(pivots) == len(work):
+            break
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][j] != 0), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
+        row = work[piv]
+        work[piv], work[r] = work[r], [a / row[j] for a in row]
         for i in range(len(work)):
-            if i != rank and work[i][j] != 0:
-                f = work[i][j] / work[rank][j]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+            if i != r and work[i][j] != 0:
+                f = work[i][j]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(j)
+    return work[:len(pivots)], pivots
+
+
+def _orank(rows) -> int:
+    return len(_orref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def _onullspace(rows, n) -> list[tuple[int, ...]]:
     """Primitive integer basis of {w : <row, w> = 0 for all rows}."""
-    work = [[Fraction(a) for a in r] for r in rows if any(r)]
-    pivots = []
-    rank = 0
-    for j in range(n):
-        piv = next((i for i in range(rank, len(work)) if work[i][j] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][j] != 0:
-                f = work[i][j] / work[rank][j]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        pivots.append(j)
-        rank += 1
-        if rank == len(work):
-            break
+    reduced, pivots = _orref(rows, n)
     basis = []
-    free = [j for j in range(n) if j not in pivots]
-    for j in free:
-        vec = [Fraction(0)] * n
-        vec[j] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -work[i][j] / work[i][p]
+    for j in (j for j in range(n) if j not in pivots):
+        vec = [Fraction(int(t == j)) for t in range(n)]
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[j]
         basis.append(_oprimitive(vec))
     return basis
 
 
 def _osolve(basis_rows, x) -> Optional[tuple[Fraction, ...]]:
-    """Coefficients c with sum(c_i * basis_i) = x, basis rows independent."""
+    """Coefficients c with sum(c_i * basis_i) = x, basis rows independent;
+    None when x leaves their span."""
     k = len(basis_rows)
-    if k == 0:
-        return () if all(a == 0 for a in x) else None
-    n = len(basis_rows[0])
-    work = [[Fraction(basis_rows[i][j]) for i in range(k)] + [Fraction(x[j])]
-            for j in range(n)]
-    sol: list[Optional[Fraction]] = [None] * k
-    row = 0
-    for col in range(k):
-        piv = next((i for i in range(row, n) if work[i][col] != 0), None)
-        if piv is None:
-            return None
-        work[row], work[piv] = work[piv], work[row]
-        for i in range(n):
-            if i != row and work[i][col] != 0:
-                f = work[i][col] / work[row][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[row])]
-        row += 1
-    for i in range(row, n):
-        if work[i][k] != 0:
-            return None
-    for col in range(k):
-        r = next(i for i in range(n) if work[i][col] != 0)
-        sol[col] = work[r][k] / work[r][col]
-    return tuple(sol)  # type: ignore[arg-type]
+    reduced, pivots = _orref([[b[j] for b in basis_rows] + [a] for j, a in enumerate(x)],
+                             k + 1)
+    if pivots != list(range(k)):
+        return None
+    return tuple(row[k] for row in reduced)
 
 
 def _ohnf(rows, n) -> list[tuple[int, ...]]:
@@ -291,8 +276,8 @@ def _gen_face_sets(gens, points: frozenset, n: int) -> set:
     gens = [g for g in dict.fromkeys(gens) if any(g)]
     if not gens:
         return out
-    d = _orank(gens)
     complement = _onullspace(gens, n)
+    d = n - len(complement)
     subsets = combinations(gens, d - 1) if d >= 1 else ()
     candidates = set()
     for u in subsets:
@@ -318,25 +303,18 @@ def _view_face_sets(view, points: frozenset, n: int) -> set:
     return {points} | _view_face_sets(view[3], boundary, n)
 
 
-def _face_conditions_hold(candidate: frozenset, members: frozenset,
-                          domain: frozenset) -> bool:
+def _face_conditions_hold(candidate: frozenset, members: frozenset, domain: frozenset,
+                          shift: int) -> bool:
     """The defining test: a face is a subsemigroup whose complement is an
-    ideal, checked on every pair that stays inside the domain."""
-    zero = tuple([0] * (len(next(iter(domain))) if domain else 0))
-    if zero not in candidate:
+    ideal, checked on every pair that stays inside the domain.  The points
+    are integer codes, and ``a + b - shift`` is the code of the sum of the
+    points coded a and b; ``shift`` is the code of zero."""
+    if shift not in candidate:
         return False
-    outside = members - candidate
-    for x in candidate:
-        for y in candidate:
-            s = tuple(a + b for a, b in zip(x, y))
-            if s in domain and s not in candidate:
-                return False
-    for x in outside:
-        for y in members:
-            s = tuple(a + b for a, b in zip(x, y))
-            if s in domain and s in candidate:
-                return False
-    return True
+    holes = domain - candidate
+    return (all(holes.isdisjoint(map((a - shift).__add__, candidate)) for a in candidate)
+            and all(candidate.isdisjoint(map((a - shift).__add__, members))
+                    for a in members - candidate))
 
 
 def brute_force_faces(spec: SemigroupSpec, box: BoxSpec) -> set:
@@ -347,6 +325,12 @@ def brute_force_faces(spec: SemigroupSpec, box: BoxSpec) -> set:
     box before being reported.  Raises OracleBudgetExceeded before that test
     when the candidates times the members squared exceed
     ``MAX_ORACLE_PAIRS``.
+
+    The test runs on integer codes: the point x of the box of radius r has
+    the code sum((x_i + r) * (4r + 1)**i).  The sum of two codes less the
+    code of zero has the digits x_i + y_i + r of x + y, all in [-r, 3r], a
+    window of 4r + 1 values with no carry, so it is the code of x + y, and
+    it lies among the box's codes exactly when x + y lies in the box.
     """
     domain = _domain(spec, box)
     view = _top_view(spec)
@@ -356,7 +340,11 @@ def brute_force_faces(spec: SemigroupSpec, box: BoxSpec) -> set:
         raise OracleBudgetExceeded(f"the pair check of {len(sets)} candidate faces over "
                                    f"{len(members)} box members exceeds {MAX_ORACLE_PAIRS} "
                                    "pair tests")
-    return {P for P in sets if _face_conditions_hold(P, members, domain)}
+    r = box.radius
+    code = {x: sum((a + r) * (4 * r + 1) ** i for i, a in enumerate(x)) for x in domain}
+    coded = lambda points: frozenset(map(code.__getitem__, points))
+    shift, domain, members = code[(0,) * spec.ambient_rank], coded(domain), coded(members)
+    return {P for P in sets if _face_conditions_hold(coded(P), members, domain, shift)}
 
 
 # ---------------------------------------------------------------------------
@@ -390,28 +378,13 @@ def _adjugate(mat):
 
 def _reduction_matrix(lineality, n):
     """Integer matrix R whose rows are scaled images of the basis vectors
-    under Gaussian reduction against the lineality rows; ``x @ R`` is a
-    positive multiple of the canonical representative of x modulo the
-    lineality span."""
-    echelon = []
-    for l in lineality:
-        vec = [Fraction(a) for a in l]
-        for prev, p in echelon:
-            if vec[p] != 0:
-                f = vec[p] / prev[p]
-                vec = [a - f * b for a, b in zip(vec, prev)]
-        pivot = next(j for j, a in enumerate(vec) if a != 0)
-        echelon.append((vec, pivot))
-
-    def apply(x):
-        y = [Fraction(a) for a in x]
-        for vec, p in echelon:
-            if y[p] != 0:
-                f = y[p] / vec[p]
-                y = [a - f * b for a, b in zip(y, vec)]
-        return y
-
-    images = [apply(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
+    under reduction against the lineality rows; ``x @ R`` is a positive
+    multiple of the canonical representative of x modulo the lineality span,
+    the one that is zero at every pivot of its reduced echelon form."""
+    images = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, pivots = _orref(lineality, n)
+    for row, p in zip(reduced, pivots):
+        images[p] = [a - b for a, b in zip(images[p], row)]
     denom = 1
     for row in images:
         for a in row:
@@ -425,7 +398,8 @@ def _membership_tester(rays, lineality, n):
     Reduces modulo the lineality, then tries every linearly independent
     subset of the reduced rays: a point belongs to the cone iff one such
     simplicial subcone contains it (Caratheodory).  All arithmetic is integer
-    via adjugate scaling.
+    via adjugate scaling.  Raises OracleBudgetExceeded before any subcone is
+    built when the subsets to try exceed ``MAX_ORACLE_SUBCONES``.
     """
     if lineality:
         reduction = _reduction_matrix(lineality, n)
@@ -434,7 +408,12 @@ def _membership_tester(rays, lineality, n):
     else:
         red = lambda x: tuple(x)
     red_rays = [r for r in (_oprimitive(red(r)) for r in rays) if any(r)]
-    max_size = _orank(red_rays) if red_rays else 0
+    max_size = _orank(red_rays)
+    count = sum(comb(len(red_rays), size) for size in range(1, max_size + 1))
+    if count > MAX_ORACLE_SUBCONES:
+        raise OracleBudgetExceeded(f"the cross-check of a cone of {len(red_rays)} rays in rank "
+                                   f"{max_size} needs {count} subcones, over "
+                                   f"{MAX_ORACLE_SUBCONES}")
     subcones = []
     for size in range(1, max_size + 1):
         for subset in combinations(red_rays, size):

@@ -1,5 +1,6 @@
 """Shared fixtures and generators for the test suite."""
 
+import functools
 import math
 import operator
 import random
@@ -274,16 +275,27 @@ def two_pass_cone_from_rays(rays, lineality, n):
 # per call, every sum taken in Fractions, vanishing read on the rays
 
 
-def vanishes_on_face(atlas, lam, base_id, face_id):
+def coordinate_table(atlas):
+    """``coords(base_id, face_id)``: the coordinates on the base face's
+    lattice basis of every ray and lineality vector of a face below it, None
+    for a vector that leaves the span; solved once per pair of the atlas for
+    the reference scans."""
+    @functools.cache
+    def coords(base_id, face_id):
+        basis = atlas.faces[base_id].lattice.basis
+        cone = atlas.faces[face_id].cone
+        return tuple(rational_coordinates(basis, v) for v in cone.rays + cone.lineality)
+    return coords
+
+
+def vanishes_on_face(coords, lam, base_id, face_id):
     """Whether ``lam`` on the base face lattice is zero at the coordinates
-    of every ray and lineality vector of a face below the base."""
-    basis = atlas.faces[base_id].lattice.basis
-    cone = atlas.faces[face_id].cone
-    for v in cone.rays + cone.lineality:
-        coords = rational_coordinates(basis, v)
-        if coords is None:
+    of every ray and lineality vector of a face below the base, read from
+    the ``coordinate_table`` ``coords``."""
+    for c in coords(base_id, face_id):
+        if c is None:
             raise InvariantViolation("face cone leaves the span of the base lattice")
-        if dot(lam, coords) != 0:
+        if dot(lam, c) != 0:
             return False
     return True
 
@@ -331,23 +343,23 @@ def leq_table(atlas):
     return [[atlas.leq(j, k) for k in ids] for j in ids]
 
 
-def ref_ray_limit(atlas, leq, ray):
+def ref_ray_limit(atlas, leq, coords, ray):
     """The largest face below the base on which the decay vanishes, by a
-    scan of the order table ``leq``."""
+    scan of the order table ``leq`` and the coordinate table ``coords``."""
     lam = tuple(Fraction(v) for v in ray.lam)
     candidates = [f.face_id for f in atlas.faces
                   if leq[f.face_id][ray.base_face_id]
-                  and vanishes_on_face(atlas, lam, ray.base_face_id, f.face_id)]
+                  and vanishes_on_face(coords, lam, ray.base_face_id, f.face_id)]
     best = [j for j in candidates if all(leq[k][j] for k in candidates)]
     if len(best) != 1:
         raise InvariantViolation("limit face is not unique")
     return best[0]
 
 
-def ref_chain(atlas, leq, from_face, to_face):
+def ref_chain(atlas, leq, coords, from_face, to_face):
     """Chain of rays from one face down to another, each step to the least
     id among the maximal faces strictly between, by scans of the order
-    table ``leq``."""
+    table ``leq`` and the coordinate table ``coords``."""
     if not leq[to_face][from_face]:
         raise ValueError(f"face {to_face} is not below face {from_face}")
     chain = []
@@ -359,12 +371,12 @@ def ref_chain(atlas, leq, from_face, to_face):
         target = min(step)
         face = atlas.faces[current]
         normals = [a for a in face.cone_local.inequalities
-                   if vanishes_on_face(atlas, a, current, target)]
+                   if vanishes_on_face(coords, a, current, target)]
         if not normals:
             raise InvariantViolation("a strictly smaller face lies on at least one facet")
         lam = tuple(sum(Fraction(a[i]) for a in normals) for i in range(face.rank))
         ray = Ray(current, lam)
-        landed = ref_ray_limit(atlas, leq, ray)
+        landed = ref_ray_limit(atlas, leq, coords, ray)
         if landed != target or atlas.faces[landed].rank >= face.rank:
             raise InvariantViolation("ray does not land on the chosen face")
         chain.append(ray)

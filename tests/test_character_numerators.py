@@ -31,6 +31,7 @@ from toric_spectrum import (
 
 from helpers import (
     EVEN_AXIS,
+    coordinate_table,
     leq_table,
     random_tower,
     ref_chain,
@@ -101,7 +102,7 @@ def test_integer_algebra_matches_fraction_formulas():
     ranks = set()
     for atlas in atlases():
         faces = range(len(atlas.faces))
-        leq = leq_table(atlas)
+        leq, coords = leq_table(atlas), coordinate_table(atlas)
         chars = [seeded_character(rng, atlas, j, ints) for j in faces for ints in (False, True)]
         ranks.update(atlas.faces[j].rank for j in faces)
         for a in chars:
@@ -115,10 +116,10 @@ def test_integer_algebra_matches_fraction_formulas():
             for x in rng.sample(members, min(3, len(members))) + own:
                 assert repr(evaluate(atlas, chi, x)) == repr(ref_evaluate(atlas, chi, x)), (chi, x)
             ray = Ray(chi.face_id, chi.lam)
-            assert ray_limit(atlas, ray) == ref_ray_limit(atlas, leq, ray), ray
+            assert ray_limit(atlas, ray) == ref_ray_limit(atlas, leq, coords, ray), ray
         pairs = [(k, j) for j in faces for k in faces if atlas.leq(j, k)]
         for k, j in rng.sample(pairs, min(15, len(pairs))):
-            assert repr(chain_of_rays(atlas, k, j)) == repr(ref_chain(atlas, leq, k, j)), (k, j)
+            assert repr(chain_of_rays(atlas, k, j)) == repr(ref_chain(atlas, leq, coords, k, j)), (k, j)
     assert 0 in ranks
 
 

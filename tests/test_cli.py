@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from itertools import permutations, product
 
 import pytest
 
@@ -347,3 +348,19 @@ def test_oracle_pair_check_over_its_budget_exits_2_within_10_s(tmp_path):
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == ("input error: oracle verify: the pair check of 8 candidate faces "
                              "over 9261 box members exceeds 10000000 pair tests\n")
+
+
+def test_oracle_cross_check_over_its_subcone_budget_exits_2_within_10_s(tmp_path):
+    # the generators (2, p), p a signed permutation of (1, 2, 0), span a
+    # rank-4 cone of 24 rays: 12,950 simplicial subcones, which once took
+    # over a minute per cone; the budget refuses them before any line is
+    # written
+    gens = sorted({(2,) + tuple(s * a for s, a in zip(signs, p))
+                   for p in permutations((1, 2, 0)) for signs in product((1, -1), repeat=3)})
+    path = write(tmp_path, "perm24.json", {"kind": "generators", "ambient_rank": 4,
+                                           "generators": [list(g) for g in gens]})
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "oracle", "verify",
+                             path, "--box", "2"], capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("input error: oracle verify: the cross-check of a cone of 24 rays "
+                             "in rank 4 needs 12950 subcones, over 1000\n")

@@ -45,6 +45,7 @@ from toric_spectrum import (
 from helpers import (
     FIXTURES,
     TORSION_BASES,
+    coordinate_table,
     leq_table,
     random_generators,
     random_tower,
@@ -160,7 +161,7 @@ def check_against_scans(atlas, rng, sample=None, raw=False):
     same = (lambda fn, ref, *args: outcome(fn, *args) == outcome(ref, *args)) if raw \
         else (lambda fn, ref, *args: fn(*args) == ref(*args))
     ids = range(len(atlas.faces))
-    leq = leq_table(atlas)
+    leq, coords = leq_table(atlas), coordinate_table(atlas)
     assert same(lambda a: a.minimal_id, lambda a: ref_minimal(leq), atlas)
     for j in ids:
         for k in ids:
@@ -172,7 +173,7 @@ def check_against_scans(atlas, rng, sample=None, raw=False):
         for lam in decays(rng, atlas.faces[j]):
             ray = Ray(j, lam)
             assert same(lambda r: ray_limit(atlas, r),
-                        lambda r: ref_ray_limit(atlas, leq, r), ray), ray
+                        lambda r: ref_ray_limit(atlas, leq, coords, r), ray), ray
     for _ in range(20):
         chosen = rng.sample(ids, rng.randint(1, min(4, len(ids))))
         ops = outcome(idempotent_lattice_ops, atlas, chosen)
@@ -183,7 +184,7 @@ def check_against_scans(atlas, rng, sample=None, raw=False):
     pairs = [(k, j) for j in ids for k in ids if leq[j][k]]
     for k, j in at_most(rng, pairs, sample):
         assert same(lambda a, b: chain_of_rays(atlas, a, b),
-                    lambda a, b: ref_chain(atlas, leq, a, b), k, j), (k, j)
+                    lambda a, b: ref_chain(atlas, leq, coords, a, b), k, j), (k, j)
 
 
 def test_order_queries_match_scans_on_seeded_corpus():

@@ -161,3 +161,16 @@ def test_membership_closure_refuses_a_huge_window_before_walking():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
+
+
+def test_cross_check_stops_at_its_subcone_budget_before_building_one(monkeypatch):
+    # two rays in rank 2: two subcones of one ray and one of two
+    quadrant = cone_from_rays([(2, 0), (0, 1), (1, 1)])
+    monkeypatch.setattr(oracle, "MAX_ORACLE_SUBCONES", 3)
+    assert dd_cross_check(quadrant, BoxSpec(2)).mismatches == ()
+    monkeypatch.setattr(oracle, "MAX_ORACLE_SUBCONES", 2)
+    built = []
+    monkeypatch.setattr(oracle, "_det", built.append)
+    with pytest.raises(OracleBudgetExceeded, match="2 rays in rank 2 needs 3 subcones, over 2"):
+        dd_cross_check(quadrant, BoxSpec(2))
+    assert built == []
