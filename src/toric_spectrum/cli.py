@@ -436,7 +436,8 @@ def _run(args, out) -> int:
         if args.trials < 0:
             raise InputError("--trials: must be >= 0")
         box = BoxSpec(args.box)
-        cones = [atlas.ambient_cone] + [f.cone for f in atlas.faces]
+        # face 0's cone is the ambient cone, so each cone is checked once
+        cones = [f.cone for f in atlas.faces]
         # every budget is met before the first line is written
         try:
             oracle_sets = brute_force_faces(spec, box)

@@ -285,8 +285,11 @@ def face_lattice(cone: Cone) -> FaceLattice:
     and its tight set (indices into ``cone.inequalities``), which is all it
     takes to read the face off the cone without a further double
     description: :func:`toric_spectrum.semigroups.enumerate_faces` builds a
-    whole atlas from the single lattice of its asymptotic cone.  Face 0 is
-    the cone itself; ``covers`` lists (larger, smaller) id pairs.
+    whole atlas from the single lattice of its asymptotic cone.  Ids run by
+    decreasing dimension, then by sorted ray set: the cone's rays are
+    sorted, so this is the order of the faces' ray tuples, the atlas order.
+    Face 0 is the cone itself; ``covers`` lists sorted (larger, smaller) id
+    pairs.
 
     One worklist walks down from the whole cone: the faces a face covers are
     the maximal proper intersections of its ray set with the facet ray sets
@@ -306,11 +309,10 @@ def face_lattice(cone: Cone) -> FaceLattice:
             if g not in dims:
                 dims[g] = dims[rs] - 1
                 work.append(g)
-    entries = sorted(((dims[rs], tuple(i for i, f in enumerate(facets) if rs <= f), rs)
-                      for rs in work), key=lambda t: (-t[0], t[1]))
-    handles = tuple(FaceHandle(i, tight, d) for i, (d, tight, _) in enumerate(entries))
+    entries = sorted((-dims[rs], tuple(sorted(rs)), rs) for rs in work)
+    handles = tuple(FaceHandle(i, tuple(k for k, f in enumerate(facets) if rs <= f), -d)
+                    for i, (d, _, rs) in enumerate(entries))
     index = {rs: i for i, (_, _, rs) in enumerate(entries)}
     covers = sorted((index[rs], index[g]) for rs in work for g in below[rs])
-    return FaceLattice(cone, handles, tuple(covers),
-                       tuple(tuple(sorted(rs)) for _, _, rs in entries))
+    return FaceLattice(cone, handles, tuple(covers), tuple(ray_set for _, ray_set, _ in entries))
 

@@ -20,8 +20,8 @@ semigroup are the faces of its asymptotic cone, so one double description
 (for that cone) and one :func:`~toric_spectrum.cones.face_lattice` give
 them all: each face cone is read off the lattice (a subset of the rays, the
 cone's inequalities tight on its facets), its local cone is the face cone
-written on its lattice basis, and the face order is the closure of the
-lattice's covers.
+written on its lattice basis, its id is its lattice id, and the face order
+is the closure of the lattice's covers.
 
 A face's member generators are read off bitmasks: each generator's mask of
 the cone inequalities that vanish on it is found once per atlas, and a face
@@ -36,7 +36,8 @@ space's local cone is read off the flag with no Smith form and no solve
 (:func:`_half_space_local`); only the generated faces are finalised
 (:func:`_finalize_face`).  Membership reads the half spaces' functionals
 level by level and searches the generators only at height zero on every
-level.
+level.  The flattening is cached with the base's asymptotic cone, so an
+atlas and a membership search on one spec share one double description.
 """
 
 from __future__ import annotations
@@ -184,12 +185,13 @@ def _membership_data(spec: SemigroupSpec):
     residue modulo L (:func:`~toric_spectrum.intlinalg.lattice_residue`).
     L lies in the cone's lineality, on which every inequality vanishes, so
     the cone test and the sum of the inequalities, a functional positive on
-    every other generator, read a residue exactly as its remainder.  Returns
-    ``(functionals, (cone, L, weight, other generators by falling weight))``.
+    every other generator, read a residue exactly as its remainder.  The
+    cone is the one :func:`_flatten` converted, which an atlas of the same
+    spec reads too.  Returns ``(functionals, (cone, L, weight, other
+    generators by falling weight))``.
     """
-    half_spaces, base = _flatten(spec)
+    half_spaces, base, cone = _flatten(spec)
     n = base.ambient_rank
-    cone = asymptotic_cone(base)
     gens = [g for g in dict.fromkeys(base.generators) if not is_zero_vector(g)]
     units = hnf([g for g in gens if cone.contains(vec_neg(g))], n)
     weight = tuple(map(sum, zip(*cone.inequalities)))
@@ -388,9 +390,9 @@ class SpectrumAtlas:
         return best
 
 
-def _generator_faces(spec: Generators):
+def _generator_faces(base: Generators, ambient: Cone, depth: int):
     """Faces of a generated semigroup, read off the face lattice of its
-    asymptotic cone.
+    asymptotic cone ``ambient``, below ``depth`` half spaces.
 
     A lattice face keeps the cone's rays in its ray set and the cone's
     lineality.  Its facets are the faces it covers, and a cone inequality
@@ -400,25 +402,25 @@ def _generator_faces(spec: Generators):
     found once per atlas, holds the face's tight set.  The members span the
     face, so the normals are projected in one Gram elimination on the
     smaller side: onto the members' lattice basis, or modulo the face's
-    equations.  Returns ``(faces, covers)`` in lattice order, face 0 being
-    the whole cone; each face is ``(cone, lattice, member generators, dim,
-    tight set, (torsion, local cone, dual local cone))``.
+    equations.  The lattice order is the atlas order, so a face's id is its
+    lattice id plus ``depth``.  Inside a tower every face's tight set is
+    ``(0,)``: the level-0 normal vanishes on it.  Returns the faces and the
+    lattice's covers, both offset by ``depth``.
     """
-    n = spec.ambient_rank
-    ambient = asymptotic_cone(spec)
+    n = base.ambient_rank
     lattice = face_lattice(ambient)
     handles = lattice.faces
     facets: list[list[int]] = [[] for _ in handles]
     for larger, smaller in lattice.covers:
         facets[larger].append(smaller)
     vanishing = [sum(1 << i for i, a in enumerate(ambient.inequalities) if dot(a, g) == 0)
-                 for g in spec.generators]
+                 for g in base.generators]
     faces = []
     for handle, ray_set in zip(handles, lattice.ray_sets):
         rays = tuple(ambient.rays[j] for j in ray_set)
         equations = int_kernel(rays + ambient.lineality, n).basis
         tight = sum(1 << i for i in handle.tight_set)
-        members = tuple(g for g, mask in zip(spec.generators, vanishing) if mask & tight == tight)
+        members = tuple(g for g, mask in zip(base.generators, vanishing) if mask & tight == tight)
         span = hnf(members, n)
         normals = [ambient.inequalities[next(i for i in handles[f].tight_set
                                              if i not in handle.tight_set)]
@@ -426,11 +428,13 @@ def _generator_faces(spec: Generators):
         onto = span.rank < len(equations)
         normals = _project(normals, span.basis if onto else equations, onto)
         cone = Cone(n, rays, tuple(sorted(set(normals))), ambient.lineality, equations)
-        faces.append((cone, span, members, handle.dim, handle.tight_set,
-                      _finalize_face(n, cone, span, handle.dim)))
-    return faces, lattice.covers
+        faces.append(FaceData(depth + handle.id, handle.dim, cone, span,
+                              *_finalize_face(n, cone, span, handle.dim), members,
+                              (0,) if depth else handle.tight_set))
+    return faces, [(depth + a, depth + b) for a, b in lattice.covers]
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _flatten(spec: SemigroupSpec):
     """A spec as its half spaces, one per tower level, plus its innermost
     generators, all in Z^n.
@@ -447,9 +451,12 @@ def _flatten(spec: SemigroupSpec):
     ray is also its projection onto them: one Gram elimination on whichever
     side, the next equations or the lineality, has fewer rows.  The
     innermost generators are embedded once, into a :class:`Generators` spec
-    of rank n.  A generated spec is its own base, with no half spaces.
-    Returns ``(half spaces, base)``, each half space a ``(cone, lattice)``
-    pair.
+    of rank n, and their asymptotic cone is converted: the one double
+    description of the spec, shared by its atlas and its membership data.
+    A generated spec is its own base, with no half spaces.  Returns
+    ``(half spaces, base, base cone)``, each half space a ``(cone,
+    lattice)`` pair; the last :data:`~toric_spectrum.cones.CACHE_SIZE`
+    specs are kept.
     """
     n = spec.ambient_rank
     half_spaces = []
@@ -465,33 +472,8 @@ def _flatten(spec: SemigroupSpec):
         half_spaces.append((Cone(n, (normal,), (normal,), lineality.basis, equations), lattice))
         embedding, spec = inner, spec.inner
         lattice, equations = lineality, below
-    return half_spaces, Generators(n, tuple(embed_point(embedding, g, n)
-                                            for g in spec.generators))
-
-
-def _raw_faces(spec: SemigroupSpec):
-    """Every face in the coordinates of Z^n, the whole semigroup first.
-
-    A tower's faces are its half spaces, one per level, above the faces of
-    its innermost generators embedded into Z^n (see :func:`_flatten`).
-    Returns ``(faces, covers)``: ``faces`` as in :func:`_generator_faces`
-    and the cover pairs as indices into ``faces``.  Each half space covers
-    the next level, and the last one covers the whole base.
-
-    A tight set indexes the inequalities of face 0's cone.  The level-0 half
-    space has the single inequality, its normal, which vanishes on every
-    deeper face and not on the half space itself.
-    """
-    half_spaces, base = _flatten(spec)
-    depth = len(half_spaces)
-    base_faces, base_covers = _generator_faces(base)
-    faces = [(cone, lattice, None, lattice.rank, (0,) if level else (),
-              _half_space_local(cone, lattice))
-             for level, (cone, lattice) in enumerate(half_spaces)]
-    faces += base_faces if not depth else [face[:4] + ((0,), face[5]) for face in base_faces]
-    covers = [(level, level + 1) for level in range(depth)] + \
-        [(depth + a, depth + b) for a, b in base_covers]
-    return faces, covers
+    base = Generators(n, tuple(embed_point(embedding, g, n) for g in spec.generators))
+    return tuple(half_spaces), base, asymptotic_cone(base)
 
 
 def _half_space_local(cone: Cone, lattice: Lattice):
@@ -560,26 +542,28 @@ def enumerate_faces(spec: SemigroupSpec) -> SpectrumAtlas:
     lattice and its local cone are read off that lattice, and the covers
     are its covers; the order is their closure (:attr:`SpectrumAtlas.order`).
     A tower contributes one half space per level above the faces of its
-    innermost generators embedded into Z^n.  Face 0 is the whole semigroup;
-    the rest are ordered by decreasing cone dimension, then lexicographic
-    cone data.
+    innermost generators embedded into Z^n (:func:`_flatten`), and each
+    half space covers the next level, the last one the whole base.  Face 0
+    is the whole semigroup.  Ids run by decreasing dimension, then by ray
+    set: the half spaces in level order, then the face lattice's own order
+    (:func:`face_lattice`), so no face is sorted or renumbered here.  A
+    tight set indexes the inequalities of face 0's cone; a tower's level-0
+    normal vanishes on every face but the first.
     """
     n = spec.ambient_rank
-    raw, raw_covers = _raw_faces(spec)
-    order = [0] + sorted(range(1, len(raw)),
-                         key=lambda i: (-raw[i][3], raw[i][0].rays, raw[i][0].lineality))
-    position = {i: fid for fid, i in enumerate(order)}
-    ambient = raw[0][0]
-    faces = []
-    for fid, index in enumerate(order):
-        cone, lattice, members, dim, tight, local = raw[index]
-        faces.append(FaceData(fid, dim, cone, lattice, *local, members, tight))
-    covers = tuple(sorted((position[a], position[b]) for a, b in raw_covers))
+    half_spaces, base, ambient = _flatten(spec)
+    depth = len(half_spaces)
+    faces = [FaceData(level, lattice.rank, cone, lattice, *_half_space_local(cone, lattice),
+                      None, (0,) if level else ())
+             for level, (cone, lattice) in enumerate(half_spaces)]
+    base_faces, base_covers = _generator_faces(base, ambient, depth)
+    faces += base_faces
+    covers = tuple([(level, level + 1) for level in range(depth)] + base_covers)
     # ids run by decreasing dimension, so a least face, the group of units
     # S intersect (-S), is the last one; S generates Z^n iff the lattice of
     # face 0, the whole semigroup, is Z^n
     separating = faces[0].rank == n and not faces[0].torsion
-    atlas = SpectrumAtlas(spec, ambient, tuple(faces), covers, faces[-1].dim == 0,
+    atlas = SpectrumAtlas(spec, faces[0].cone, tuple(faces), covers, faces[-1].dim == 0,
                           separating, _interior_member(spec))
     if atlas.minimal_id != len(faces) - 1 or atlas.join_of(range(len(faces))) != 0:
         raise InvariantViolation("face order is not bounded")

@@ -87,6 +87,42 @@ def random_tower(rng, depth, bases=TORSION_BASES):
     return spec
 
 
+def pointed_generators(rng, n, m, coord=3):
+    """m generators of full rank n, all strictly positive on one functional,
+    drawn as ``perfbench/workloads.pointed_generators`` draws them."""
+    w = [rng.randint(1, 3) for _ in range(n)]
+    while True:
+        gens = []
+        while len(gens) < m:
+            g = tuple(rng.randint(-coord, coord) for _ in range(n))
+            if dot(w, g) > 0:
+                gens.append(g)
+        if _orank(gens) == n:
+            return tuple(gens)
+
+
+def atlas_spec(rng, kind):
+    """The benchmark's atlas specs, drawn as ``perfbench/workloads.atlas_spec``
+    draws them: ``r<n>.<m>`` is m pointed generators of rank n, ``r<n>l`` n
+    pointed generators plus a line."""
+    n = int(kind[1])
+    if kind.endswith("l"):
+        line = (0,) * n
+        while not any(line):
+            line = tuple(rng.randint(-2, 2) for _ in range(n))
+        return Generators(n, pointed_generators(rng, n, n) + (line, vec_neg(line)))
+    return Generators(n, pointed_generators(rng, n, int(kind[3:])))
+
+
+def tower_chain(rng, depth):
+    """The benchmark's tower chains, drawn as ``perfbench/workloads.tower_chain``
+    draws them: skewed normals over the even-axis boundary."""
+    spec = EVEN_AXIS
+    for level in range(depth):
+        spec = Tower(3 + level, skew_normal(rng, 3 + level), spec)
+    return spec
+
+
 def scaled_coordinates(basis, x):
     """Integers ``(y, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``,
     or None if x is not in the rational row span: ``scaled_solutions`` for

@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from toric_spectrum import cli
+from toric_spectrum import cli, enumerate_faces
 from toric_spectrum.cli import MAX_TOWER_DEPTH, main, parse_spec
 
 EVEN_AXIS_DOC = {"kind": "generators", "ambient_rank": 2,
@@ -234,6 +234,15 @@ def test_oracle_verify(tmp_path):
     assert code == 0
     assert "agree: true" in text
     assert text.strip().endswith("result: ok")
+
+
+@pytest.mark.parametrize("doc", [EVEN_AXIS_DOC, TOWER_DOC, GAP_DOC, LINE_DOC])
+def test_oracle_cross_checks_each_face_cone_once(tmp_path, doc):
+    path = write(tmp_path, "spec.json", doc)
+    code, text = run_cli(["oracle", "verify", path, "--box", "2", "--trials", "0"])
+    faces = len(enumerate_faces(cli.load_spec(path)).faces)
+    assert code == 0
+    assert f"dd cross-check: {faces} cones, " in text
 
 
 def test_exit_codes(tmp_path):

@@ -19,7 +19,7 @@ from toric_spectrum.cones import (
 from toric_spectrum.intlinalg import dot, vec_neg
 from toric_spectrum.oracle import BoxSpec, _orank, dd_cross_check
 
-from helpers import random_generators, two_pass_cone, two_pass_cone_from_rays
+from helpers import pointed_generators, random_generators, two_pass_cone, two_pass_cone_from_rays
 
 QUADRANT = cone_from_rays([(2, 0), (0, 1), (1, 1)])
 HALFSPACE3 = cone_from_inequalities([(0, 0, 1)])
@@ -85,7 +85,7 @@ def test_face_lattice_counts():
 def test_face_lattice_quadrant_structure():
     lattice = face_lattice(QUADRANT)
     assert [(f.id, f.dim, f.tight_set) for f in lattice.faces] == [
-        (0, 2, ()), (1, 1, (0,)), (2, 1, (1,)), (3, 0, (0, 1))]
+        (0, 2, ()), (1, 1, (1,)), (2, 1, (0,)), (3, 0, (0, 1))]
     assert lattice.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
 
 
@@ -150,7 +150,7 @@ def reference_face_lattice(cone):
         ((_orank([cone.rays[j] for j in rs] + list(cone.lineality)),
           tuple(i for i, a in enumerate(cone.inequalities)
                 if all(dot(a, cone.rays[j]) == 0 for j in rs)), rs) for rs in sets),
-        key=lambda t: (-t[0], t[1]))
+        key=lambda t: (-t[0], sorted(t[2])))
     ordered = [rs for _, _, rs in entries]
     covers = sorted((i, j) for i, a in enumerate(ordered) for j, b in enumerate(ordered)
                     if b < a and not any(b < c < a for c in ordered))
@@ -224,20 +224,6 @@ def reference_corpus():
         seen["ranks"].add(n)
         corpus.append((rays, lineality, n))
     return corpus, seen
-
-
-def pointed_generators(rng, n, m, coord=3):
-    """m generators of full rank n, all strictly positive on one functional,
-    drawn as ``perfbench/workloads.pointed_generators`` draws them."""
-    w = [rng.randint(1, 3) for _ in range(n)]
-    while True:
-        gens = []
-        while len(gens) < m:
-            g = tuple(rng.randint(-coord, coord) for _ in range(n))
-            if dot(w, g) > 0:
-                gens.append(g)
-        if _orank(gens) == n:
-            return tuple(gens)
 
 
 # a cone over the cyclic 4-polytope with 12 vertices: 54 facets

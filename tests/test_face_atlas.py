@@ -20,6 +20,7 @@ from toric_spectrum import (
     Generators,
     Tower,
     asymptotic_cone,
+    contains,
     cone_contains_cone,
     cone_from_inequalities,
     cone_from_rays,
@@ -30,7 +31,7 @@ from toric_spectrum import (
     is_antisymmetric,
     quotient_invariants,
 )
-from toric_spectrum import cones
+from toric_spectrum import cones, semigroups
 from toric_spectrum.intlinalg import dot, full_lattice, primitive_vector
 from toric_spectrum.semigroups import _membership_data, boundary_basis, embed_point
 
@@ -134,7 +135,8 @@ def test_tower_half_space_is_canonical():
 
 @pytest.fixture
 def dd_runs(monkeypatch):
-    """Counts double description runs, with the face lattice cache empty."""
+    """Counts double description runs, with the face lattice and flatten
+    caches empty."""
     runs = []
     original = cones._double_description
 
@@ -144,8 +146,10 @@ def dd_runs(monkeypatch):
 
     monkeypatch.setattr(cones, "_double_description", counted)
     cones.face_lattice.cache_clear()
+    semigroups._flatten.cache_clear()
     yield runs
     cones.face_lattice.cache_clear()
+    semigroups._flatten.cache_clear()
 
 
 def test_generator_atlas_runs_one_double_description(dd_runs):
@@ -172,9 +176,26 @@ def test_membership_setup_runs_one_double_description(dd_runs):
              Generators(1, ((3,), (-3,))), random_tower(random.Random("dd:member"), 3))
     for spec in specs:
         _membership_data.cache_clear()
+        semigroups._flatten.cache_clear()
         dd_runs.clear()
         _membership_data(spec)
         assert len(dd_runs) == 1, spec
+    _membership_data.cache_clear()
+
+
+def test_atlas_and_membership_share_one_flattening(dd_runs):
+    # the atlas and the membership search of one spec read one flattening,
+    # so its asymptotic cone is converted once
+    specs = (GENERATOR_SPECS[-1], Generators(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 2))),
+             random_tower(random.Random("dd:shared"), 3))
+    for spec in specs:
+        semigroups._flatten.cache_clear()
+        _membership_data.cache_clear()
+        dd_runs.clear()
+        atlas = enumerate_faces(spec)
+        assert contains(spec, atlas.interior_member)
+        assert len(dd_runs) == 1, spec
+        assert semigroups._flatten.cache_info().misses == 1, spec
     _membership_data.cache_clear()
 
 

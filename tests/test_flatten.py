@@ -11,8 +11,10 @@ import pytest
 from toric_spectrum import (
     Generators,
     Tower,
+    asymptotic_cone,
     contains,
     enumerate_faces,
+    face_lattice,
     lattice_contains,
     validate_atlas,
 )
@@ -21,7 +23,15 @@ from toric_spectrum.cli import main, spec_document
 from toric_spectrum.intlinalg import Lattice, dot, lattice_coordinates
 from toric_spectrum.semigroups import boundary_basis, embed_point
 
-from helpers import EVEN_AXIS, random_tower, skew_normal
+from helpers import (
+    EVEN_AXIS,
+    FULL_LINE,
+    HALFSPACE_TOWER,
+    atlas_spec,
+    random_tower,
+    skew_normal,
+    tower_chain,
+)
 
 POINT = Generators(0, ((),))
 SKEWED = Tower(5, (1, 2, 0, -1, 3), Tower(4, (2, -1, 1, 1), Tower(3, (1, 1, -2), EVEN_AXIS)))
@@ -95,14 +105,55 @@ def test_repeated_queries_compute_each_boundary_basis_once(monkeypatch):
     assert len(calls) <= 3
 
 
+def order_corpus():
+    """Seeded benchmark-style atlas specs (rank 3-5, a third with a line),
+    tower chains of depth 1-12, rank-0 bases and specs with lineality."""
+    rng = random.Random("order")
+    kinds = ("r3.4", "r5.5", "r3l", "r3.5", "r3.6", "r4.5", "r4l")
+    specs = [atlas_spec(rng, kinds[i % len(kinds)]) for i in range(70)]
+    specs += [tower_chain(rng, depth) for depth in range(1, 13) for _ in range(2)]
+    specs += [POINT, Generators(0, ()), Tower(1, (1,), POINT), Tower(2, (2, -1), Tower(1, (1,), POINT)),
+              FULL_LINE, HALFSPACE_TOWER, Generators(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 2))),
+              Tower(4, (1, 0, 2, -1), Generators(3, ((1, 1, 0), (-1, -1, 0), (0, 0, 1))))]
+    specs += [random_tower(random.Random(f"order:{i}"), 1 + i % 4,
+                           (POINT, Generators(0, ()), FULL_LINE, Generators(2, ((1, 0), (-1, 0)))))
+              for i in range(12)]
+    return specs
+
+
+def test_atlas_is_the_half_spaces_then_the_face_lattice():
+    # ids: one half space per level, by level, then the face lattice of the
+    # embedded base in its own order offset by the depth; covers: the chain
+    # of half spaces, then the lattice covers offset by the depth
+    for spec in order_corpus():
+        n = spec.ambient_rank
+        embedding, inner = innermost_embedding(spec)
+        depth = n - inner.ambient_rank
+        ambient = asymptotic_cone(
+            Generators(n, tuple(embed_point(embedding, g, n) for g in inner.generators)))
+        lattice = face_lattice(ambient)
+        atlas = enumerate_faces(spec)
+        assert len(atlas.faces) == depth + len(lattice.faces), spec
+        assert [f.face_id for f in atlas.faces] == list(range(len(atlas.faces)))
+        for level, face in enumerate(atlas.faces[:depth]):
+            assert (face.dim, face.rank, face.member_generators) == (n - level, n - level, None)
+        for handle, ray_set, face in zip(lattice.faces, lattice.ray_sets, atlas.faces[depth:]):
+            assert face.dim == handle.dim, spec
+            assert face.cone.rays == tuple(ambient.rays[j] for j in ray_set), spec
+            assert face.cone.lineality == ambient.lineality, spec
+        assert atlas.covers == tuple([(k, k + 1) for k in range(depth)] +
+                                     [(depth + a, depth + b) for a, b in lattice.covers]), spec
+
+
 def test_caches_stay_bounded():
     cones.face_lattice.cache_clear()
+    semigroups._flatten.cache_clear()
     semigroups._membership_data.cache_clear()
     for i in range(300):
         spec = Generators(2, ((1, 0), (i, 1)))
         enumerate_faces(spec)
         contains(Tower(3, skew_normal(random.Random(i), 3), spec), (0, 0, 0))
-    for cache in (cones.face_lattice, semigroups._membership_data):
+    for cache in (cones.face_lattice, semigroups._flatten, semigroups._membership_data):
         info = cache.cache_info()
         assert info.maxsize == cones.CACHE_SIZE < 300
         assert info.currsize <= info.maxsize
