@@ -137,6 +137,8 @@ def load_spec(path: str) -> SemigroupSpec:
                          f"{exc.msg}") from None
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply to parse") from None
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
     return parse_spec(document)
 
 
@@ -463,6 +465,9 @@ def _run(args, out) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+    # the library is exact at any size, so integers print and parse in full
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout

@@ -5,15 +5,16 @@ breadth-first closure over a widened window (a sum of small vectors can be
 reordered so that every partial sum stays within the target norm plus
 ``dimension * max step``), faces by cutting with hyperplanes spanned by
 generator subsets and checking the defining subsemigroup/ideal conditions
-extensionally, and cone representations by exhaustive lattice scans against a
-simplicial (Caratheodory) decomposition of the generator side.  The only
-shared vocabulary with the main modules is the plain tuple-of-ints vector
-type and the public dataclasses being validated; all linear algebra is
-reimplemented locally, nothing is imported from ``intlinalg``.  It has one
-Gauss-Jordan elimination over ``Fraction`` (``_orref``), from which rank,
-nullspaces, solves and the reduction modulo a lineality span are read; one
-Euclid HNF for lattices (``_ohnf``); and cofactor determinants and adjugates
-for the simplicial subcones of the cross-check.
+extensionally, and cone representations by exhaustive lattice scans against
+the same supporting hyperplanes of the generator side.  The only shared
+vocabulary with the main modules is the plain tuple-of-ints vector type and
+the public dataclasses being validated; all linear algebra is reimplemented
+locally, nothing is imported from ``intlinalg``.  It has one Gauss-Jordan
+elimination over ``Fraction`` (``_orref``), from which rank, nullspaces and
+solves are read; one Euclid HNF for lattices (``_ohnf``); one enumeration of
+supporting hyperplanes (``_supporting``) for the face check and the
+cross-check; and cofactor determinants (``_det``), kept as a reference for
+the tests.
 """
 
 from __future__ import annotations
@@ -42,18 +43,19 @@ MAX_ORACLE_POINTS = 10**6
 # benchmark's smoke test and the CI steps is 5.65M.
 MAX_ORACLE_PAIRS = 10**7
 
-# Simplicial subcones the double description cross-check may build: the
-# subsets of at most rank-many reduced rays, sum over s <= rank of C(m, s) for
-# m rays.  Each box point is tested against each subcone, so a rank-4 cone of
-# 24 rays, 12,950 subcones, took about a minute at radius 2.  Apart from that
-# cone, which tests the refusal, the largest count over the test suite, the
-# benchmark's smoke test and the CI steps is 15.
-MAX_ORACLE_SUBCONES = 1000
+# Generator subsets one enumeration of supporting hyperplanes may try: the
+# C(m, d - 1 - l) subsets of m generators that, with a lineality of rank l,
+# may span a facet of a cone of dimension d.  One subset costs about 0.3 ms
+# in rank 4 and 0.5 ms in rank 5, so an enumeration at the cap takes 1.5 to
+# 2.5 s.  Apart from the 57 generators of rank 4 that test the refusal, the
+# largest count over the test suite, the benchmark's smoke test and the CI
+# steps is 2,024, for a rank-4 cone of 24 rays; the next is 15.
+MAX_ORACLE_SUBSETS = 5000
 
 
 class OracleBudgetExceeded(RuntimeError):
     """A brute-force oracle outgrew ``MAX_ORACLE_POINTS``,
-    ``MAX_ORACLE_PAIRS`` or ``MAX_ORACLE_SUBCONES``."""
+    ``MAX_ORACLE_PAIRS`` or ``MAX_ORACLE_SUBSETS``."""
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,22 @@ def _osolve(basis_rows, x) -> Optional[tuple[Fraction, ...]]:
     if pivots != list(range(k)):
         return None
     return tuple(row[k] for row in reduced)
+
+
+def _det(mat) -> int:
+    """Cofactor determinant, a reference for the tests."""
+    k = len(mat)
+    if k == 0:
+        return 1
+    if k == 1:
+        return mat[0][0]
+    total = 0
+    for j in range(k):
+        if mat[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        total += (-1) ** j * mat[0][j] * _det(minor)
+    return total
 
 
 def _ohnf(rows, n) -> list[tuple[int, ...]]:
@@ -271,24 +289,38 @@ def oracle_members(spec: SemigroupSpec, box: BoxSpec) -> frozenset:
 # face enumeration
 
 
-def _gen_face_sets(gens, points: frozenset, n: int) -> set:
-    out = {points}
-    gens = [g for g in dict.fromkeys(gens) if any(g)]
-    if not gens:
-        return out
-    complement = _onullspace(gens, n)
-    d = n - len(complement)
-    subsets = combinations(gens, d - 1) if d >= 1 else ()
-    candidates = set()
-    for u in subsets:
-        space = _onullspace(list(u) + complement, n)
+def _supporting(gens, n: int, lineality=()):
+    """The equations of the span of the generators and the lineality rows,
+    and the normals of their cone's facets, each oriented >= 0 on every
+    generator.  A facet of a cone of dimension d is spanned by its lineality,
+    of rank l, and d - 1 - l generators (Minkowski-Weyl), so the normals are
+    the hyperplanes of the span that such a subset spans and that support
+    every generator.  Raises OracleBudgetExceeded before trying any subset
+    when there are more than ``MAX_ORACLE_SUBSETS``."""
+    equations = _onullspace(list(gens) + list(lineality), n)
+    d = n - len(equations)
+    # a linear space tries the empty subset, which spans no hyperplane
+    size = max(d - 1 - _orank(lineality), 0)
+    count = comb(len(gens), size)
+    if count > MAX_ORACLE_SUBSETS:
+        raise OracleBudgetExceeded(f"the supporting hyperplanes of {len(gens)} generators in "
+                                   f"rank {d} need {count} subsets, over {MAX_ORACLE_SUBSETS}")
+    normals = set()
+    for u in combinations(gens, size):
+        space = _onullspace(list(lineality) + list(u) + equations, n)
         if len(space) != 1:
             continue
         w = space[0]
         for signed in (w, tuple(-a for a in w)):
             if all(_odot(signed, g) >= 0 for g in gens):
-                candidates.add(signed)
-    for w in sorted(candidates):
+                normals.add(signed)
+    return equations, normals
+
+
+def _gen_face_sets(gens, points: frozenset, n: int) -> set:
+    out = {points}
+    gens = [g for g in dict.fromkeys(gens) if any(g)]
+    for w in sorted(_supporting(gens, n)[1]):
         cut = frozenset(x for x in points if _odot(w, x) == 0)
         if cut != points:
             sub_gens = [g for g in gens if _odot(w, g) == 0]
@@ -320,11 +352,12 @@ def _face_conditions_hold(candidate: frozenset, members: frozenset, domain: froz
 def brute_force_faces(spec: SemigroupSpec, box: BoxSpec) -> set:
     """All box restrictions of faces, recomputed extensionally.
 
-    Candidate subsets come from hyperplane cuts spanned by generator data;
-    each one must pass the subsemigroup plus complement-ideal test inside the
-    box before being reported.  Raises OracleBudgetExceeded before that test
-    when the candidates times the members squared exceed
-    ``MAX_ORACLE_PAIRS``.
+    Candidate subsets come from the cuts by the supporting hyperplanes that
+    ``_supporting`` finds for each face's generators; each one must pass the
+    subsemigroup plus complement-ideal test inside the box before being
+    reported.  Raises OracleBudgetExceeded when a face's generator subsets
+    exceed ``MAX_ORACLE_SUBSETS``, and before that test when the candidates
+    times the members squared exceed ``MAX_ORACLE_PAIRS``.
 
     The test runs on integer codes: the point x of the box of radius r has
     the code sum((x_i + r) * (4r + 1)**i).  The sum of two codes less the
@@ -351,102 +384,15 @@ def brute_force_faces(spec: SemigroupSpec, box: BoxSpec) -> set:
 # double description cross-check
 
 
-def _det(mat) -> int:
-    k = len(mat)
-    if k == 0:
-        return 1
-    if k == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(k):
-        if mat[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _det(minor)
-    return total
-
-
-def _adjugate(mat):
-    k = len(mat)
-    adj = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            minor = [row[:i] + row[i + 1:] for r, row in enumerate(mat) if r != j]
-            adj[i][j] = (-1) ** (i + j) * _det(minor)
-    return adj
-
-
-def _reduction_matrix(lineality, n):
-    """Integer matrix R whose rows are scaled images of the basis vectors
-    under reduction against the lineality rows; ``x @ R`` is a positive
-    multiple of the canonical representative of x modulo the lineality span,
-    the one that is zero at every pivot of its reduced echelon form."""
-    images = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    reduced, pivots = _orref(lineality, n)
-    for row, p in zip(reduced, pivots):
-        images[p] = [a - b for a, b in zip(images[p], row)]
-    denom = 1
-    for row in images:
-        for a in row:
-            denom = denom * a.denominator // gcd(denom, a.denominator)
-    return [[int(a * denom) for a in row] for row in images]
-
-
 def _membership_tester(rays, lineality, n):
-    """Exact test for ``x in cone(rays) + span(lineality)``.
-
-    Reduces modulo the lineality, then tries every linearly independent
-    subset of the reduced rays: a point belongs to the cone iff one such
-    simplicial subcone contains it (Caratheodory).  All arithmetic is integer
-    via adjugate scaling.  Raises OracleBudgetExceeded before any subcone is
-    built when the subsets to try exceed ``MAX_ORACLE_SUBCONES``.
-    """
-    if lineality:
-        reduction = _reduction_matrix(lineality, n)
-        red = lambda x: tuple(_odot(x, [row[j] for row in reduction])
-                              for j in range(n))
-    else:
-        red = lambda x: tuple(x)
-    red_rays = [r for r in (_oprimitive(red(r)) for r in rays) if any(r)]
-    max_size = _orank(red_rays)
-    count = sum(comb(len(red_rays), size) for size in range(1, max_size + 1))
-    if count > MAX_ORACLE_SUBCONES:
-        raise OracleBudgetExceeded(f"the cross-check of a cone of {len(red_rays)} rays in rank "
-                                   f"{max_size} needs {count} subcones, over "
-                                   f"{MAX_ORACLE_SUBCONES}")
-    subcones = []
-    for size in range(1, max_size + 1):
-        for subset in combinations(red_rays, size):
-            gram = [[_odot(u, v) for v in subset] for u in subset]
-            d = _det(gram)
-            if d == 0:
-                continue
-            adj = _adjugate(gram)
-            # c * d = x @ rays^T @ adj(G); membership iff c >= 0 and c @ rays == d x
-            solve_matrix = [[sum(subset[i][t] * adj[i][j] for i in range(size))
-                             for j in range(size)] for t in range(n)]
-            subcones.append((subset, solve_matrix, d))
-
-    def test(x) -> bool:
-        xr = red(x)
-        if not any(xr):
-            return True
-        for subset, solve_matrix, d in subcones:
-            scaled = [_odot(xr, [row[j] for row in solve_matrix])
-                      for j in range(len(subset))]
-            if d < 0:
-                scaled = [-c for c in scaled]
-            if any(c < 0 for c in scaled):
-                continue
-            recon = [0] * n
-            for c, r in zip(scaled, subset):
-                recon = [a + c * b for a, b in zip(recon, r)]
-            target = [abs(d) * a for a in xr]
-            if recon == target:
-                return True
-        return False
-
-    return test
+    """Exact test for ``x in cone(rays) + span(lineality)``: x satisfies the
+    equations of the span and lies on the nonnegative side of every facet
+    normal from ``_supporting``.  The lineality is held fixed, so the
+    enumeration tries C(r, d - 1 - l) subsets of the r rays, and refuses
+    them past ``MAX_ORACLE_SUBSETS``."""
+    equations, normals = _supporting(rays, n, lineality)
+    return lambda x: (not any(_odot(e, x) for e in equations)
+                      and all(_odot(w, x) >= 0 for w in normals))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 from itertools import permutations, product
@@ -8,6 +9,7 @@ import pytest
 
 from toric_spectrum import cli, enumerate_faces
 from toric_spectrum.cli import MAX_TOWER_DEPTH, main, parse_spec
+from toric_spectrum.intlinalg import hnf, quotient_invariants
 
 EVEN_AXIS_DOC = {"kind": "generators", "ambient_rank": 2,
                  "generators": [[2, 0], [0, 1], [1, 1]]}
@@ -129,6 +131,47 @@ def test_deeply_nested_json_is_an_input_error(tmp_path):
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout) == (2, "")
     assert "nested too deeply" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_undecodable_file_is_an_input_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"kind": "generators"}'.encode("utf-16-le"))
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "analyze", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"input error: {path}: 'utf-8' codec can't decode")
+    assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1
+
+
+def test_a_5000_digit_literal_is_read_in_full(tmp_path):
+    # past Python's default limit of 4,300 digits for int/str conversions
+    digits = "7" * 5000
+    path = tmp_path / "long.json"
+    path.write_text('{"kind": "generators", "ambient_rank": 1, "generators": [[%s]]}' % digits,
+                    encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "analyze", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert f"lattice basis ({digits})" in result.stdout
+
+
+def test_a_6000_digit_torsion_prints_in_full(tmp_path):
+    # two generators with 3,000-digit entries: their lattice has index about
+    # 10^6000, printed by every report
+    rng = random.Random(3000)
+    rows = [[rng.randrange(10 ** 2999, 10 ** 3000) for _ in range(2)] for _ in range(2)]
+    doc = {"kind": "generators", "ambient_rank": 2,
+           "generators": [[format(a, "d") for a in row] for row in rows]}
+    path = write(tmp_path, "big.json", doc)
+    for command in (["analyze", path], ["analyze", "--json", path], ["dot", path]):
+        result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli"] + command,
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, ""), command
+    code, text = run_cli(["analyze", "--json", path])
+    # main lifts the digit limit in this process too, so int() reads the report
+    torsion = tuple(int(d) for d in json.loads(text)["faces"][0]["torsion"])
+    assert code == 0 and len(str(torsion[-1])) > 5990
+    assert torsion == quotient_invariants(2, hnf(rows))[1]
 
 
 def nested_tower(depth):
@@ -359,17 +402,33 @@ def test_oracle_pair_check_over_its_budget_exits_2_within_10_s(tmp_path):
                              "over 9261 box members exceeds 10000000 pair tests\n")
 
 
-def test_oracle_cross_check_over_its_subcone_budget_exits_2_within_10_s(tmp_path):
+def test_oracle_verifies_the_24_ray_cone_within_10_s(tmp_path):
     # the generators (2, p), p a signed permutation of (1, 2, 0), span a
-    # rank-4 cone of 24 rays: 12,950 simplicial subcones, which once took
-    # over a minute per cone; the budget refuses them before any line is
-    # written
+    # rank-4 cone of 24 rays: C(24, 3) = 2,024 subsets per hyperplane
+    # enumeration, where the cross-check once needed 12,950 simplicial
+    # subcones and was refused
     gens = sorted({(2,) + tuple(s * a for s, a in zip(signs, p))
                    for p in permutations((1, 2, 0)) for signs in product((1, -1), repeat=3)})
     path = write(tmp_path, "perm24.json", {"kind": "generators", "ambient_rank": 4,
                                            "generators": [list(g) for g in gens]})
     result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "oracle", "verify",
                              path, "--box", "2"], capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("faces: atlas 76, oracle 76, agree: true\n"
+                                    "dd cross-check: 76 cones, 47500 points, agree: true\n")
+    assert result.stdout.endswith("result: ok\n")
+
+
+def test_oracle_over_its_subset_budget_exits_2_within_10_s(tmp_path):
+    # the 57 generators (2, a, b, c), |a| + |b| + |c| <= 3 with entries in
+    # [-2, 2], need C(57, 3) = 29,260 subsets for the top cone's hyperplanes;
+    # the face enumeration once tried them all without a budget
+    gens = [[2, a, b, c] for a, b, c in product(range(-2, 3), repeat=3)
+            if abs(a) + abs(b) + abs(c) <= 3]
+    path = write(tmp_path, "gen57.json", {"kind": "generators", "ambient_rank": 4,
+                                          "generators": gens})
+    result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "oracle", "verify",
+                             path, "--box", "2"], capture_output=True, text=True, timeout=10)
     assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == ("input error: oracle verify: the cross-check of a cone of 24 rays "
-                             "in rank 4 needs 12950 subcones, over 1000\n")
+    assert result.stderr == ("input error: oracle verify: the supporting hyperplanes of 57 "
+                             "generators in rank 4 need 29260 subsets, over 5000\n")

@@ -163,14 +163,20 @@ def test_membership_closure_refuses_a_huge_window_before_walking():
     assert peak < 2 ** 20, peak
 
 
-def test_cross_check_stops_at_its_subcone_budget_before_building_one(monkeypatch):
-    # two rays in rank 2: two subcones of one ray and one of two
-    quadrant = cone_from_rays([(2, 0), (0, 1), (1, 1)])
-    monkeypatch.setattr(oracle, "MAX_ORACLE_SUBCONES", 3)
-    assert dd_cross_check(quadrant, BoxSpec(2)).mismatches == ()
-    monkeypatch.setattr(oracle, "MAX_ORACLE_SUBCONES", 2)
-    built = []
-    monkeypatch.setattr(oracle, "_det", built.append)
-    with pytest.raises(OracleBudgetExceeded, match="2 rays in rank 2 needs 3 subcones, over 2"):
-        dd_cross_check(quadrant, BoxSpec(2))
-    assert built == []
+def test_cross_check_stops_at_its_subset_budget_before_trying_one(monkeypatch):
+    # a square pyramid in rank 3: each facet is spanned by 2 of its 4 rays,
+    # C(4, 2) = 6 subsets
+    pyramid = cone_from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    monkeypatch.setattr(oracle, "MAX_ORACLE_SUBSETS", 6)
+    report = dd_cross_check(pyramid, BoxSpec(2))
+    assert (report.points_checked, report.mismatches) == (125, ())
+    monkeypatch.setattr(oracle, "MAX_ORACLE_SUBSETS", 5)
+    nullspaces = []
+    original = oracle._onullspace
+    monkeypatch.setattr(oracle, "_onullspace",
+                        lambda rows, n: nullspaces.append(rows) or original(rows, n))
+    with pytest.raises(OracleBudgetExceeded,
+                       match="4 generators in rank 3 need 6 subsets, over 5"):
+        dd_cross_check(pyramid, BoxSpec(2))
+    # only the span's equations were computed, no subset's hyperplane
+    assert nullspaces == [list(pyramid.rays)]

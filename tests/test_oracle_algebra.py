@@ -1,15 +1,16 @@
 """Property tests of the oracle's own rational algebra, checked by definition.
 
 ``oracle._orref`` is the oracle's one Gauss-Jordan elimination; rank,
-nullspace, solves and the reduction modulo a lineality span are read off it.
-Each is checked here against what it must satisfy, with entries up to 2^70,
-zero rows and dependent rows, and never against ``intlinalg``: the oracle is
-the independent check of the main modules.
+nullspace and solves are read off it.  Each is checked here against what it
+must satisfy, with entries up to 2^70, zero rows and dependent rows, and
+never against ``intlinalg``: the oracle is the independent check of the main
+modules.  So is the cross-check's membership test, which reads the facets of
+a cone from ``oracle._supporting``.
 """
 
 import ast
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -20,11 +21,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from toric_spectrum import oracle  # noqa: E402
 from toric_spectrum.oracle import (  # noqa: E402
     _det,
+    _membership_tester,
     _onullspace,
     _orank,
     _orref,
     _osolve,
-    _reduction_matrix,
 )
 
 SETTINGS = settings(max_examples=120, deadline=None)
@@ -118,22 +119,46 @@ def test_solve_rebuilds_the_point_or_it_leaves_the_span(case):
         assert combine(solved, basis, len(x)) == x
 
 
+@st.composite
+def cones(draw):
+    """Rays and lineality rows of rank at most 4, entries up to 5: 0 to 6
+    rays and 0 to 2 lineality rows, zero and dependent ones among them."""
+    n = draw(st.integers(1, 4))
+    vectors = st.tuples(*[st.integers(-5, 5)] * n)
+    rays = draw(st.lists(vectors, max_size=6))
+    lineality = draw(st.lists(vectors, max_size=2))
+    if lineality and draw(st.booleans()):
+        lineality.append(combine(draw(st.lists(st.integers(-2, 2), min_size=len(lineality),
+                                               max_size=len(lineality))), lineality, n))
+    return n, rays, lineality
+
+
 @SETTINGS
-@given(basis_and_point())
-def test_reduction_clears_the_pivots_modulo_the_span(case):
-    lineality, x, _ = case
-    n = len(x)
-    matrix = _reduction_matrix(lineality, n)
-    _, pivots = _orref(lineality, n)
-    free = [j for j in range(n) if j not in pivots]
-    scale = {matrix[j][j] for j in free}
-    assert len(scale) <= 1
-    d = scale.pop() if scale else 0
-    assert d > 0 or not any(map(any, matrix))
-    y = tuple(sum(x[i] * matrix[i][j] for i in range(n)) for j in range(n))
-    assert all(y[p] == 0 for p in pivots)
-    difference = tuple(a - d * b for a, b in zip(y, x))
-    assert _orank(lineality + [difference]) == len(lineality)
+@given(cones(), st.data())
+def test_tester_accepts_the_generators_and_their_sums(cone, data):
+    n, rays, lineality = cone
+    test = _membership_tester(rays, lineality, n)
+    signed = lineality + [tuple(-a for a in row) for row in lineality]
+    assert all(test(x) for x in rays + signed)
+    generators = rays + signed
+    coeffs = data.draw(st.lists(st.integers(0, 3), min_size=len(generators),
+                                max_size=len(generators)))
+    assert test(combine(coeffs, generators, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cones())
+def test_tester_on_independent_rays_is_nonnegative_coordinates(cone):
+    # rays independent of each other and of the lineality, whose rows may
+    # still depend on one another: x is a member iff its coordinates on
+    # the rays are nonnegative, with any coordinates on the lineality
+    n, rays, lineality = cone
+    basis = independent(independent(lineality) + rays)
+    free = _orank(lineality)
+    test = _membership_tester(basis[free:], lineality, n)
+    for x in product(range(-2, 3), repeat=n):
+        coords = _osolve(basis, x)
+        assert test(x) == (coords is not None and all(c >= 0 for c in coords[free:])), x
 
 
 def test_oracle_imports_nothing_from_intlinalg():
