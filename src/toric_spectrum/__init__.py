@@ -6,86 +6,51 @@ asymptotic cone, the subgroup it generates, torsion invariants and dual
 cones, plus a fully operational character semigroup with pointwise
 multiplication, involution, polar decomposition and one parameter rays.  All
 arithmetic is exact (arbitrary precision integers and rationals).
+
+Importing the package loads none of its modules: each exported name, and
+each of the four modules that export them, is loaded on first use (PEP 562),
+so ``toric_spectrum.contains`` loads ``semigroups`` and what it imports, and
+nothing else.
 """
 
-from .characters import (
-    Character,
-    ExactValue,
-    Ray,
-    chain_of_rays,
-    classify,
-    evaluate,
-    idempotent,
-    idempotent_lattice_ops,
-    identity_character,
-    involute,
-    make_character,
-    multiply,
-    multiply_values,
-    polar_decompose,
-    ray_limit,
-    ray_point,
-    zero_character,
-)
-from .cones import (
-    Cone,
-    FaceHandle,
-    FaceLattice,
-    cone_contains_cone,
-    cone_from_inequalities,
-    cone_from_rays,
-    dual_cone,
-    face_lattice,
-    full_cone,
-    is_pointed,
-    zero_cone,
-)
-from .intlinalg import (
-    IntVector,
-    InvariantViolation,
-    Lattice,
-    RationalVector,
-    hnf,
-    int_kernel,
-    lattice_contains,
-    quotient_invariants,
-    saturation_index,
-)
-from .semigroups import (
-    FaceData,
-    Generators,
-    MembershipUndecided,
-    SemigroupSpec,
-    SpectrumAtlas,
-    Tower,
-    asymptotic_cone,
-    contains,
-    enumerate_faces,
-    face_members_in_box,
-    hull_contains,
-    is_antisymmetric,
-    is_separating,
-    members_in_box,
-    validate_atlas,
-    zero_face,
-)
+from importlib import import_module
+
+_EXPORTS = {
+    "characters": (
+        "Character", "ExactValue", "Ray", "chain_of_rays", "classify", "evaluate",
+        "idempotent", "idempotent_lattice_ops", "identity_character", "involute",
+        "make_character", "multiply", "multiply_values", "polar_decompose",
+        "ray_limit", "ray_point", "zero_character"),
+    "cones": (
+        "Cone", "FaceHandle", "FaceLattice", "cone_contains_cone",
+        "cone_from_inequalities", "cone_from_rays", "dual_cone", "face_lattice",
+        "full_cone", "is_pointed", "zero_cone"),
+    "intlinalg": (
+        "IntVector", "InvariantViolation", "Lattice", "RationalVector", "hnf",
+        "int_kernel", "lattice_contains", "quotient_invariants", "saturation_index"),
+    "semigroups": (
+        "FaceData", "Generators", "MembershipUndecided", "SemigroupSpec",
+        "SpectrumAtlas", "Tower", "asymptotic_cone", "contains",
+        "enumerate_faces", "face_members_in_box", "hull_contains",
+        "is_antisymmetric", "is_separating", "members_in_box", "validate_atlas",
+        "zero_face"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Character", "ExactValue", "Ray", "chain_of_rays", "classify", "evaluate",
-    "idempotent", "idempotent_lattice_ops", "identity_character", "involute",
-    "make_character", "multiply", "multiply_values", "polar_decompose",
-    "ray_limit", "ray_point", "zero_character",
-    "Cone", "FaceHandle", "FaceLattice", "cone_contains_cone",
-    "cone_from_inequalities", "cone_from_rays", "dual_cone", "face_lattice",
-    "full_cone", "is_pointed", "zero_cone",
-    "IntVector", "InvariantViolation", "Lattice", "RationalVector", "hnf", "int_kernel",
-    "lattice_contains", "quotient_invariants", "saturation_index",
-    "FaceData", "Generators", "MembershipUndecided", "SemigroupSpec",
-    "SpectrumAtlas", "Tower", "asymptotic_cone", "contains",
-    "enumerate_faces", "face_members_in_box", "hull_contains",
-    "is_antisymmetric", "is_separating", "members_in_box", "validate_atlas",
-    "zero_face",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -4,6 +4,9 @@ the character operations.
 Exit codes: 0 success, 2 malformed input, 3 recognised but unsupported input
 class (non-integer data), 4 internal invariant violation (always a bug), 5 out
 of memory (the input needs more memory than the process can get).
+
+``characters`` and ``oracle`` are imported by the commands that run them, so
+the atlas and membership commands do not load (or compile) them.
 """
 
 from __future__ import annotations
@@ -12,22 +15,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .characters import (
-    Character,
-    Ray,
-    chain_of_rays,
-    evaluate,
-    involute,
-    make_character,
-    multiply,
-    polar_decompose,
-    ray_limit,
-)
-from .oracle import (BoxSpec, OracleBudgetExceeded, brute_force_faces, dd_cross_check,
-                     numeric_homomorphism_check)
 from .semigroups import (
     Generators,
     SemigroupSpec,
@@ -40,6 +30,9 @@ from .semigroups import (
     members_in_box,
     zero_face,
 )
+
+if TYPE_CHECKING:
+    from .characters import Character
 
 SAFE_INT = 2 ** 53 - 1
 
@@ -264,6 +257,8 @@ def _parse_fraction_list(body: str, where: str) -> list[Fraction]:
 
 def parse_character_tokens(atlas: SpectrumAtlas, tokens: Sequence[str]) -> Character:
     """Character given as three tokens: face:<id> theta:<q,..> lambda:<q,..>."""
+    from .characters import make_character
+
     if len(tokens) != 3:
         raise InputError(f"character needs 3 tokens, got {len(tokens)}: {tokens}")
     fields = {}
@@ -330,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("path")
         q.add_argument("tokens", nargs=extra)
         if name == "eval":
-            q.add_argument("--point", nargs="+", required=True)
+            q.add_argument("--point", nargs="*", required=True)
 
     p = sub.add_parser("ray", help="one parameter semigroup operations")
     ray_sub = p.add_subparsers(dest="ray_op", required=True)
@@ -390,6 +385,7 @@ def _run(args, out) -> int:
         out.write(f"{str(hull_contains(atlas, point)).lower()}\n")
         return 0
     if args.command == "char":
+        from .characters import evaluate, involute, multiply, polar_decompose
         if args.char_op == "mul":
             a = parse_character_tokens(atlas, args.tokens[:3])
             b = parse_character_tokens(atlas, args.tokens[3:])
@@ -412,6 +408,7 @@ def _run(args, out) -> int:
             out.write(_format_value(value) + "\n")
         return 0
     if args.command == "ray":
+        from .characters import Ray, ray_limit
         lam = _parse_fraction_list(args.lam, "lambda")
         try:
             rank = atlas.face(args.face).rank
@@ -423,6 +420,7 @@ def _run(args, out) -> int:
         out.write(f"limit: face {limit}\n")
         return 0
     if args.command == "chain":
+        from .characters import chain_of_rays
         try:
             chain = chain_of_rays(atlas, args.from_face, args.to_face)
         except ValueError as exc:
@@ -433,18 +431,20 @@ def _run(args, out) -> int:
             out.write(f"ray {i}: base face {ray.base_face_id}, lambda {lam}\n")
         return 0
     if args.command == "oracle":
+        from . import oracle
         if args.box < 1:
             raise InputError("--box: must be >= 1")
         if args.trials < 0:
             raise InputError("--trials: must be >= 0")
-        box = BoxSpec(args.box)
+        box = oracle.BoxSpec(args.box)
         # face 0's cone is the ambient cone, so each cone is checked once
         cones = [f.cone for f in atlas.faces]
         # every budget is met before the first line is written
         try:
-            oracle_sets = brute_force_faces(spec, box)
-            reports = [dd_cross_check(cone, BoxSpec(min(box.radius, 4))) for cone in cones]
-        except OracleBudgetExceeded as exc:
+            oracle_sets = oracle.brute_force_faces(spec, box)
+            reports = [oracle.dd_cross_check(cone, oracle.BoxSpec(min(box.radius, 4)))
+                       for cone in cones]
+        except oracle.OracleBudgetExceeded as exc:
             raise InputError(f"oracle verify: {exc}") from None
         atlas_sets = {frozenset(s) for s in face_members_in_box(atlas, box.radius)}
         faces_ok = atlas_sets == oracle_sets
@@ -455,7 +455,7 @@ def _run(args, out) -> int:
         out.write(f"dd cross-check: {len(cones)} cones, {points} points, "
                   f"agree: {str(dd_ok).lower()}\n")
         members = members_in_box(spec, min(box.radius, 4))
-        deviation = numeric_homomorphism_check(atlas, members, args.trials, args.seed)
+        deviation = oracle.numeric_homomorphism_check(atlas, members, args.trials, args.seed)
         out.write(f"numeric homomorphism check: {args.trials} trials, "
                   f"max deviation {deviation:.3e}\n")
         ok = faces_ok and dd_ok and deviation <= 1e-9

@@ -7,7 +7,7 @@ from itertools import permutations, product
 
 import pytest
 
-from toric_spectrum import cli, enumerate_faces
+from toric_spectrum import cli, enumerate_faces, oracle
 from toric_spectrum.cli import MAX_TOWER_DEPTH, main, parse_spec
 from toric_spectrum.intlinalg import hnf, quotient_invariants
 
@@ -247,6 +247,21 @@ def test_char_eval_at_a_non_member_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: (1,) is not a member of the semigroup\n"
 
 
+def test_char_eval_at_the_point_of_a_rank_0_spec(tmp_path):
+    """A bare ``--point`` gives the one point () of a rank-0 spec."""
+    empty = write(tmp_path, "empty.json",
+                  {"kind": "generators", "ambient_rank": 0, "generators": []})
+    code, text = run_cli(["char", "eval", empty, "face:0", "theta:", "lambda:", "--point"])
+    assert (code, text) == (0, "angle 0 exponent 0 ~ +1.000000000000+0.000000000000j\n")
+
+
+def test_char_eval_with_a_bare_point_in_rank_2_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
+    code, text = run_cli(["char", "eval", path, "face:0", "theta:0,0", "lambda:0,0", "--point"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "input error: point needs 2 coordinates, got 0\n"
+
+
 def test_char_malformed_tokens(tmp_path):
     gap = write(tmp_path, "gap.json", GAP_DOC)
     code, _ = run_cli(["char", "conj", gap, "face:0", "theta:x", "lambda:1"])
@@ -336,13 +351,13 @@ def test_box_flag_sets_the_oracle_radius(tmp_path, monkeypatch):
     environment variable is read."""
     gap = write(tmp_path, "gap.json", GAP_DOC)
     radii = []
-    original = cli.brute_force_faces
+    original = oracle.brute_force_faces
 
     def recorded(spec, box):
         radii.append(box.radius)
         return original(spec, box)
 
-    monkeypatch.setattr(cli, "brute_force_faces", recorded)
+    monkeypatch.setattr(oracle, "brute_force_faces", recorded)
     monkeypatch.setenv("TORIC_SPECTRUM_BOX", "zero")
     code, text = run_cli(["oracle", "verify", gap, "--box", "5", "--seed", "0", "--trials", "10"])
     assert code == 0 and "agree: true" in text
