@@ -243,10 +243,15 @@ def emit_dot(atlas: SpectrumAtlas) -> str:
 
 
 def _parse_fraction(token: str, where: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"{where}: bad rational {token!r}") from None
+    """An integer, ``p/q`` or a decimal.  No exponent: ``Fraction`` expands
+    one into an exact power of ten, so a short token such as ``1e-3000000``
+    would cost time out of all proportion to its length."""
+    if "e" not in token.lower():
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"{where}: bad rational {token!r}")
 
 
 def _parse_fraction_list(body: str, where: str) -> list[Fraction]:

@@ -9,7 +9,7 @@ import pytest
 
 from toric_spectrum import cli, enumerate_faces, oracle
 from toric_spectrum.cli import MAX_TOWER_DEPTH, main, parse_spec
-from toric_spectrum.intlinalg import hnf, quotient_invariants
+from toric_spectrum.intlinalg import InvariantViolation, hnf, quotient_invariants
 
 EVEN_AXIS_DOC = {"kind": "generators", "ambient_rank": 2,
                  "generators": [[2, 0], [0, 1], [1, 1]]}
@@ -447,3 +447,89 @@ def test_oracle_over_its_subset_budget_exits_2_within_10_s(tmp_path):
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == ("input error: oracle verify: the supporting hyperplanes of 57 "
                              "generators in rank 4 need 29260 subsets, over 5000\n")
+
+
+def test_an_exponent_in_a_rational_is_refused_at_once(tmp_path):
+    """``Fraction`` would expand the exponent into a three-million-digit
+    power of ten; the token is refused before it is read."""
+    path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
+    for token, args in (
+            ("1e-3000000", ["char", "conj", path, "face:0", "theta:0,0", "lambda:1e-3000000,1"]),
+            ("1E3000000", ["ray", "limit", path, "--face", "0", "--lambda", "1E3000000,0"])):
+        done = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", *args],
+                              capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"input error: lambda: bad rational {token!r}\n"
+
+
+def test_rationals_are_integers_fractions_and_decimals(tmp_path):
+    path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
+    assert run_cli(["char", "conj", path, "face:0", "theta:0,0", "lambda:-0,1/2"]) == \
+        (0, "face:0 theta:0,0 lambda:0,1/2\n")
+    assert run_cli(["char", "conj", path, "face:0", "theta:0.25,0", "lambda:2.5,3"]) == \
+        (0, "face:0 theta:3/4,0 lambda:5/2,3\n")
+
+
+def spec_doc(**fields):
+    return {"kind": "generators", "ambient_rank": 2, "generators": [[1, 0]], **fields}
+
+
+ANALYZE = (["analyze"], [])
+
+
+@pytest.mark.parametrize("doc, command, message", [
+    (spec_doc(generators=[[True, 0]]), ANALYZE,
+     "input.generators[0][0]: expected integer, got boolean"),
+    (spec_doc(generators=[["x", 0]]), ANALYZE,
+     "input.generators[0][0]: expected integer, got 'x'"),
+    (spec_doc(generators=[[None, 0]]), ANALYZE,
+     "input.generators[0][0]: expected integer, got NoneType"),
+    (spec_doc(generators=[5]), ANALYZE, "input.generators[0]: expected a list of integers"),
+    (spec_doc(generators=[[1]]), ANALYZE, "input.generators[0]: expected length 2, got 1"),
+    ([1, 0], ANALYZE, "input: expected an object"),
+    ({"kind": "generators", "generators": []}, ANALYZE, "input.ambient_rank: required"),
+    (spec_doc(ambient_rank=-1), ANALYZE, "input.ambient_rank: must be nonnegative"),
+    (spec_doc(generators=None), ANALYZE, "input.generators: required list"),
+    (spec_doc(kind="cone"), ANALYZE,
+     "input.kind: expected 'generators' or 'tower', got 'cone'"),
+    ({"kind": "tower", "ambient_rank": 0, "normal": [], "inner": {}}, ANALYZE,
+     "input.ambient_rank: tower needs rank >= 1"),
+    ({"kind": "tower", "ambient_rank": 2, "normal": [0, 1]}, ANALYZE, "input.inner: required"),
+    (EVEN_AXIS_DOC, (["char", "conj"], ["face:0", "phase:0,0", "lambda:0,0"]),
+     "bad character token 'phase:0,0'"),
+    (EVEN_AXIS_DOC, (["char", "conj"], ["face:0", "theta:0,0", "theta:0,0"]),
+     "character needs face:, theta:, lambda: tokens, "
+     "got ['face:0', 'theta:0,0', 'theta:0,0']"),
+    (EVEN_AXIS_DOC, (["char", "conj"], ["face:x", "theta:0,0", "lambda:0,0"]),
+     "bad face id 'x'"),
+    (EVEN_AXIS_DOC, (["member"], ["1", "y"]), "bad coordinate 'y'"),
+])
+def test_input_diagnostics(tmp_path, capsys, doc, command, message):
+    """Each malformed input exits 2 with its one-line diagnostic and no output."""
+    before, after = command
+    path = write(tmp_path, "spec.json", doc)
+    assert run_cli([*before, path, *after]) == (2, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_a_character_needs_three_tokens():
+    atlas = enumerate_faces(parse_spec(EVEN_AXIS_DOC))
+    with pytest.raises(cli.InputError, match=r"^character needs 3 tokens, got 1: \['face:0'\]$"):
+        cli.parse_character_tokens(atlas, ["face:0"])
+
+
+def test_invariant_violation_is_exit_4(tmp_path, monkeypatch, capsys):
+    def broken(spec):
+        raise InvariantViolation("face order is not bounded")
+
+    monkeypatch.setattr(cli, "enumerate_faces", broken)
+    path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
+    assert run_cli(["analyze", path]) == (4, "")
+    assert capsys.readouterr().err == "internal invariant violation: face order is not bounded\n"
+
+
+def test_char_eval_at_a_member_off_the_face_is_zero(tmp_path):
+    path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
+    # face 1 is the ray of (0, 1); the member (1, 1) lies off it
+    assert run_cli(["char", "eval", path, "face:1", "theta:0", "lambda:1",
+                    "--point", "1", "1"]) == (0, "zero\n")

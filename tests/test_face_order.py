@@ -20,6 +20,7 @@ from itertools import product
 
 import pytest
 
+from toric_spectrum import semigroups
 from toric_spectrum import (
     Character,
     Generators,
@@ -30,17 +31,20 @@ from toric_spectrum import (
     chain_of_rays,
     classify,
     cone_contains_cone,
+    cone_from_rays,
     contains,
     enumerate_faces,
     evaluate,
     idempotent_lattice_ops,
     identity_character,
     involute,
+    lattice_contains,
     multiply,
     polar_decompose,
     ray_limit,
     validate_atlas,
 )
+from toric_spectrum.intlinalg import dot
 
 from helpers import (
     FIXTURES,
@@ -371,3 +375,84 @@ def test_chain_of_rays_rejects_unknown_faces():
 def test_face_of_member_outside_every_cone_is_a_value_error():
     with pytest.raises(ValueError, match="lies in no face cone"):
         QUADRANT.face_of_member((-1, 0))
+
+
+# ---------------------------------------------------------------------------
+# validate_atlas at the covers
+
+
+def with_face(atlas, face_id, **fields):
+    return replace(atlas, faces=tuple(replace(f, **fields) if f.face_id == face_id else f
+                                      for f in atlas.faces))
+
+
+X_RAY = next(f.face_id for f in QUADRANT.faces if f.cone.rays == ((1, 0),))
+
+
+def test_validate_atlas_tests_each_cover_once_and_reads_no_order(monkeypatch):
+    atlas = replace(enumerate_faces(CUBE6))  # a copy with no order cached
+    calls = []
+
+    def counted(inner, outer):
+        calls.append((inner, outer))
+        return cone_contains_cone(inner, outer)
+
+    monkeypatch.setattr(semigroups, "cone_contains_cone", counted)
+    assert validate_atlas(atlas) == []
+    assert len(calls) == len(atlas.covers)
+    assert "order" not in atlas.__dict__
+
+
+def test_validate_atlas_rejects_a_cone_that_leaves_its_parent():
+    # the ray of (1, 0) turned to (-1, 0): still on a facet line of the
+    # quadrant, but outside it
+    broken = with_face(QUADRANT, X_RAY, cone=cone_from_rays([(-1, 0)], ambient_rank=2))
+    assert validate_atlas(broken) == [f"face {X_RAY} < face 0 but its cone lies in no proper face"]
+
+
+def test_validate_atlas_rejects_a_cone_inside_its_parent_on_no_facet():
+    # the diagonal ray, over its own lattice, runs through the quadrant's interior
+    broken = with_face(QUADRANT, X_RAY, cone=cone_from_rays([(1, 1)], ambient_rank=2),
+                       lattice=Lattice(2, ((1, 1),)))
+    assert validate_atlas(broken) == [f"face {X_RAY} < face 0 but its cone lies in no proper face"]
+
+
+def test_validate_atlas_rejects_a_lattice_that_is_not_nested():
+    broken = with_face(QUADRANT, 0, lattice=Lattice(2, ((2, 0), (0, 2))))
+    assert validate_atlas(broken) == [f"lattice of face {j} is not contained in lattice of face 0"
+                                      for j in (1, 2)]
+
+
+def pairwise_problems(atlas):
+    """The comparable pairs (j, k), face j below face k, at which the
+    dimension does not drop, j's cone is on no inequality of k's cone, or
+    j's lattice is not in k's: the conditions of validate_atlas on every
+    pair, read from a table of ``leq``, with no cone containment."""
+    faces, leq = atlas.faces, leq_table(atlas)
+    return [(j, k) for j, inner in enumerate(faces) for k, outer in enumerate(faces)
+            if j != k and leq[j][k]
+            and (inner.dim >= outer.dim
+                 or not any(all(dot(a, v) == 0 for v in inner.cone.rays + inner.cone.lineality)
+                            for a in outer.cone.inequalities)
+                 or not all(lattice_contains(outer.lattice, b) for b in inner.lattice.basis))]
+
+
+def test_covers_reject_every_atlas_the_pairwise_check_rejects():
+    """One face takes the cone, lattice or dimension of another.  Whenever
+    that breaks a comparable pair, it breaks a cover: cones, lattices and
+    dimensions nest along the chain of covers that joins the pair."""
+    rng = random.Random(22)
+    rejected = 0
+    for spec in corpus():
+        atlas = enumerate_faces(spec)
+        m = len(atlas.faces)
+        if m > 40:
+            continue
+        for _ in range(6):
+            j, other = rng.randrange(m), rng.randrange(m)
+            field = rng.choice(("cone", "lattice", "dim"))
+            broken = with_face(atlas, j, **{field: getattr(atlas.faces[other], field)})
+            if pairwise_problems(broken):
+                rejected += 1
+                assert validate_atlas(broken), (spec, j, other, field)
+    assert rejected >= 100
