@@ -3,10 +3,16 @@ the character operations.
 
 Exit codes: 0 success, 2 malformed input, 3 recognised but unsupported input
 class (non-integer data), 4 internal invariant violation (always a bug), 5 out
-of memory (the input needs more memory than the process can get).
+of memory (the input needs more memory than the process can get).  A
+``ValueError`` the library raises on a command's input (an unknown face, a
+lambda off the dual cone, a point that is not a member) is malformed input
+and exits 2 with its message.
 
-``characters`` and ``oracle`` are imported by the commands that run them, so
-the atlas and membership commands do not load (or compile) them.
+Each subparser names the function that runs its command; that function
+builds the atlas if it needs one.  ``characters`` and ``oracle`` are
+imported by the commands that run them, so the atlas and membership commands
+do not load (or compile) them.  The text report and the DOT graph format the
+dict of :func:`analyze_document`, the one walk of the atlas.
 """
 
 from __future__ import annotations
@@ -160,14 +166,10 @@ def _fmt_vecs(vs) -> str:
     return " ".join(_fmt_vec(v) for v in vs) if vs else "-"
 
 
-def _torsion_note(torsion) -> str:
-    if not torsion:
-        return ""
-    group = " x ".join(f"Z/{d}" for d in torsion)
-    return f" (component group {group})"
-
-
 def analyze_document(atlas: SpectrumAtlas) -> dict:
+    """The report of an atlas: its input, flags, asymptotic cone, faces and
+    covers, integers past ``SAFE_INT`` as strings.  ``analyze --json`` prints
+    it; the text report and the DOT graph format it."""
     spec = atlas.spec
     faces = []
     for f in atlas.faces:
@@ -198,46 +200,50 @@ def analyze_document(atlas: SpectrumAtlas) -> dict:
     }
 
 
+def _fmt_list(values) -> str:
+    return "[" + ",".join(str(a) for a in values) + "]"
+
+
 def analyze_text(atlas: SpectrumAtlas) -> str:
-    spec = atlas.spec
-    lines = []
-    if isinstance(spec, Generators):
-        lines.append(f"input: generators, rank {spec.ambient_rank}, "
-                     f"{len(spec.generators)} generators")
+    """The ``analyze`` report: :func:`analyze_document` as text."""
+    doc = analyze_document(atlas)
+    spec, cone = doc["input"], doc["asymptotic_cone"]
+    if spec["kind"] == "generators":
+        shape = f"{len(spec['generators'])} generators"
     else:
-        lines.append(f"input: tower, rank {spec.ambient_rank}, "
-                     f"normal {_fmt_vec(spec.normal)}")
-    lines.append(f"antisymmetric: {str(atlas.antisymmetric).lower()}")
-    lines.append(f"separating: {str(atlas.separating).lower()}")
-    zf = zero_face(atlas)
-    lines.append(f"zero element: {'none' if zf is None else f'face {zf}'}")
-    cone = atlas.ambient_cone
-    lines.append("asymptotic cone:")
-    lines.append(f"  rays: {_fmt_vecs(cone.rays)}")
-    lines.append(f"  inequalities: {_fmt_vecs(cone.inequalities)}")
-    lines.append(f"  lineality: {_fmt_vecs(cone.lineality)}")
-    lines.append(f"faces: {len(atlas.faces)}")
-    for f in atlas.faces:
-        torsion = "[" + ",".join(str(d) for d in f.torsion) + "]"
+        shape = f"normal {_fmt_vec(spec['normal'])}"
+    zf = doc["zero_face"]
+    lines = [f"input: {spec['kind']}, rank {spec['ambient_rank']}, {shape}",
+             f"antisymmetric: {str(doc['antisymmetric']).lower()}",
+             f"separating: {str(doc['separating']).lower()}",
+             f"zero element: {'none' if zf is None else f'face {zf}'}",
+             "asymptotic cone:",
+             f"  rays: {_fmt_vecs(cone['rays'])}",
+             f"  inequalities: {_fmt_vecs(cone['inequalities'])}",
+             f"  lineality: {_fmt_vecs(cone['lineality'])}",
+             f"faces: {len(doc['faces'])}"]
+    for f in doc["faces"]:
+        torsion = f["torsion"]
+        group = " x ".join(f"Z/{d}" for d in torsion)
         lines.append(
-            f"  face {f.face_id}: dim {f.dim}, lattice rank {f.rank}, "
-            f"torsion {torsion}{_torsion_note(f.torsion)}, "
-            f"lattice basis {_fmt_vecs(f.lattice.basis)}, "
-            f"dual rays {_fmt_vecs(f.dual_cone_local.rays)}")
-    lines.append("hasse covers: " +
-                 (" ".join(f"{a}>{b}" for a, b in atlas.covers) if atlas.covers else "-"))
-    lines.append(f"least idempotent: face {atlas.minimal_id}")
+            f"  face {f['id']}: dim {f['dim']}, lattice rank {f['lattice_rank']}, "
+            f"torsion {_fmt_list(torsion)}{f' (component group {group})' if torsion else ''}, "
+            f"lattice basis {_fmt_vecs(f['lattice_basis'])}, "
+            f"dual rays {_fmt_vecs(f['dual_rays'])}")
+    covers = doc["hasse_covers"]
+    lines.append("hasse covers: " + (" ".join(f"{a}>{b}" for a, b in covers) if covers else "-"))
+    lines.append(f"least idempotent: face {doc['least_idempotent']}")
     return "\n".join(lines) + "\n"
 
 
 def emit_dot(atlas: SpectrumAtlas) -> str:
+    """The Hasse diagram of the idempotents as DOT: :func:`analyze_document`'s
+    faces and covers."""
+    doc = analyze_document(atlas)
     lines = ["digraph idempotents {"]
-    for f in atlas.faces:
-        torsion = "[" + ",".join(str(d) for d in f.torsion) + "]"
-        lines.append(f'  f{f.face_id} [label="dim={f.dim} rank={f.rank} '
-                     f'torsion={torsion}"];')
-    for a, b in atlas.covers:
-        lines.append(f"  f{a} -> f{b};")
+    lines += [f'  f{f["id"]} [label="dim={f["dim"]} rank={f["lattice_rank"]} '
+              f'torsion={_fmt_list(f["torsion"])}"];' for f in doc["faces"]]
+    lines += [f"  f{a} -> f{b};" for a, b in doc["hasse_covers"]]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -261,7 +267,11 @@ def _parse_fraction_list(body: str, where: str) -> list[Fraction]:
 
 
 def parse_character_tokens(atlas: SpectrumAtlas, tokens: Sequence[str]) -> Character:
-    """Character given as three tokens: face:<id> theta:<q,..> lambda:<q,..>."""
+    """Character given as three tokens: face:<id> theta:<q,..> lambda:<q,..>.
+
+    Malformed tokens raise :class:`InputError`; data the atlas refuses (an
+    unknown face, a wrong length, lambda off the dual cone) raises
+    ``ValueError`` from :func:`~toric_spectrum.characters.make_character`."""
     from .characters import make_character
 
     if len(tokens) != 3:
@@ -280,10 +290,7 @@ def parse_character_tokens(atlas: SpectrumAtlas, tokens: Sequence[str]) -> Chara
         raise InputError(f"bad face id {fields['face']!r}") from None
     theta = _parse_fraction_list(fields["theta"], "theta")
     lam = _parse_fraction_list(fields["lambda"], "lambda")
-    try:
-        return make_character(atlas, face_id, theta, lam)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return make_character(atlas, face_id, theta, lam)
 
 
 def format_character(chi: Character) -> str:
@@ -300,60 +307,6 @@ def _format_value(value) -> str:
             f"~ {approx.real:+.12f}{approx.imag:+.12f}j")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toric-spectrum",
-        description="Exact combinatorial model of the character space of a "
-                    "semigroup in Z^n.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full report for an input file")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true", dest="as_json")
-
-    p = sub.add_parser("dot", help="Hasse diagram of the idempotents as DOT")
-    p.add_argument("path")
-
-    p = sub.add_parser("member", help="exact membership test")
-    p.add_argument("path")
-    p.add_argument("coords", nargs="*")
-
-    p = sub.add_parser("hull-member", help="membership in the hull")
-    p.add_argument("path")
-    p.add_argument("coords", nargs="*")
-
-    p = sub.add_parser("char", help="character operations")
-    char_sub = p.add_subparsers(dest="char_op", required=True)
-    for name, extra in (("mul", 6), ("polar", 3), ("conj", 3), ("eval", 3)):
-        q = char_sub.add_parser(name)
-        q.add_argument("path")
-        q.add_argument("tokens", nargs=extra)
-        if name == "eval":
-            q.add_argument("--point", nargs="*", required=True)
-
-    p = sub.add_parser("ray", help="one parameter semigroup operations")
-    ray_sub = p.add_subparsers(dest="ray_op", required=True)
-    q = ray_sub.add_parser("limit")
-    q.add_argument("path")
-    q.add_argument("--face", type=int, default=0)
-    q.add_argument("--lambda", dest="lam", required=True)
-
-    p = sub.add_parser("chain", help="chain of rays joining two idempotents")
-    p.add_argument("path")
-    p.add_argument("--from", dest="from_face", type=int, required=True)
-    p.add_argument("--to", dest="to_face", type=int, required=True)
-
-    p = sub.add_parser("oracle", help="independent brute-force verification")
-    oracle_sub = p.add_subparsers(dest="oracle_op", required=True)
-    q = oracle_sub.add_parser("verify")
-    q.add_argument("path")
-    q.add_argument("--box", type=int, default=6)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--trials", type=int, default=200)
-    return parser
-
-
 def _parse_point(tokens: Sequence[str], rank: int) -> tuple[int, ...]:
     if len(tokens) != rank:
         raise InputError(f"point needs {rank} coordinates, got {len(tokens)}")
@@ -366,107 +319,178 @@ def _parse_point(tokens: Sequence[str], rank: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Each command takes the parsed arguments, the loaded spec and the output
+# stream, builds the atlas if it needs one, and returns its exit code.
+
+
+def _analyze(args, spec, out) -> int:
+    atlas = enumerate_faces(spec)
+    if args.as_json:
+        json.dump(analyze_document(atlas), out, indent=2, sort_keys=False)
+        out.write("\n")
+    else:
+        out.write(analyze_text(atlas))
+    return 0
+
+
+def _dot(args, spec, out) -> int:
+    out.write(emit_dot(enumerate_faces(spec)))
+    return 0
+
+
+def _member(args, spec, out) -> int:
+    point = _parse_point(args.coords, spec.ambient_rank)
+    out.write(f"{str(contains(spec, point)).lower()}\n")
+    return 0
+
+
+def _hull_member(args, spec, out) -> int:
+    atlas = enumerate_faces(spec)
+    point = _parse_point(args.coords, spec.ambient_rank)
+    out.write(f"{str(hull_contains(atlas, point)).lower()}\n")
+    return 0
+
+
+def _char(args, spec, out) -> int:
+    from .characters import evaluate, involute, multiply, polar_decompose
+    atlas = enumerate_faces(spec)
+    chi = parse_character_tokens(atlas, args.tokens[:3])
+    if args.char_op == "mul":
+        other = parse_character_tokens(atlas, args.tokens[3:])
+        out.write(format_character(multiply(atlas, chi, other)) + "\n")
+    elif args.char_op == "polar":
+        unitary, radial = polar_decompose(atlas, chi)
+        out.write(f"unitary {format_character(unitary)}\nradial {format_character(radial)}\n")
+    elif args.char_op == "conj":
+        out.write(format_character(involute(atlas, chi)) + "\n")
+    else:
+        point = _parse_point(args.point, spec.ambient_rank)
+        out.write(_format_value(evaluate(atlas, chi, point)) + "\n")
+    return 0
+
+
+def _ray(args, spec, out) -> int:
+    from .characters import Ray, ray_limit
+    atlas = enumerate_faces(spec)
+    lam = _parse_fraction_list(args.lam, "lambda")
+    rank = atlas.face(args.face).rank
+    if len(lam) != rank:
+        raise InputError(f"lambda needs {rank} entries, got {len(lam)}")
+    out.write(f"limit: face {ray_limit(atlas, Ray(args.face, tuple(lam)))}\n")
+    return 0
+
+
+def _chain(args, spec, out) -> int:
+    from .characters import chain_of_rays
+    chain = chain_of_rays(enumerate_faces(spec), args.from_face, args.to_face)
+    out.write(f"chain length: {len(chain)}\n")
+    for i, ray in enumerate(chain, start=1):
+        out.write(f"ray {i}: base face {ray.base_face_id}, lambda {','.join(map(str, ray.lam))}\n")
+    return 0
+
+
+def _oracle(args, spec, out) -> int:
+    from . import oracle
+    atlas = enumerate_faces(spec)
+    if args.box < 1:
+        raise InputError("--box: must be >= 1")
+    if args.trials < 0:
+        raise InputError("--trials: must be >= 0")
+    box = oracle.BoxSpec(args.box)
+    # face 0's cone is the ambient cone, so each cone is checked once
+    cones = [f.cone for f in atlas.faces]
+    # every budget is met before the first line is written
+    try:
+        oracle_sets = oracle.brute_force_faces(spec, box)
+        reports = [oracle.dd_cross_check(cone, oracle.BoxSpec(min(box.radius, 4)))
+                   for cone in cones]
+    except oracle.OracleBudgetExceeded as exc:
+        raise InputError(f"oracle verify: {exc}") from None
+    atlas_sets = {frozenset(s) for s in face_members_in_box(atlas, box.radius)}
+    faces_ok = atlas_sets == oracle_sets
+    out.write(f"faces: atlas {len(atlas_sets)}, oracle {len(oracle_sets)}, "
+              f"agree: {str(faces_ok).lower()}\n")
+    dd_ok = not any(report.mismatches for report in reports)
+    points = sum(report.points_checked for report in reports)
+    out.write(f"dd cross-check: {len(cones)} cones, {points} points, "
+              f"agree: {str(dd_ok).lower()}\n")
+    members = members_in_box(spec, min(box.radius, 4))
+    deviation = oracle.numeric_homomorphism_check(atlas, members, args.trials, args.seed)
+    out.write(f"numeric homomorphism check: {args.trials} trials, "
+              f"max deviation {deviation:.3e}\n")
+    ok = faces_ok and dd_ok and deviation <= 1e-9
+    out.write(f"result: {'ok' if ok else 'FAILED'}\n")
+    return 0 if ok else 4
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="toric-spectrum",
+        description="Exact combinatorial model of the character space of a "
+                    "semigroup in Z^n.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="full report for an input file")
+    p.set_defaults(run=_analyze)
+    p.add_argument("path")
+    p.add_argument("--json", action="store_true", dest="as_json")
+
+    p = sub.add_parser("dot", help="Hasse diagram of the idempotents as DOT")
+    p.set_defaults(run=_dot)
+    p.add_argument("path")
+
+    for name, run, text in (("member", _member, "exact membership test"),
+                            ("hull-member", _hull_member, "membership in the hull")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        p.add_argument("path")
+        p.add_argument("coords", nargs="*")
+
+    p = sub.add_parser("char", help="character operations")
+    p.set_defaults(run=_char)
+    char_sub = p.add_subparsers(dest="char_op", required=True)
+    for name, extra in (("mul", 6), ("polar", 3), ("conj", 3), ("eval", 3)):
+        q = char_sub.add_parser(name)
+        q.add_argument("path")
+        q.add_argument("tokens", nargs=extra)
+        if name == "eval":
+            q.add_argument("--point", nargs="*", required=True)
+
+    p = sub.add_parser("ray", help="one parameter semigroup operations")
+    p.set_defaults(run=_ray)
+    ray_sub = p.add_subparsers(dest="ray_op", required=True)
+    q = ray_sub.add_parser("limit")
+    q.add_argument("path")
+    q.add_argument("--face", type=int, default=0)
+    q.add_argument("--lambda", dest="lam", required=True)
+
+    p = sub.add_parser("chain", help="chain of rays joining two idempotents")
+    p.set_defaults(run=_chain)
+    p.add_argument("path")
+    p.add_argument("--from", dest="from_face", type=int, required=True)
+    p.add_argument("--to", dest="to_face", type=int, required=True)
+
+    p = sub.add_parser("oracle", help="independent brute-force verification")
+    p.set_defaults(run=_oracle)
+    oracle_sub = p.add_subparsers(dest="oracle_op", required=True)
+    q = oracle_sub.add_parser("verify")
+    q.add_argument("path")
+    q.add_argument("--box", type=int, default=6)
+    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--trials", type=int, default=200)
+    return parser
+
+
 def _run(args, out) -> int:
+    """Load the spec and run the command its subparser names.  A
+    ``ValueError`` the library raises on the command's input is an input
+    error."""
     spec = load_spec(args.path)
-    if args.command in ("analyze", "dot", "hull-member", "char", "ray", "chain",
-                        "oracle"):
-        atlas = enumerate_faces(spec)
-    if args.command == "analyze":
-        if args.as_json:
-            json.dump(analyze_document(atlas), out, indent=2, sort_keys=False)
-            out.write("\n")
-        else:
-            out.write(analyze_text(atlas))
-        return 0
-    if args.command == "dot":
-        out.write(emit_dot(atlas))
-        return 0
-    if args.command == "member":
-        point = _parse_point(args.coords, spec.ambient_rank)
-        out.write(f"{str(contains(spec, point)).lower()}\n")
-        return 0
-    if args.command == "hull-member":
-        point = _parse_point(args.coords, spec.ambient_rank)
-        out.write(f"{str(hull_contains(atlas, point)).lower()}\n")
-        return 0
-    if args.command == "char":
-        from .characters import evaluate, involute, multiply, polar_decompose
-        if args.char_op == "mul":
-            a = parse_character_tokens(atlas, args.tokens[:3])
-            b = parse_character_tokens(atlas, args.tokens[3:])
-            out.write(format_character(multiply(atlas, a, b)) + "\n")
-        elif args.char_op == "polar":
-            chi = parse_character_tokens(atlas, args.tokens)
-            unitary, radial = polar_decompose(atlas, chi)
-            out.write("unitary " + format_character(unitary) + "\n")
-            out.write("radial " + format_character(radial) + "\n")
-        elif args.char_op == "conj":
-            chi = parse_character_tokens(atlas, args.tokens)
-            out.write(format_character(involute(atlas, chi)) + "\n")
-        else:
-            chi = parse_character_tokens(atlas, args.tokens)
-            point = _parse_point(args.point, spec.ambient_rank)
-            try:
-                value = evaluate(atlas, chi, point)
-            except ValueError as exc:
-                raise InputError(str(exc)) from None
-            out.write(_format_value(value) + "\n")
-        return 0
-    if args.command == "ray":
-        from .characters import Ray, ray_limit
-        lam = _parse_fraction_list(args.lam, "lambda")
-        try:
-            rank = atlas.face(args.face).rank
-            if len(lam) != rank:
-                raise InputError(f"lambda needs {rank} entries, got {len(lam)}")
-            limit = ray_limit(atlas, Ray(args.face, tuple(lam)))
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        out.write(f"limit: face {limit}\n")
-        return 0
-    if args.command == "chain":
-        from .characters import chain_of_rays
-        try:
-            chain = chain_of_rays(atlas, args.from_face, args.to_face)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        out.write(f"chain length: {len(chain)}\n")
-        for i, ray in enumerate(chain, start=1):
-            lam = ",".join(str(v) for v in ray.lam)
-            out.write(f"ray {i}: base face {ray.base_face_id}, lambda {lam}\n")
-        return 0
-    if args.command == "oracle":
-        from . import oracle
-        if args.box < 1:
-            raise InputError("--box: must be >= 1")
-        if args.trials < 0:
-            raise InputError("--trials: must be >= 0")
-        box = oracle.BoxSpec(args.box)
-        # face 0's cone is the ambient cone, so each cone is checked once
-        cones = [f.cone for f in atlas.faces]
-        # every budget is met before the first line is written
-        try:
-            oracle_sets = oracle.brute_force_faces(spec, box)
-            reports = [oracle.dd_cross_check(cone, oracle.BoxSpec(min(box.radius, 4)))
-                       for cone in cones]
-        except oracle.OracleBudgetExceeded as exc:
-            raise InputError(f"oracle verify: {exc}") from None
-        atlas_sets = {frozenset(s) for s in face_members_in_box(atlas, box.radius)}
-        faces_ok = atlas_sets == oracle_sets
-        out.write(f"faces: atlas {len(atlas_sets)}, oracle {len(oracle_sets)}, "
-                  f"agree: {str(faces_ok).lower()}\n")
-        dd_ok = not any(report.mismatches for report in reports)
-        points = sum(report.points_checked for report in reports)
-        out.write(f"dd cross-check: {len(cones)} cones, {points} points, "
-                  f"agree: {str(dd_ok).lower()}\n")
-        members = members_in_box(spec, min(box.radius, 4))
-        deviation = oracle.numeric_homomorphism_check(atlas, members, args.trials, args.seed)
-        out.write(f"numeric homomorphism check: {args.trials} trials, "
-                  f"max deviation {deviation:.3e}\n")
-        ok = faces_ok and dd_ok and deviation <= 1e-9
-        out.write(f"result: {'ok' if ok else 'FAILED'}\n")
-        return 0 if ok else 4
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    try:
+        return args.run(args, spec, out)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:

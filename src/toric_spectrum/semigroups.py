@@ -188,16 +188,19 @@ def _membership_data(spec: SemigroupSpec):
     the cone test and the sum of the inequalities, a functional positive on
     every other generator, read a residue exactly as its remainder.  The
     cone is the one :func:`_flatten` converted, which an atlas of the same
-    spec reads too.  Returns ``(functionals, (cone, L, weight, other
-    generators by falling weight))``.
+    spec reads too.  Returns ``(functionals, (cone, L, weight, (weight of
+    g, g) for the other generators g by falling weight))``; every such
+    weight is positive.
     """
     half_spaces, base, cone = _flatten(spec)
     n = base.ambient_rank
     gens = [g for g in dict.fromkeys(base.generators) if not is_zero_vector(g)]
     units = hnf([g for g in gens if cone.contains(vec_neg(g))], n)
     weight = tuple(map(sum, zip(*cone.inequalities)))
-    rest = sorted((g for g in gens if not cone.contains(vec_neg(g))),
-                  key=lambda g: (-dot(weight, g), g))
+    rest = sorted(((dot(weight, g), g) for g in gens if not cone.contains(vec_neg(g))),
+                  key=lambda pair: (-pair[0], pair[1]))
+    if any(w <= 0 for w, _ in rest):
+        raise InvariantViolation("pointed part admits a strictly positive functional")
     functionals = tuple(half.inequalities[0] for half, _ in half_spaces)
     return functionals, (cone, units, weight, tuple(rest))
 
@@ -253,10 +256,7 @@ def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool
                 if not cone.contains(rem):
                     dead.add(state)
                 else:
-                    w = dot(weight, gens[idx])
-                    if w <= 0:
-                        raise InvariantViolation("pointed part admits a strictly positive functional")
-                    stack.append((state, iter(range(dot(weight, rem) // w, -1, -1))))
+                    stack.append((state, iter(range(dot(weight, rem) // gens[idx][0], -1, -1))))
         if not stack:
             return False
         parent, coefficients = stack[-1]
@@ -267,7 +267,7 @@ def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool
             state = None
             continue
         idx, rem = parent
-        state = (idx + 1, lattice_residue(units, [a - c * b for a, b in zip(rem, gens[idx])]))
+        state = (idx + 1, lattice_residue(units, [a - c * b for a, b in zip(rem, gens[idx][1])]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +329,6 @@ class SpectrumAtlas:
         return tuple(down), tuple(up)
 
     @cached_property
-    def _face_of_mask(self) -> tuple[dict, dict]:
-        """The face of each down-set, and the face of each up-set."""
-        return tuple({mask: j for j, mask in enumerate(masks)} for masks in self.order)
-
-    @cached_property
     def _restrictions(self) -> dict[tuple[int, int], tuple[IntVector, ...]]:
         """Restriction matrices of the character algebra by ``(sub_face,
         face)``, filled on first query by :mod:`~toric_spectrum.characters`;
@@ -354,8 +349,10 @@ class SpectrumAtlas:
             if not 0 <= j < len(masks):
                 raise ValueError(f"unknown face {j}")
             mask &= masks[j]
-        face = self._face_of_mask[side].get(mask)
-        if face is None:
+        # every cover runs from a lower id to a higher one, so a down-set's
+        # face is its lowest bit and an up-set's face its highest
+        face = (mask & -mask if side == 0 else mask).bit_length() - 1
+        if mask <= 0 or masks[face] != mask:
             raise InvariantViolation(f"face {('meet', 'join')[side]} does not exist")
         return face
 
@@ -596,7 +593,10 @@ def validate_atlas(atlas: SpectrumAtlas) -> list[str]:
     cone must be generated by its own lattice points.  At each cover (k, j),
     face j inside face k, the dimension must drop, j's cone must lie in a
     proper face of k's cone (inside it, on an inequality of it) and j's
-    lattice in k's.
+    lattice in k's.  Every lattice basis must be in Hermite normal form, as
+    :class:`~toric_spectrum.intlinalg.Lattice` promises; the lattice checks
+    read each face's own HNF of its basis, so a basis that is not in HNF is
+    reported as that and not as a lattice that fails to nest.
 
     The order is checked at its covers alone, one cover at a time.  Any
     comparable pair j < k is joined by a chain of covers, along which cones,
@@ -607,6 +607,7 @@ def validate_atlas(atlas: SpectrumAtlas) -> list[str]:
     """
     problems = []
     faces = atlas.faces
+    bases = [hnf(f.lattice.basis, f.lattice.ambient_rank).basis for f in faces]
     if any(a.dim < b.dim for a, b in zip(faces, faces[1:])):
         problems.append("face ids do not run by decreasing dimension")
     if list(atlas.covers) != sorted(atlas.covers):
@@ -624,11 +625,13 @@ def validate_atlas(atlas: SpectrumAtlas) -> list[str]:
         if not (cone_contains_cone(inner.cone, outer.cone) and any(
                 all(dot(a, v) == 0 for v in vecs) for a in outer.cone.inequalities)):
             problems.append(f"face {j} < face {k} but its cone lies in no proper face")
-        solved = hnf_coordinates(outer.lattice.basis, inner.lattice.basis)
+        solved = hnf_coordinates(bases[k], bases[j])
         if solved is None or any(d != 1 for _, d in solved):
             problems.append(f"lattice of face {j} is not contained in lattice of face {k}")
-    for j, face in enumerate(faces):
-        if hnf_coordinates(face.lattice.basis, face.cone.lineality + face.cone.rays) is None:
+    for j, (face, basis) in enumerate(zip(faces, bases)):
+        if basis != face.lattice.basis:
+            problems.append(f"face {j}: lattice basis is not in Hermite normal form")
+        if hnf_coordinates(basis, face.cone.lineality + face.cone.rays) is None:
             problems.append(f"face {j}: cone leaves the span of its lattice")
     return problems
 

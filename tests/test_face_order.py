@@ -423,6 +423,17 @@ def test_validate_atlas_rejects_a_lattice_that_is_not_nested():
                                       for j in (1, 2)]
 
 
+def test_validate_atlas_names_a_basis_that_is_not_in_hnf():
+    # a basis of Z^2 out of Hermite normal form: the lattice still spans the
+    # cone and holds its faces' lattices, so the basis is the one defect
+    unreduced = with_face(QUADRANT, 0, lattice=Lattice(2, ((1, 1), (1, 0))))
+    assert validate_atlas(unreduced) == ["face 0: lattice basis is not in Hermite normal form"]
+    # an index-2 lattice in HNF: its basis is canonical, its faces' lattices leave it
+    index_2 = with_face(QUADRANT, 0, lattice=Lattice(2, ((1, 1), (0, 2))))
+    assert validate_atlas(index_2) == [f"lattice of face {j} is not contained in lattice of face 0"
+                                       for j in (1, 2)]
+
+
 def pairwise_problems(atlas):
     """The comparable pairs (j, k), face j below face k, at which the
     dimension does not drop, j's cone is on no inequality of k's cone, or
