@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 
 from .intlinalg import (
     IntVector,
+    InvariantViolation,
     _check_rows,
     dot,
     hnf,
@@ -113,34 +114,28 @@ def _project(vecs: Sequence[Sequence], rows: Sequence[IntVector], onto: bool = F
 
 
 def _double_description(inequalities: Sequence[IntVector], equations: Sequence[IntVector],
-                        ambient_rank: int):
-    """Extreme rays and lineality basis of
+                        ambient_rank: int) -> list[IntVector]:
+    """Extreme rays, as primitive vectors, of the pointed cone
     ``{x : <a, x> >= 0 for a in inequalities, <e, x> = 0 for e in equations}``.
 
-    Incremental DD: lineality starts as the full space and shrinks; rays are
-    kept canonical modulo the current lineality, each with the bitmask of
-    the processed constraints tight on it (bit k for the k-th).  Two rays
-    are adjacent iff their common tight set is large enough for a
-    two-dimensional face and no third ray is tight on all of it (Fukuda &
-    Prodon 1996), so no rank is taken.  Non-integer entries are rejected
-    (TypeError).
+    Incremental DD: lineality starts as the full space and shrinks; each ray
+    carries the bitmask of the processed constraints tight on it (bit k for
+    the k-th).  Two rays are adjacent iff their common tight set is large
+    enough for a two-dimensional face and no third ray is tight on all of it
+    (Fukuda & Prodon 1996), so no rank is taken.
+
+    The rows are integer vectors of length ``ambient_rank`` that span the
+    space, as :func:`cone_from_rays` gives them, so the cone is pointed and
+    the pass ends with no lineality; any left is an :class:`InvariantViolation`.
+    Mid-pass a ray is any primitive representative of its class modulo the
+    lineality, and no projection runs: a ray is read only through its mask
+    and the signs of constraints that vanish on the lineality, a lineality
+    step maps every representative of a class into one class of the smaller
+    lineality, and at the end each class is a single vector.
     """
     n = ambient_rank
-    todo: list[IntVector] = []
-    for e in equations:
-        e = tuple(map(operator.index, e))
-        if len(e) != n:
-            raise ValueError("equation length does not match ambient rank")
-        if not is_zero_vector(e):
-            todo.append(e)
-            todo.append(vec_neg(e))
-    for a in inequalities:
-        a = tuple(map(operator.index, a))
-        if len(a) != n:
-            raise ValueError("inequality length does not match ambient rank")
-        if not is_zero_vector(a):
-            todo.append(a)
-
+    todo = [c for e in equations if not is_zero_vector(e) for c in (e, vec_neg(e))]
+    todo += [a for a in inequalities if not is_zero_vector(a)]
     lin = identity_rows(n)
     rays: dict[IntVector, int] = {}
 
@@ -155,9 +150,8 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
                    for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != j0]
             # every ray moves onto a = 0 and becomes tight on it; l0 is tight
             # on every earlier constraint, as they all vanish on the old lineality
-            moved = [[w0 * x - dot(a, r) * y for x, y in zip(r, l0)] for r in rays] + [l0]
-            masks = [m | bit for m in rays.values()] + [bit - 1]
-            rays = {r: m for r, m in zip(_project(moved, lin), masks) if not is_zero_vector(r)}
+            rays = {primitive_vector([w0 * x - dot(a, r) * y for x, y in zip(r, l0)]): m | bit
+                    for r, m in rays.items()} | {l0: bit - 1}
             continue
         needed = n - len(lin) - 2
         signed = [(r, m, dot(a, r)) for r, m in rays.items()]
@@ -168,13 +162,13 @@ def _double_description(inequalities: Sequence[IntVector], equations: Sequence[I
                 common = mp & mq
                 if (common.bit_count() >= needed
                         and sum(m & common == common for m in rays.values()) == 2):
-                    # p and q are orthogonal to the lineality, so their
-                    # combination is already its own representative
                     combo = primitive_vector([vp * x - vq * y for x, y in zip(q, p)])
                     new_rays[combo] = common | bit
         rays = new_rays
 
-    return list(rays), hnf(lin, n).basis
+    if lin:
+        raise InvariantViolation("double description ends with a lineality")
+    return list(rays)
 
 
 def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[int]] = (),
@@ -202,13 +196,13 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
     if equations:
         span = int_kernel(equations, n)
         columns = list(zip(*span.basis))
-        local, _ = _double_description([lattice_coordinates(span, v) for v in gens],
-                                       [lattice_coordinates(span, v) for v in lins], span.rank)
+        local = _double_description([lattice_coordinates(span, v) for v in gens],
+                                    [lattice_coordinates(span, v) for v in lins], span.rank)
         normals = [tuple(dot(y, c) for c in columns) for y in _gram_solve(span.basis, local)[0]]
         lin = hnf([[dot(y, c) for c in columns] for y in int_kernel(local, span.rank).basis],
                   n).basis
     else:
-        normals, _ = _double_description(gens, lins, n)
+        normals = _double_description(gens, lins, n)
         lin = int_kernel(normals, n).basis
     normals = tuple(sorted({primitive_vector(a) for a in normals}))
     tight = {r: sum(1 << i for i, a in enumerate(normals) if dot(a, r) == 0)

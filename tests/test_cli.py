@@ -7,7 +7,7 @@ from itertools import permutations, product
 
 import pytest
 
-from toric_spectrum import cli, enumerate_faces, oracle
+from toric_spectrum import cli, enumerate_faces, oracle, semigroups
 from toric_spectrum.cli import MAX_TOWER_DEPTH, main, parse_spec
 from toric_spectrum.intlinalg import InvariantViolation, hnf, quotient_invariants
 
@@ -301,6 +301,23 @@ def test_oracle_cross_checks_each_face_cone_once(tmp_path, doc):
     faces = len(enumerate_faces(cli.load_spec(path)).faces)
     assert code == 0
     assert f"dd cross-check: {faces} cones, " in text
+
+
+def test_oracle_verify_sweeps_its_box_once(tmp_path, monkeypatch):
+    """The atlas side tests each point of the box for membership once, and
+    the numeric check takes its members from that sweep."""
+    path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
+    calls = []
+    original = semigroups.contains
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(semigroups, "contains", counted)
+    code, text = run_cli(["oracle", "verify", path, "--box", "5", "--trials", "0"])
+    assert code == 0 and text.endswith("result: ok\n")
+    assert len(calls) == 11 ** 2
 
 
 def test_exit_codes(tmp_path):

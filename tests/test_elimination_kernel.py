@@ -108,6 +108,8 @@ def test_kernel_refuses_rationals():
             lambda: lattice_residue(hnf([(2, 1)], 2), row),
             lambda: cone_from_rays([row, (1, 0)]),
             lambda: cone_from_inequalities([row, (1, 0)]),
+            lambda: cone_from_rays([(1, 0)], [row]),
+            lambda: cone_from_inequalities([(1, 0)], [row]),
         ]
         for call in calls:
             with pytest.raises(TypeError):
