@@ -185,12 +185,12 @@ def _membership_data(spec: SemigroupSpec):
     generate a group of units L, and the search keeps its remainder as its
     residue modulo L (:func:`~toric_spectrum.intlinalg.lattice_residue`).
     L lies in the cone's lineality, on which every inequality vanishes, so
-    the cone test and the sum of the inequalities, a functional positive on
-    every other generator, read a residue exactly as its remainder.  The
+    the cone's inequalities read a residue exactly as its remainder.  The
     cone is the one :func:`_flatten` converted, which an atlas of the same
-    spec reads too.  Returns ``(functionals, (cone, L, weight, (weight of
-    g, g) for the other generators g by falling weight))``; every such
-    weight is positive.
+    spec reads too.  Every other generator g is kept with the pairs ``(a,
+    <a, g>)`` over the inequalities a with ``<a, g> > 0``, by falling weight,
+    the sum of the inequalities (positive on g, so the pairs are never
+    empty).  Returns ``(functionals, (cone, L, ((g, pairs), ...)))``.
     """
     half_spaces, base, cone = _flatten(spec)
     n = base.ambient_rank
@@ -201,8 +201,10 @@ def _membership_data(spec: SemigroupSpec):
                   key=lambda pair: (-pair[0], pair[1]))
     if any(w <= 0 for w, _ in rest):
         raise InvariantViolation("pointed part admits a strictly positive functional")
+    rest = tuple((g, tuple((a, dot(a, g)) for a in cone.inequalities if dot(a, g) > 0))
+                 for _, g in rest)
     functionals = tuple(half.inequalities[0] for half, _ in half_spaces)
-    return functionals, (cone, units, weight, tuple(rest))
+    return functionals, (cone, units, rest)
 
 
 def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = None) -> bool:
@@ -210,10 +212,12 @@ def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = N
 
     Always decided exactly; the optional ``max_nodes`` budget turns a
     pathologically large search into an explicit
-    :class:`MembershipUndecided` instead of a wrong answer.  A tower decides
-    at its first level where x has nonzero height; a point of height zero on
-    every level lies in the innermost boundary, where the generators decide.
-    Non-integer coordinates are rejected (TypeError).
+    :class:`MembershipUndecided` instead of a wrong answer.  One node is one
+    state of the generator search expanded, the closed-form check of the
+    last generator included; a state already known dead costs none.  A tower
+    decides at its first level where x has nonzero height; a point of height
+    zero on every level lies in the innermost boundary, where the generators
+    decide.  Non-integer coordinates are rejected (TypeError).
     """
     x = tuple(map(operator.index, x))
     if len(x) != spec.ambient_rank:
@@ -229,18 +233,23 @@ def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = N
 def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool:
     if is_zero_vector(x):
         return True
-    cone, units, weight, gens = search
+    cone, units, gens = search
     if not cone.contains(x):
         return False
     budget = max_nodes
+    last = len(gens) - 1
     dead: set = set()
-    # Depth first over the coefficient of each generator in turn, largest
+    # Depth first over the coefficient of each generator g in turn, largest
     # first, on an explicit stack: the depth grows with the generator count,
-    # which the call stack could not hold.  Each frame holds a state and the
-    # lazy run of its remaining coefficients, so memory stays linear in the
-    # depth however large a coefficient bound is; a state whose children all
-    # fail is memoised as dead when its frame runs out.  A state is the next
-    # generator's index and the remainder's residue modulo the units.
+    # which the call stack could not hold.  A state is the next generator's
+    # index and the remainder's residue modulo the units; every state stays
+    # in the cone, tested once at the root.  Its coefficients run from
+    # min <a, rem> // <a, g> over g's pairs down to 0, exactly those that
+    # keep rem - c g in the cone, and each frame holds them as a lazy range,
+    # so memory stays linear in the depth.  The last generator needs no
+    # loop: rem - c g lies in the units, inside the lineality where g is
+    # not, for at most one c, read off g's first pair.  A state whose
+    # children all fail is memoised as dead.
     stack: list = []
     state = (0, lattice_residue(units, x))
     while True:
@@ -248,15 +257,21 @@ def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool
             idx, rem = state
             if not any(rem):
                 return True
-            if idx < len(gens) and state not in dead:
+            if idx <= last and state not in dead:
                 if budget is not None:
                     budget -= 1
                     if budget < 0:
                         raise MembershipUndecided(f"membership search budget exhausted for {x}")
-                if not cone.contains(rem):
-                    dead.add(state)
+                g, pairs = gens[idx]
+                if idx < last:
+                    top = min(dot(a, rem) // ag for a, ag in pairs)
+                    stack.append((state, iter(range(top, -1, -1))))
                 else:
-                    stack.append((state, iter(range(dot(weight, rem) // gens[idx][0], -1, -1))))
+                    a, ag = pairs[0]
+                    c, r = divmod(dot(a, rem), ag)
+                    if not (r or any(lattice_residue(units, [u - c * v for u, v in zip(rem, g)]))):
+                        return True
+                    dead.add(state)
         if not stack:
             return False
         parent, coefficients = stack[-1]
@@ -267,7 +282,7 @@ def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool
             state = None
             continue
         idx, rem = parent
-        state = (idx + 1, lattice_residue(units, [a - c * b for a, b in zip(rem, gens[idx][1])]))
+        state = (idx + 1, lattice_residue(units, [a - c * b for a, b in zip(rem, gens[idx][0])]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from toric_spectrum.intlinalg import (
     int_kernel,
     is_zero_vector,
     lattice_coordinates,
+    lattice_residue,
     primitive_vector,
     quotient_invariants,
     saturate,
@@ -418,3 +419,40 @@ def ref_chain(atlas, leq, coords, from_face, to_face):
         chain.append(ray)
         current = landed
     return chain
+
+
+def ref_contains(spec, x):
+    """Reference membership by the weight-range search.  A tower decides at
+    its first level of nonzero height; at height zero the innermost
+    generators are searched depth first, each non-unit generator g in turn
+    (by falling weight) with coefficients from ``<w, rem> // <w, g>`` down
+    to 0, w the sum of the cone's inequalities, on remainders taken modulo
+    the group of units; every state is tested against the cone, and a state
+    whose children all fail is memoised as dead."""
+    from toric_spectrum import semigroups
+    x = tuple(x)
+    half_spaces, base, cone = semigroups._flatten(spec)
+    for half, _ in half_spaces:
+        height = dot(half.inequalities[0], x)
+        if height:
+            return height > 0
+    gens = [g for g in dict.fromkeys(base.generators) if not is_zero_vector(g)]
+    units = hnf([g for g in gens if cone.contains(vec_neg(g))], spec.ambient_rank)
+    weight = tuple(map(sum, zip(*cone.inequalities)))
+    rest = sorted(((dot(weight, g), g) for g in gens if not cone.contains(vec_neg(g))),
+                  key=lambda pair: (-pair[0], pair[1]))
+    dead = set()
+
+    def reaches_zero(idx, rem):
+        if not any(rem):
+            return True
+        if idx == len(rest) or (idx, rem) in dead or not cone.contains(rem):
+            return False
+        w, g = rest[idx]
+        for c in range(dot(weight, rem) // w, -1, -1):
+            if reaches_zero(idx + 1, lattice_residue(units, [a - c * b for a, b in zip(rem, g)])):
+                return True
+        dead.add((idx, rem))
+        return False
+
+    return cone.contains(x) and reaches_zero(0, lattice_residue(units, x))
