@@ -219,15 +219,23 @@ def polar_decompose(atlas: SpectrumAtlas, chi: Character) -> tuple[Character, Ch
             Character(chi.face_id, zero, chi.lam))
 
 
+def _ray_decay(atlas: SpectrumAtlas, ray: Ray):
+    """The base face of a ray and the numerators of its decay over their
+    denominator.  ValueError for an unknown base face or a decay off the
+    base's dual cone, TypeError for an entry that is not rational."""
+    face = atlas.face(ray.base_face_id)
+    decay, e = _numerators(ray.lam)
+    if not face.dual_cone_local.contains(decay):
+        raise ValueError("ray data must lie in the dual cone of its base face")
+    return face, decay, e
+
+
 def ray_point(atlas: SpectrumAtlas, ray: Ray, t) -> Character:
     """The character ``exp(-t lam)`` on the base face; t >= 0."""
     (s,), q = _numerators((t,))
     if s < 0:
         raise ValueError("ray parameter must be nonnegative")
-    face = atlas.face(ray.base_face_id)
-    decay, e = _numerators(ray.lam)
-    if not face.dual_cone_local.contains(decay):
-        raise ValueError("ray data must lie in the dual cone of its base face")
+    face, decay, e = _ray_decay(atlas, ray)
     return Character(ray.base_face_id, (_ZERO,) * face.rank,
                      tuple(Fraction(s * n, q * e) for n in decay))
 
@@ -236,10 +244,7 @@ def ray_limit(atlas: SpectrumAtlas, ray: Ray) -> int:
     """Face of the limit idempotent of the ray: the largest face below the
     base on whose cone the decay functional vanishes, the join of those
     faces."""
-    base = atlas.face(ray.base_face_id)
-    decay = _numerators(ray.lam)[0]
-    if not base.dual_cone_local.contains(decay):
-        raise ValueError("ray data must lie in the dual cone of its base face")
+    decay = _ray_decay(atlas, ray)[1]
     below = atlas.order[0][ray.base_face_id]
     candidates = [j for j in range(len(atlas.faces)) if below >> j & 1
                   and _vanishes_on_face(atlas, decay, ray.base_face_id, j)]

@@ -82,14 +82,14 @@ def _as_vector(value, rank: int, where: str) -> tuple[int, ...]:
     return tuple(_as_int(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
-def parse_spec(document, where: str = "input") -> SemigroupSpec:
+def parse_spec(document) -> SemigroupSpec:
     """Build a spec from the JSON document, with field-level diagnostics.
 
     The tower levels are read top down in a loop and built bottom up, so no
     depth of nesting recurses here; a tower nests at most
     :data:`MAX_TOWER_DEPTH` levels.
     """
-    levels = []
+    levels, where = [], "input"
     while True:
         if not isinstance(document, dict):
             raise InputError(f"{where}: expected an object")

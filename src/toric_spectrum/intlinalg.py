@@ -431,11 +431,7 @@ def saturation_index(ambient_rank: int, lattice: Lattice) -> tuple[Lattice, int]
     """Saturation of the lattice together with its index in it."""
     if lattice.ambient_rank != ambient_rank:
         raise ValueError("lattice ambient rank mismatch")
-    sat = saturate(lattice)
-    index = 1
-    for d in quotient_invariants(ambient_rank, lattice)[1]:
-        index *= d
-    return sat, index
+    return saturate(lattice), prod(quotient_invariants(ambient_rank, lattice)[1])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

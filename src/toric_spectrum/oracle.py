@@ -10,11 +10,11 @@ the same supporting hyperplanes of the generator side.  The only shared
 vocabulary with the main modules is the plain tuple-of-ints vector type and
 the public dataclasses being validated; all linear algebra is reimplemented
 locally, nothing is imported from ``intlinalg``.  It has one Gauss-Jordan
-elimination over ``Fraction`` (``_orref``), from which rank, nullspaces and
-solves are read; one Euclid HNF for lattices (``_ohnf``); one enumeration of
-supporting hyperplanes (``_supporting``) for the face check and the
-cross-check; and cofactor determinants (``_det``), kept as a reference for
-the tests.
+elimination over ``Fraction`` (``_orref``), from which rank, nullspaces,
+solves and each tower level's height functional are read; one Euclid HNF
+for lattices (``_ohnf``); one enumeration of supporting hyperplanes
+(``_supporting``) for the face check and the cross-check; and cofactor
+determinants (``_det``), kept as a reference for the tests.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .characters import evaluate, make_character, multiply
 from .cones import Cone
-from .semigroups import Generators, SemigroupSpec, SpectrumAtlas
+from .semigroups import SemigroupSpec, SpectrumAtlas, Tower
 
 
 # Points a box, or the membership closure of a box, may hold.  The closure's
@@ -77,15 +77,9 @@ def _odot(u, v):
 
 def _oprimitive(vec) -> tuple[int, ...]:
     fracs = [Fraction(a) for a in vec]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
+    denom = lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom) for f in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
+    g = gcd(*ints) or 1
     return tuple(a // g for a in ints)
 
 
@@ -205,26 +199,34 @@ def _embed(basis_rows, y):
     return tuple(out)
 
 
-def _view(spec: SemigroupSpec, basis_rows):
-    if isinstance(spec, Generators):
-        return ("gens", tuple(_embed(basis_rows, g) for g in spec.generators))
-    sub_local = _okernel_lattice([spec.normal], spec.ambient_rank)
-    sub_ambient = tuple(_embed(basis_rows, row) for row in sub_local)
-    return ("tower", tuple(basis_rows), spec.normal, _view(spec.inner, sub_ambient))
+def _view(spec: SemigroupSpec):
+    """A spec in ambient coordinates: one height functional per tower level,
+    then the innermost generators embedded into Z^n.
 
-
-def _top_view(spec: SemigroupSpec):
+    Level k's lattice has the basis B, the boundary bases above it embedded
+    (the identity at the top), and its inner spec reads coordinates c on B.
+    A point x = B^T c has height <normal, c> = <w, x> for any w with B w =
+    normal, so each level solves that system once and keeps the primitive w,
+    a positive multiple, which reads every height with its sign.  Raises
+    AssertionError when the w found does not reproduce the normal on B.
+    """
     n = spec.ambient_rank
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return _view(spec, identity)
-
-
-def _height(view, x) -> int:
-    _, basis_rows, normal, _ = view
-    coords = _osolve(basis_rows, x)
-    if coords is None or any(c.denominator != 1 for c in coords):
-        raise AssertionError("tower point leaves its level lattice")
-    return int(_odot(normal, [int(c) for c in coords]))
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    functionals = []
+    while isinstance(spec, Tower):
+        reduced, pivots = _orref([b + (a,) for b, a in zip(basis, spec.normal)], n + 1)
+        # a pivot in the last column would mean no solution: it is dropped,
+        # and the check below raises
+        w = [Fraction(0)] * (n + 1)
+        for row, p in zip(reduced, pivots):
+            w[p] = row[n]
+        w = _oprimitive(w[:n])
+        if _oprimitive([_odot(b, w) for b in basis]) != spec.normal:
+            raise AssertionError("a tower level's functional misses its normal")
+        functionals.append(w)
+        basis = [_embed(basis, row) for row in _okernel_lattice([spec.normal], spec.ambient_rank)]
+        spec = spec.inner
+    return tuple(functionals), tuple(_embed(basis, g) for g in spec.generators)
 
 
 def _reachable(gens, window: int, n: int) -> set:
@@ -257,18 +259,19 @@ def _reachable(gens, window: int, n: int) -> set:
 
 
 def _view_members(view, domain: frozenset) -> frozenset:
-    if view[0] == "gens":
-        gens = [g for g in view[1] if any(g)]
-        if not gens:
-            return frozenset(x for x in domain if not any(x))
-        n = len(gens[0])
-        bound = max((max(abs(c) for c in x) for x in domain), default=0)
-        step = max(max(abs(c) for c in g) for g in gens)
-        reach = _reachable(gens, bound + n * step, n)
-        return frozenset(x for x in domain if x in reach)
-    boundary = frozenset(x for x in domain if _height(view, x) == 0)
-    above = frozenset(x for x in domain if _height(view, x) > 0)
-    return above | _view_members(view[3], boundary)
+    functionals, gens = view
+    above = set()
+    for w in functionals:
+        above.update(x for x in domain if _odot(w, x) > 0)
+        domain = frozenset(x for x in domain if _odot(w, x) == 0)
+    gens = [g for g in gens if any(g)]
+    if not gens:
+        return frozenset(above.union(x for x in domain if not any(x)))
+    n = len(gens[0])
+    bound = max((max(abs(c) for c in x) for x in domain), default=0)
+    step = max(max(abs(c) for c in g) for g in gens)
+    reach = _reachable(gens, bound + n * step, n)
+    return frozenset(above.union(x for x in domain if x in reach))
 
 
 def _domain(spec: SemigroupSpec, box: BoxSpec) -> frozenset:
@@ -282,7 +285,7 @@ def _domain(spec: SemigroupSpec, box: BoxSpec) -> frozenset:
 
 def oracle_members(spec: SemigroupSpec, box: BoxSpec) -> frozenset:
     """Box-restricted membership recomputed from the raw description."""
-    return _view_members(_top_view(spec), _domain(spec, box))
+    return _view_members(_view(spec), _domain(spec, box))
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +332,12 @@ def _gen_face_sets(gens, points: frozenset, n: int) -> set:
 
 
 def _view_face_sets(view, points: frozenset, n: int) -> set:
-    if view[0] == "gens":
-        return _gen_face_sets(list(view[1]), points, n)
-    boundary = frozenset(x for x in points if _height(view, x) == 0)
-    return {points} | _view_face_sets(view[3], boundary, n)
+    functionals, gens = view
+    out = set()
+    for w in functionals:
+        out.add(points)
+        points = frozenset(x for x in points if _odot(w, x) == 0)
+    return out | _gen_face_sets(list(gens), points, n)
 
 
 def _face_conditions_hold(candidate: frozenset, members: frozenset, domain: frozenset,
@@ -366,7 +371,7 @@ def brute_force_faces(spec: SemigroupSpec, box: BoxSpec) -> set:
     it lies among the box's codes exactly when x + y lies in the box.
     """
     domain = _domain(spec, box)
-    view = _top_view(spec)
+    view = _view(spec)
     members = _view_members(view, domain)
     sets = _view_face_sets(view, members, spec.ambient_rank)
     if len(sets) * len(members) ** 2 > MAX_ORACLE_PAIRS:

@@ -37,7 +37,8 @@ space's local cone is read off the flag with no Smith form and no solve
 (:func:`_finalize_face`).  Membership reads the half spaces' functionals
 level by level and searches the generators only at height zero on every
 level.  The flattening is cached with the base's asymptotic cone, so an
-atlas and a membership search on one spec share one double description.
+atlas and a membership search on one spec share one double description; a
+generated spec is its own base, and its asymptotic cone is that cone.
 """
 
 from __future__ import annotations
@@ -135,13 +136,13 @@ def asymptotic_cone(spec: SemigroupSpec) -> Cone:
     """Closed cone of all limit directions of the semigroup.
 
     Generators case: the cone hull of the generators (which equals the
-    double dual of the generating data).  Tower case: the closed half space
-    of the defining normal, written down in canonical form: the primitive
-    normal is its only ray and its only facet normal, and the boundary
-    lattice is its lineality.
+    double dual of the generating data), the cone :func:`_flatten` converts
+    and keeps.  Tower case: the closed half space of the defining normal,
+    written down in canonical form: the primitive normal is its only ray and
+    its only facet normal, and the boundary lattice is its lineality.
     """
     if isinstance(spec, Generators):
-        return cone_from_rays(spec.generators, (), spec.ambient_rank)
+        return _flatten(spec)[2]
     return _half_space(spec.normal, spec.ambient_rank)
 
 
@@ -391,17 +392,6 @@ class SpectrumAtlas:
     def join(self, j: int, k: int) -> int:
         return self._bound(1, (j, k))
 
-    def face_of_member(self, x: Sequence[int]) -> int:
-        """Smallest face whose cone contains the semigroup member x, the meet
-        of those faces; ValueError when x lies in no face cone."""
-        candidates = [f.face_id for f in self.faces if f.cone.contains(x)]
-        if not candidates:
-            raise ValueError(f"{tuple(x)} lies in no face cone")
-        best = self.meet_of(candidates)
-        if best not in candidates:
-            raise InvariantViolation("member lies on no unique smallest face")
-        return best
-
 
 def _generator_faces(base: Generators, ambient: Cone, depth: int):
     """Faces of a generated semigroup, read off the face lattice of its
@@ -464,9 +454,11 @@ def _flatten(spec: SemigroupSpec):
     ray is also its projection onto them: one Gram elimination on whichever
     side, the next equations or the lineality, has fewer rows.  The
     innermost generators are embedded once, into a :class:`Generators` spec
-    of rank n, and their asymptotic cone is converted: the one double
-    description of the spec, shared by its atlas and its membership data.
-    A generated spec is its own base, with no half spaces.  Returns
+    of rank n, and their asymptotic cone is converted by
+    :func:`~toric_spectrum.cones.cone_from_rays`: the one double description
+    of the spec, shared by its atlas, its membership data and, for a
+    generated spec, :func:`asymptotic_cone`.  A generated spec is its own
+    base, with no half spaces and nothing embedded.  Returns
     ``(half spaces, base, base cone)``, each half space a ``(cone,
     lattice)`` pair; the last :data:`~toric_spectrum.cones.CACHE_SIZE`
     specs are kept.
@@ -485,8 +477,9 @@ def _flatten(spec: SemigroupSpec):
         half_spaces.append((Cone(n, (normal,), (normal,), lineality.basis, equations), lattice))
         embedding, spec = inner, spec.inner
         lattice, equations = lineality, below
-    base = Generators(n, tuple(embed_point(embedding, g, n) for g in spec.generators))
-    return tuple(half_spaces), base, asymptotic_cone(base)
+    if half_spaces:
+        spec = Generators(n, tuple(embed_point(embedding, g, n) for g in spec.generators))
+    return tuple(half_spaces), spec, cone_from_rays(spec.generators, (), n)
 
 
 def _half_space_local(cone: Cone, lattice: Lattice):

@@ -183,6 +183,21 @@ def test_membership_setup_runs_one_double_description(dd_runs):
     _membership_data.cache_clear()
 
 
+def test_generated_spec_queries_share_one_double_description(dd_runs):
+    # a generated spec is its own base, so its asymptotic cone is the cone
+    # its flattening converts, and antisymmetry, the atlas and membership
+    # all read that one conversion
+    spec = Generators(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 2), (1, 1, 1)))
+    _membership_data.cache_clear()
+    cone = asymptotic_cone(spec)
+    assert not is_antisymmetric(spec)
+    atlas = enumerate_faces(spec)
+    assert contains(spec, atlas.interior_member)
+    assert atlas.ambient_cone == cone
+    assert len(dd_runs) == 1
+    _membership_data.cache_clear()
+
+
 def test_atlas_and_membership_share_one_flattening(dd_runs):
     # the atlas and the membership search of one spec read one flattening,
     # so its asymptotic cone is converted once

@@ -32,7 +32,6 @@ from toric_spectrum import (
     classify,
     cone_contains_cone,
     cone_from_rays,
-    contains,
     enumerate_faces,
     evaluate,
     idempotent_lattice_ops,
@@ -87,14 +86,6 @@ def ref_join(leq, j, k):
     return bottoms[0]
 
 
-def ref_face_of_member(atlas, leq, x):
-    candidates = [f.face_id for f in atlas.faces if f.cone.contains(x)]
-    best = [j for j in candidates if all(leq[j][k] for k in candidates)]
-    if len(best) != 1:
-        raise InvariantViolation("member lies on no unique smallest face")
-    return best[0]
-
-
 def ref_lattice_ops(leq, ids):
     inf = sup = ids[0]
     for j in ids[1:]:
@@ -127,13 +118,6 @@ def corpus():
                              (0, 0, 0, 1), (0, 0, 0, -1)))]
     specs += [random_tower(rng, depth) for depth in range(1, 6) for _ in range(2)]
     return specs
-
-
-def sample_points(rng, spec, count=24):
-    points = [tuple([0] * spec.ambient_rank)]
-    points += [tuple(rng.randint(-2, 2) for _ in range(spec.ambient_rank))
-               for _ in range(count)]
-    return [x for x in points if contains(spec, x)]
 
 
 def decays(rng, face):
@@ -171,8 +155,6 @@ def check_against_scans(atlas, rng, sample=None, raw=False):
         for k in ids:
             assert same(atlas.meet, lambda j, k: ref_meet(leq, j, k), j, k), (j, k)
             assert same(atlas.join, lambda j, k: ref_join(leq, j, k), j, k), (j, k)
-    for x in sample_points(rng, atlas.spec):
-        assert same(atlas.face_of_member, lambda x: ref_face_of_member(atlas, leq, x), x), x
     for j in at_most(rng, ids, sample):
         for lam in decays(rng, atlas.faces[j]):
             ray = Ray(j, lam)
@@ -370,11 +352,6 @@ def test_chain_of_rays_rejects_unknown_faces():
     for pair in ((0, -1), (-1, 3), (4, 3), (0, 4)):
         with pytest.raises(ValueError, match="unknown face"):
             chain_of_rays(QUADRANT, *pair)
-
-
-def test_face_of_member_outside_every_cone_is_a_value_error():
-    with pytest.raises(ValueError, match="lies in no face cone"):
-        QUADRANT.face_of_member((-1, 0))
 
 
 # ---------------------------------------------------------------------------

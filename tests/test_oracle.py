@@ -5,6 +5,7 @@ import pytest
 
 from toric_spectrum import (
     Generators,
+    Tower,
     cone_from_inequalities,
     cone_from_rays,
     enumerate_faces,
@@ -30,6 +31,8 @@ from helpers import (
     FULL_LINE,
     random_generators,
     random_pointed_generators,
+    TORSION_BASES,
+    random_tower,
 )
 
 
@@ -95,6 +98,30 @@ def test_brute_force_faces_random_towers():
         atlas = enumerate_faces(spec)
         assert brute_force_faces(spec, BoxSpec(3)) == set(
             face_members_in_box(atlas, 3)), spec
+
+
+@pytest.mark.parametrize("depth", (2, 3))
+def test_oracle_matches_the_library_on_deeper_towers(depth):
+    # ambient rank at most 4: a box of radius 2 in rank 5 holds about 1,500
+    # members, past the pair budget of brute_force_faces
+    bases = [b for b in TORSION_BASES if b.ambient_rank + depth <= 4]
+    for i in range(6):
+        spec = random_tower(random.Random(f"oracle:{depth}:{i}"), depth, bases)
+        atlas = enumerate_faces(spec)
+        assert oracle_members(spec, BoxSpec(2)) == frozenset(members_in_box(spec, 2)), spec
+        assert brute_force_faces(spec, BoxSpec(2)) == set(face_members_in_box(atlas, 2)), spec
+
+
+def test_oracle_members_solve_each_tower_level_once(monkeypatch):
+    # one elimination per level finds its height functional; every box
+    # point's height is then a dot product
+    spec = Tower(4, (1, 2, -3, 1), Tower(3, (2, -1, 1), EVEN_AXIS))
+    calls = []
+    original = oracle._orref
+    monkeypatch.setattr(oracle, "_orref", lambda *args: calls.append(args) or original(*args))
+    members = oracle_members(spec, BoxSpec(2))
+    assert len(calls) <= 2
+    assert members == frozenset(members_in_box(spec, 2))
 
 
 def test_dd_cross_check_examples():

@@ -23,6 +23,7 @@ from toric_spectrum.oracle import (  # noqa: E402
     _det,
     _membership_tester,
     _onullspace,
+    _oprimitive,
     _orank,
     _orref,
     _osolve,
@@ -104,6 +105,14 @@ def test_nullspace_is_orthogonal_and_has_the_free_dimension(case):
     for w in basis:
         assert all(type(a) is int for a in w) and any(w)
         assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in rows)
+
+
+def test_primitive_of_zero_and_of_fractions():
+    assert _oprimitive(()) == ()
+    assert _oprimitive((0, 0, 0)) == (0, 0, 0)
+    assert _oprimitive((Fraction(0), Fraction(0))) == (0, 0)
+    assert _oprimitive((Fraction(2, 3), Fraction(-4, 9), 0)) == (3, -2, 0)
+    assert _oprimitive((-6, 4, 10)) == (-3, 2, 5)
 
 
 @SETTINGS

@@ -328,14 +328,6 @@ def test_hull_contains_refuses_rationals():
             hull_contains(atlas, x)
 
 
-def test_face_of_member():
-    atlas = enumerate_faces(EVEN_AXIS)
-    x_axis = [f.face_id for f in atlas.faces if f.cone.rays == ((1, 0),)][0]
-    assert atlas.face_of_member((4, 0)) == x_axis
-    assert atlas.face_of_member((1, 1)) == 0
-    assert atlas.face_of_member((0, 0)) == atlas.minimal_id
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         Generators(2, ((1, 0, 0),))
