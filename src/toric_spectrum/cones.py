@@ -48,8 +48,9 @@ from .intlinalg import (
     vec_neg,
 )
 
-# Entries kept by the face lattice and membership caches; the least
-# recently used is dropped, so a long run holds a bounded number of cones.
+# Entries kept by the face lattice, flattening (``semigroups._flatten``) and
+# membership caches; the least recently used is dropped, so a long run holds a
+# bounded number of cones.
 CACHE_SIZE = 128
 
 

@@ -297,8 +297,9 @@ def lattice_coordinates(lattice: Lattice, x: Sequence[int]) -> Optional[IntVecto
 
 
 def lattice_contains(lattice: Lattice, x: Sequence[int]) -> bool:
-    """Whether x lies in the integer row span of the lattice basis."""
-    return lattice_coordinates(lattice, x) is not None
+    """Whether x lies in the integer row span of the lattice basis: whether
+    its :func:`lattice_residue` is zero."""
+    return not any(lattice_residue(lattice, x))
 
 
 def lattice_residue(lattice: Lattice, x: Sequence[int]) -> IntVector:
@@ -448,15 +449,3 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def solve_unit_functional(v: IntVector) -> IntVector:
-    """An integer x with <v, x> = 1; v must be primitive and nonzero."""
-    g = 0
-    coeffs: list[int] = []
-    for a in v:
-        g, s, t = _xgcd(g, a)
-        coeffs = [c * s for c in coeffs] + [t]
-    if g != 1:
-        raise ValueError(f"vector is not primitive: gcd {g}")
-    return tuple(coeffs)

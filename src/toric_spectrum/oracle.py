@@ -201,7 +201,8 @@ def _embed(basis_rows, y):
 
 def _view(spec: SemigroupSpec):
     """A spec in ambient coordinates: one height functional per tower level,
-    then the innermost generators embedded into Z^n.
+    then the innermost generators embedded into Z^n, each once and zero
+    dropped.
 
     Level k's lattice has the basis B, the boundary bases above it embedded
     (the identity at the top), and its inner spec reads coordinates c on B.
@@ -226,7 +227,8 @@ def _view(spec: SemigroupSpec):
         functionals.append(w)
         basis = [_embed(basis, row) for row in _okernel_lattice([spec.normal], spec.ambient_rank)]
         spec = spec.inner
-    return tuple(functionals), tuple(_embed(basis, g) for g in spec.generators)
+    embedded = (_embed(basis, g) for g in spec.generators)
+    return tuple(functionals), tuple(dict.fromkeys(g for g in embedded if any(g)))
 
 
 def _reachable(gens, window: int, n: int) -> set:
@@ -264,7 +266,6 @@ def _view_members(view, domain: frozenset) -> frozenset:
     for w in functionals:
         above.update(x for x in domain if _odot(w, x) > 0)
         domain = frozenset(x for x in domain if _odot(w, x) == 0)
-    gens = [g for g in gens if any(g)]
     if not gens:
         return frozenset(above.union(x for x in domain if not any(x)))
     n = len(gens[0])
@@ -320,24 +321,27 @@ def _supporting(gens, n: int, lineality=()):
     return equations, normals
 
 
-def _gen_face_sets(gens, points: frozenset, n: int) -> set:
-    out = {points}
-    gens = [g for g in dict.fromkeys(gens) if any(g)]
-    for w in sorted(_supporting(gens, n)[1]):
-        cut = frozenset(x for x in points if _odot(w, x) == 0)
-        if cut != points:
-            sub_gens = [g for g in gens if _odot(w, g) == 0]
-            out |= _gen_face_sets(sub_gens, cut, n)
-    return out
-
-
-def _view_face_sets(view, points: frozenset, n: int) -> set:
-    functionals, gens = view
+def _view_face_sets(functionals, normals, points: frozenset) -> set:
+    """The candidate faces: each tower level's points, then the closure of
+    the base members under the cut by one facet normal.  Every face of a
+    cone is the intersection of the facets that hold it (Ziegler,
+    *Lectures on Polytopes*, Thm 2.7), so the cuts are exactly the box
+    restrictions of the base faces."""
     out = set()
     for w in functionals:
         out.add(points)
         points = frozenset(x for x in points if _odot(w, x) == 0)
-    return out | _gen_face_sets(list(gens), points, n)
+    # the cuts keep a set of their own: base points equal to a level's are
+    # still cut
+    cuts, todo = {points}, [points]
+    while todo:
+        face = todo.pop()
+        for w in normals:
+            cut = frozenset(x for x in face if _odot(w, x) == 0)
+            if cut not in cuts:
+                cuts.add(cut)
+                todo.append(cut)
+    return out | cuts
 
 
 def _face_conditions_hold(candidate: frozenset, members: frozenset, domain: frozenset,
@@ -357,12 +361,14 @@ def _face_conditions_hold(candidate: frozenset, members: frozenset, domain: froz
 def brute_force_faces(spec: SemigroupSpec, box: BoxSpec) -> set:
     """All box restrictions of faces, recomputed extensionally.
 
-    Candidate subsets come from the cuts by the supporting hyperplanes that
-    ``_supporting`` finds for each face's generators; each one must pass the
-    subsemigroup plus complement-ideal test inside the box before being
-    reported.  Raises OracleBudgetExceeded when a face's generator subsets
-    exceed ``MAX_ORACLE_SUBSETS``, and before that test when the candidates
-    times the members squared exceed ``MAX_ORACLE_PAIRS``.
+    One enumeration by ``_supporting`` finds the facet normals of the base
+    generators' cone; the candidate subsets are each tower level's members
+    and the cuts of the base members by those normals, and each one must
+    pass the subsemigroup plus complement-ideal test inside the box before
+    being reported.  Raises OracleBudgetExceeded when the generator subsets
+    exceed ``MAX_ORACLE_SUBSETS``, which is met before the membership
+    closure is walked, and before the test when the candidates times the
+    members squared exceed ``MAX_ORACLE_PAIRS``.
 
     The test runs on integer codes: the point x of the box of radius r has
     the code sum((x_i + r) * (4r + 1)**i).  The sum of two codes less the
@@ -371,9 +377,10 @@ def brute_force_faces(spec: SemigroupSpec, box: BoxSpec) -> set:
     it lies among the box's codes exactly when x + y lies in the box.
     """
     domain = _domain(spec, box)
-    view = _view(spec)
+    functionals, gens = view = _view(spec)
+    normals = _supporting(gens, spec.ambient_rank)[1]
     members = _view_members(view, domain)
-    sets = _view_face_sets(view, members, spec.ambient_rank)
+    sets = _view_face_sets(functionals, normals, members)
     if len(sets) * len(members) ** 2 > MAX_ORACLE_PAIRS:
         raise OracleBudgetExceeded(f"the pair check of {len(sets)} candidate faces over "
                                    f"{len(members)} box members exceeds {MAX_ORACLE_PAIRS} "

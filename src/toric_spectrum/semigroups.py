@@ -74,7 +74,6 @@ from .intlinalg import (
     primitive_vector,
     quotient_invariants,
     saturate,
-    solve_unit_functional,
     vec_neg,
 )
 
@@ -532,9 +531,11 @@ def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
 
 
 def _interior_member(spec: SemigroupSpec) -> IntVector:
-    """A semigroup member in the relative interior of the asymptotic cone."""
+    """A semigroup member in the relative interior of the asymptotic cone.
+    A tower's normal has height |normal|^2 > 0, so it lies in the open half
+    space."""
     if isinstance(spec, Tower):
-        return solve_unit_functional(spec.normal)
+        return spec.normal
     return tuple(map(sum, zip((0,) * spec.ambient_rank, *spec.generators)))
 
 

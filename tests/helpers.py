@@ -31,7 +31,7 @@ from toric_spectrum.intlinalg import (
     scaled_solutions,
     vec_neg,
 )
-from toric_spectrum.oracle import _orank
+from toric_spectrum.oracle import _orank, _supporting
 
 # quadrant semigroup with a doubled x-axis generator: p,q >= 0, p even when q=0
 EVEN_AXIS = Generators(2, ((2, 0), (0, 1), (1, 1)))
@@ -456,3 +456,24 @@ def ref_contains(spec, x):
         return False
 
     return cone.contains(x) and reaches_zero(0, lattice_residue(units, x))
+
+
+def ref_face_candidates(view, points, n):
+    """The oracle's candidate faces by recursion down the face lattice: each
+    tower level's points, then at every base face the cuts by the supporting
+    hyperplanes of its own generators, descending into each proper cut."""
+    functionals, gens = view
+    out = set()
+    for w in functionals:
+        out.add(points)
+        points = frozenset(x for x in points if dot(w, x) == 0)
+
+    def descend(gens, points):
+        found = {points}
+        for w in sorted(_supporting(gens, n)[1]):
+            cut = frozenset(x for x in points if dot(w, x) == 0)
+            if cut != points:
+                found |= descend([g for g in gens if dot(w, g) == 0], cut)
+        return found
+
+    return out | descend(list(gens), points)

@@ -20,6 +20,7 @@ from toric_spectrum import (
     Generators,
     Tower,
     asymptotic_cone,
+    classify,
     contains,
     cone_contains_cone,
     cone_from_inequalities,
@@ -28,6 +29,7 @@ from toric_spectrum import (
     enumerate_faces,
     face_lattice,
     hnf,
+    idempotent,
     is_antisymmetric,
     quotient_invariants,
 )
@@ -212,6 +214,18 @@ def test_atlas_and_membership_share_one_flattening(dd_runs):
         assert len(dd_runs) == 1, spec
         assert semigroups._flatten.cache_info().misses == 1, spec
     _membership_data.cache_clear()
+
+
+def test_tower_interior_member_is_its_normal():
+    # the normal has height |normal|^2 > 0, so it is a member off the
+    # boundary, and full support is read the same from the face id and from
+    # the value there
+    for spec in TOWER_SPECS[:12]:
+        atlas = enumerate_faces(spec)
+        assert atlas.interior_member == spec.normal
+        assert contains(spec, spec.normal)
+        for face_id in range(len(atlas.faces)):
+            assert classify(atlas, idempotent(atlas, face_id))["full_support"] == (face_id == 0)
 
 
 def test_no_assert_statements_in_package():

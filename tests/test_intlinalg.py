@@ -12,7 +12,6 @@ from toric_spectrum.intlinalg import (
     lattice_residue,
     quotient_invariants,
     saturation_index,
-    solve_unit_functional,
 )
 from toric_spectrum.semigroups import embed_point
 
@@ -199,11 +198,3 @@ def test_lattice_residue_consistency():
                 lattice_contains(lat, diff)
             if not lat.basis:
                 assert lattice_residue(lat, x) == x
-
-
-def test_solve_unit_functional():
-    for v in [(1,), (2, 3), (0, 1, 0), (6, 10, 15), (-3, 2)]:
-        x = solve_unit_functional(v)
-        assert sum(a * b for a, b in zip(v, x)) == 1
-    with pytest.raises(ValueError):
-        solve_unit_functional((2, 4))

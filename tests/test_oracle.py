@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -33,7 +34,21 @@ from helpers import (
     random_pointed_generators,
     TORSION_BASES,
     random_tower,
+    ref_face_candidates,
 )
+
+
+def cube(n):
+    """The cone over the (n - 1)-cube: the generators {1} x {-1, 1}^(n - 1)."""
+    return Generators(n, tuple((1,) + signs for signs in product((-1, 1), repeat=n - 1)))
+
+
+# the rank-4 cone of the 57 generators (2, a, b, c), a, b, c in [-2, 2] with
+# |a| + |b| + |c| <= 3: its facets need C(57, 3) = 29,260 subsets
+GEN57 = Generators(4, tuple((2,) + abc for abc in product(range(-2, 3), repeat=3)
+                            if sum(map(abs, abc)) <= 3))
+
+TOWER2 = Tower(4, (1, 2, -3, 1), Tower(3, (2, -1, 1), EVEN_AXIS))
 
 
 def test_oracle_members_match_main_membership():
@@ -115,7 +130,7 @@ def test_oracle_matches_the_library_on_deeper_towers(depth):
 def test_oracle_members_solve_each_tower_level_once(monkeypatch):
     # one elimination per level finds its height functional; every box
     # point's height is then a dot product
-    spec = Tower(4, (1, 2, -3, 1), Tower(3, (2, -1, 1), EVEN_AXIS))
+    spec = TOWER2
     calls = []
     original = oracle._orref
     monkeypatch.setattr(oracle, "_orref", lambda *args: calls.append(args) or original(*args))
@@ -207,3 +222,49 @@ def test_cross_check_stops_at_its_subset_budget_before_trying_one(monkeypatch):
         dd_cross_check(pyramid, BoxSpec(2))
     # only the span's equations were computed, no subset's hyperplane
     assert nullspaces == [list(pyramid.rays)]
+
+
+@pytest.mark.parametrize("spec, radius", ((cube(5), 1), (TOWER2, 2)))
+def test_face_check_enumerates_the_supporting_hyperplanes_once(monkeypatch, spec, radius):
+    # every face is cut from the one facet set of the base generators
+    calls = []
+    original = oracle._supporting
+    monkeypatch.setattr(oracle, "_supporting",
+                        lambda *args: calls.append(args) or original(*args))
+    faces = brute_force_faces(spec, BoxSpec(radius))
+    assert len(calls) == 1
+    assert faces == set(face_members_in_box(enumerate_faces(spec), radius))
+
+
+def test_face_check_meets_the_subset_budget_before_walking(monkeypatch):
+    assert len(GEN57.generators) == 57
+
+    def walk(*args):
+        raise AssertionError("the membership closure was walked")
+
+    monkeypatch.setattr(oracle, "_reachable", walk)
+    with pytest.raises(OracleBudgetExceeded,
+                       match="57 generators in rank 4 need 29260 subsets, over 5000"):
+        brute_force_faces(GEN57, BoxSpec(6))
+
+
+def test_face_candidates_match_the_recursion_down_the_face_lattice():
+    cases = [(spec, 3) for spec in TORSION_BASES]
+    cases += [(Generators(2, ((2, 0), (-2, 0), (1, 1))), 3),
+              (Generators(3, ((4, 2, 0), (-4, -2, 0), (1, 1, 1), (0, 0, 1), (3, 0, 5))), 2),
+              (Tower(3, (0, 1, 1), Generators(2, ((1, 0), (-1, 0), (0, 0)))), 2)]
+    cases += [(random_tower(random.Random(f"candidates:{depth}:{i}"), depth,
+                            [b for b in TORSION_BASES if b.ambient_rank + depth <= 4]), 2)
+              for depth in (1, 2, 3) for i in range(2)]
+    cases += [(cube(4), 1), (cube(4), 2)]
+    # at radius 1 the box holds no point of level 1's plane off its boundary,
+    # so the base members, a half line, are level 1's members, and still cut
+    quadrant = Generators(2, ((1, 0), (0, 1)))
+    cases.append((Tower(4, (-2, -4, -4, -1), Tower(3, (2, -1, -1), quadrant)), 1))
+    for spec, radius in cases:
+        n = spec.ambient_rank
+        functionals, gens = view = oracle._view(spec)
+        members = oracle._view_members(view, oracle._domain(spec, BoxSpec(radius)))
+        normals = oracle._supporting(gens, n)[1]
+        assert oracle._view_face_sets(functionals, normals, members) == \
+            ref_face_candidates(view, members, n), spec
