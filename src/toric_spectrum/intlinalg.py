@@ -41,7 +41,13 @@ representative of a vector modulo the lattice (ibid.), the key of the
 membership search in :mod:`toric_spectrum.semigroups`.  The invariants of
 Z^n modulo a lattice (:func:`quotient_invariants`) come from the same
 kernel: :func:`_smith_diagonal` alternates row and column passes of
-:func:`_triangulate` until the square block is diagonal.
+:func:`_triangulate` until the square block is diagonal.  A kernel's
+triangulation also gives the torsion of Z^n modulo the rows' lattice
+(:func:`kernel_and_torsion`, one call per face of an atlas, on the HNF
+basis of its members): the Smith invariants of its pivot block, with no
+Smith pass when the pivots multiply to +-1.  On independent rows that
+product is the order of the torsion, so only a lattice with torsion runs
+a Smith pass.
 
 Every entry point that eliminates or reduces requires integer entries and
 converts with ``operator.index``, so a ``Fraction`` or a float raises
@@ -377,17 +383,42 @@ def int_kernel(rows: Sequence[IntVector], ambient_rank: int) -> Lattice:
     section 2.4: triangulating the first block of ``[rows^T | I_n]`` leaves
     rows that vanish on it, and their second block is a kernel basis.
     """
+    return _kernel(rows, ambient_rank)[0]
+
+
+def kernel_and_torsion(rows: Sequence[IntVector], ambient_rank: int
+                       ) -> tuple[Lattice, tuple[int, ...]]:
+    """The :func:`int_kernel` of the rows and the torsion of Z^n modulo the
+    lattice they span, as :func:`quotient_invariants` gives it, from the
+    same computation.
+
+    The triangulation's unimodular row operations U make ``U rows^T`` a
+    pivot block P over zero rows, so Z^n modulo the rows' lattice is
+    Z^r / P Z^m plus a free part, and the torsion is the Smith invariants of
+    P above 1; one nonzero row v has the block ``[[gcd(v)]]``.  When the
+    pivots of P multiply to +-1, so does its minor on the pivot columns:
+    there is no torsion and no Smith pass.  On independent rows P is square,
+    and that product is the order of the torsion.
+    """
+    kernel, block = _kernel(rows, ambient_rank)
+    if abs(prod(next(a for a in row if a) for row in block)) == 1:
+        return kernel, ()
+    return kernel, tuple(d for d in _smith_diagonal(block) if d > 1)
+
+
+def _kernel(rows: Sequence[IntVector], ambient_rank: int) -> tuple[Lattice, list[list[int]]]:
+    """The kernel of the rows and the pivot block of their triangulation."""
     rows = [tuple(map(operator.index, r)) for r in rows]
     n = _check_rows(rows, ambient_rank) if rows else ambient_rank
     rows = [r for r in rows if any(r)]
     if not rows:
-        return full_lattice(n)
+        return full_lattice(n), []
     if len(rows) == 1:
-        return _one_row_kernel(rows[0], n)
+        return _one_row_kernel(rows[0], n), [[gcd(*rows[0])]]
     m = len(rows)
     aug = [[r[j] for r in rows] + [1 if t == j else 0 for t in range(n)] for j in range(n)]
-    _, rest = _triangulate(aug, m)
-    return hnf([row[m:] for row in rest], n)
+    pivots, rest = _triangulate(aug, m)
+    return hnf([row[m:] for row in rest], n), [row[:m] for row in pivots]
 
 
 def _one_row_kernel(v: IntVector, n: int) -> Lattice:

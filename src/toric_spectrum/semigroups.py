@@ -25,9 +25,12 @@ is the closure of the lattice's covers.
 
 A face's member generators are read off bitmasks: each generator's mask of
 the cone inequalities that vanish on it is found once per atlas, and a face
-holds the generators whose mask contains its tight set.  Its facet normals
-are projected onto its span by one Gram elimination, on the smaller of its
-two sides: its lattice basis or its equations.
+holds the generators whose mask contains its tight set.  One triangulation
+of its members' lattice basis gives its equations and its torsion, with no
+Smith form for a face without torsion.  Its facet normals are looked up in
+its table of the cone inequalities projected onto its span, which one
+rank-one Gram-Schmidt step derives from the table of a face that covers
+it; face 0 is the asymptotic cone itself.
 
 A tower is flattened once into Z^n (:func:`_flatten`): one half space per
 level, then its innermost generators embedded as a generated spec of rank n.
@@ -69,10 +72,10 @@ from .intlinalg import (
     hnf_coordinates,
     int_kernel,
     is_zero_vector,
+    kernel_and_torsion,
     lattice_contains,
     lattice_residue,
     primitive_vector,
-    quotient_invariants,
     saturate,
     vec_neg,
 )
@@ -402,10 +405,19 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
     the normal of that facet.  The member generators are those on which the
     tight inequalities vanish: those whose mask of vanishing inequalities,
     found once per atlas, holds the face's tight set.  The members span the
-    face, so the normals are projected in one Gram elimination on the
-    smaller side: onto the members' lattice basis, or modulo the face's
-    equations.  The lattice order is the atlas order, so a face's id is its
-    lattice id plus ``depth``.  Inside a tower every face's tight set is
+    face, so one triangulation of their lattice basis gives its equations
+    and its torsion (:func:`~toric_spectrum.intlinalg.kernel_and_torsion`).
+
+    Each face keeps a table of the inequalities not tight on it, projected
+    onto its span, so its facet normals are lookups.  Face 0 is ``ambient``
+    itself, and its table is the cone's inequalities.  A face F takes its
+    table from the face G of its first cover: with b the entry of G for an
+    inequality tight on F but not on G, span F is span G cut by b^perp, so
+    ``(b.b) x - (x.b) b`` is a positive multiple of the projection of G's
+    entry x onto span F (one rank-one Gram-Schmidt step) and its primitive
+    vector is the canonical normal.  The lattice order is the atlas order,
+    so a face's id is its lattice id plus ``depth``, and every cover comes
+    before the faces it covers.  Inside a tower every face's tight set is
     ``(0,)``: the level-0 normal vanishes on it.  Returns the faces and the
     lattice's covers, both offset by ``depth``.
     """
@@ -413,25 +425,38 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
     lattice = face_lattice(ambient)
     handles = lattice.faces
     facets: list[list[int]] = [[] for _ in handles]
+    parent: dict[int, int] = {}
     for larger, smaller in lattice.covers:
         facets[larger].append(smaller)
+        parent.setdefault(smaller, larger)
     vanishing = [sum(1 << i for i, a in enumerate(ambient.inequalities) if dot(a, g) == 0)
                  for g in base.generators]
+
+    def dropped(f: int, g: int) -> int:  # an inequality tight on face f but not on face g
+        return next(i for i in handles[f].tight_set if i not in handles[g].tight_set)
+
+    tables = [dict(enumerate(ambient.inequalities))]
     faces = []
     for handle, ray_set in zip(handles, lattice.ray_sets):
-        rays = tuple(ambient.rays[j] for j in ray_set)
-        equations = int_kernel(rays + ambient.lineality, n).basis
         tight = sum(1 << i for i in handle.tight_set)
         members = tuple(g for g, mask in zip(base.generators, vanishing) if mask & tight == tight)
         span = hnf(members, n)
-        normals = [ambient.inequalities[next(i for i in handles[f].tight_set
-                                             if i not in handle.tight_set)]
-                   for f in facets[handle.id]]
-        onto = span.rank < len(equations)
-        normals = _project(normals, span.basis if onto else equations, onto)
-        cone = Cone(n, rays, tuple(sorted(set(normals))), ambient.lineality, equations)
-        faces.append(FaceData(depth + handle.id, handle.dim, cone, span,
-                              *_finalize_face(n, cone, span, handle.dim), members,
+        equations, torsion = kernel_and_torsion(span.basis, n)
+        cone = ambient
+        if handle.id:
+            up = parent[handle.id]
+            b = tables[up][dropped(handle.id, up)]
+            bb, table = dot(b, b), {}
+            for i, x in tables[up].items():
+                if i not in handle.tight_set:
+                    xb = dot(x, b)
+                    table[i] = primitive_vector([bb * s - xb * t for s, t in zip(x, b)])
+            tables.append(table)
+            normals = {table[dropped(f, handle.id)] for f in facets[handle.id]}
+            cone = Cone(n, tuple(ambient.rays[j] for j in ray_set), tuple(sorted(normals)),
+                        ambient.lineality, equations.basis)
+        faces.append(FaceData(depth + handle.id, handle.dim, cone, span, torsion,
+                              *_finalize_face(cone, span, torsion, handle.dim), members,
                               (0,) if depth else handle.tight_set))
     return faces, [(depth + a, depth + b) for a, b in lattice.covers]
 
@@ -498,9 +523,10 @@ def _half_space_local(cone: Cone, lattice: Lattice):
     return (), cone_local, dual_cone(cone_local)
 
 
-def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
-    """Torsion, local cone and dual local cone of a generated face; a tower's
-    half spaces read theirs off the flag (:func:`_half_space_local`).
+def _finalize_face(cone: Cone, lattice: Lattice, torsion: tuple[int, ...], dim: int):
+    """Local cone and dual local cone of a generated face, given its torsion
+    (:func:`_generator_faces`); a tower's half spaces read theirs off the
+    flag (:func:`_half_space_local`).
 
     The face lattice spans the face, so on the lattice basis B the cone is
     full dimensional: its facet normals are ``B a`` for the face's normals
@@ -513,7 +539,6 @@ def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
     """
     if lattice.rank != dim:
         raise InvariantViolation("face lattice does not span its cone")
-    torsion = quotient_invariants(n, lattice)[1]
     basis = lattice.basis
     solved = hnf_coordinates(basis, cone.lineality + cone.rays)
     if solved is None:
@@ -527,7 +552,7 @@ def _finalize_face(n: int, cone: Cone, lattice: Lattice, dim: int):
     inequalities = tuple(sorted({primitive_vector([dot(b, a) for b in basis])
                                  for a in cone.inequalities}))
     cone_local = Cone(dim, rays, inequalities, lineality, ())
-    return torsion, cone_local, dual_cone(cone_local)
+    return cone_local, dual_cone(cone_local)
 
 
 def _interior_member(spec: SemigroupSpec) -> IntVector:

@@ -10,6 +10,7 @@ from toric_spectrum import (
     Character,
     Cone,
     ExactValue,
+    FaceData,
     Generators,
     InvariantViolation,
     Ray,
@@ -180,6 +181,39 @@ def finalize_face(n, cone, lattice, dim):
                                  for a in cone.inequalities}))
     cone_local = Cone(dim, rays, inequalities, lineality, ())
     return torsion, cone_local, cones.dual_cone(cone_local)
+
+
+def ref_generator_faces(base, ambient, depth):
+    """Reference: the faces of a generated semigroup by the per-face route
+    that the projection tables replace.  Each face's equations are the
+    ``int_kernel`` of its rays and lineality, its facet normals the cone
+    inequalities tight on a facet but not on it, projected onto its span by
+    one Gram elimination (``cones._project``) on the smaller side, its
+    members' lattice basis or its equations, and its torsion and local cones
+    come from ``finalize_face``, with the torsion from the Smith form."""
+    n = base.ambient_rank
+    lattice = cones.face_lattice(ambient)
+    handles = lattice.faces
+    facets = [[] for _ in handles]
+    for larger, smaller in lattice.covers:
+        facets[larger].append(smaller)
+    faces = []
+    for handle, ray_set in zip(handles, lattice.ray_sets):
+        rays = tuple(ambient.rays[j] for j in ray_set)
+        equations = int_kernel(rays + ambient.lineality, n).basis
+        members = tuple(g for g in base.generators
+                        if all(dot(ambient.inequalities[i], g) == 0 for i in handle.tight_set))
+        span = hnf(members, n)
+        normals = [ambient.inequalities[next(i for i in handles[f].tight_set
+                                             if i not in handle.tight_set)]
+                   for f in facets[handle.id]]
+        onto = span.rank < len(equations)
+        normals = cones._project(normals, span.basis if onto else equations, onto)
+        cone = Cone(n, rays, tuple(sorted(set(normals))), ambient.lineality, equations)
+        faces.append(FaceData(depth + handle.id, handle.dim, cone, span,
+                              *finalize_face(n, cone, span, handle.dim), members,
+                              (0,) if depth else handle.tight_set))
+    return faces
 
 
 def canonical_sides(ray_gens, lin_gens, n):
