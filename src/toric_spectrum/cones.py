@@ -18,12 +18,17 @@ that does not span Q^n is converted on the coordinates of a saturated basis
 of its span and its normals are mapped back.  The lineality is the integer
 kernel of the normals in that same rank, mapped back through the span's
 saturated basis, and the extreme rays are read off the normals and the
-input by the same bitmask rule (:func:`cone_from_rays`).
+input by the same bitmask rule.  One body does the conversion, given the
+span's equations and saturated basis (:func:`_cone_in_span`):
+:func:`cone_from_rays` finds those as two integer kernels, and the base of
+a tower takes them off its flag (``semigroups._flatten``).
 
 Projections onto a span or modulo it, and the lifts of normals out of a
 span's coordinates, solve the span's Gram system: one fraction-free
 elimination for all the vectors of a call (:func:`_gram_solve`,
-:func:`_project`).
+:func:`_project`).  A conversion runs one, to lift its normals; the rest
+serve the rays of a conversion and of a face's local cone, modulo their
+lineality.
 """
 
 from __future__ import annotations
@@ -36,8 +41,10 @@ from typing import Optional, Sequence
 from .intlinalg import (
     IntVector,
     InvariantViolation,
+    Lattice,
     _check_rows,
     dot,
+    full_lattice,
     hnf,
     identity_rows,
     int_kernel,
@@ -176,26 +183,41 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
                    ambient_rank: Optional[int] = None) -> Cone:
     """Cone generated by the given rays plus a lineality space.
 
-    The input may be redundant; the stored data is canonical.  One double
-    description turns the generators into facet normals.  It runs in the
-    rank of the cone's linear span, after Fukuda & Prodon (1996): the span's
-    equations are found once, the input is written on the saturated basis B
-    of the span, and the cone computed there is full dimensional, so its
-    dual has no lineality.  A facet normal a goes back to Z^n by the Gram
-    lift ``B^T (B B^T)^{-1} a``, the vector of the span that pairs with
-    ``B^T y`` as a pairs with y.  The lineality is the integer kernel of the
-    normals, taken in the same rank: for a cone in a proper subspace it is
-    the kernel of the local normals in Z^d, mapped through B, which is
-    saturated because B is.  The rays are read off the input: the nonzero
-    generators, taken modulo the lineality, whose set of vanishing normals
-    lies strictly inside no other generator's.
+    The input may be redundant; the stored data is canonical.  The span's
+    equations are found once, as the integer kernel of the input, and the
+    saturated basis of the span as the kernel of those; the conversion
+    itself is :func:`_cone_in_span`.
     """
     n = _check_rows([*rays, *lineality], ambient_rank)
     gens = [tuple(map(operator.index, r)) for r in rays]
     lins = [tuple(map(operator.index, l)) for l in lineality]
     equations = int_kernel(gens + lins, n).basis
+    span = int_kernel(equations, n) if equations else full_lattice(n)
+    return _cone_in_span(gens, lins, equations, span)
+
+
+def _cone_in_span(gens: Sequence[IntVector], lins: Sequence[IntVector],
+                  equations: tuple[IntVector, ...], span: Lattice) -> Cone:
+    """The cone of integer rays and lineality generators, given the HNF
+    ``equations`` of their linear span and the saturated lattice ``span``
+    of its integer points, which a caller that knows them passes in
+    (:func:`cone_from_rays`, and ``semigroups._flatten`` for the base of a
+    tower).
+
+    One double description turns the generators into facet normals.  It
+    runs in the rank of the span, after Fukuda & Prodon (1996): the input is
+    written on the saturated basis B of the span, and the cone computed
+    there is full dimensional, so its dual has no lineality.  A facet normal
+    a goes back to Z^n by the Gram lift ``B^T (B B^T)^{-1} a``, the vector
+    of the span that pairs with ``B^T y`` as a pairs with y.  The lineality
+    is the integer kernel of the normals, taken in the same rank: for a cone
+    in a proper subspace it is the kernel of the local normals in Z^d,
+    mapped through B, which is saturated because B is.  The rays are read
+    off the input: the nonzero generators, taken modulo the lineality, whose
+    set of vanishing normals lies strictly inside no other generator's.
+    """
+    n = span.ambient_rank
     if equations:
-        span = int_kernel(equations, n)
         columns = list(zip(*span.basis))
         local = _double_description([lattice_coordinates(span, v) for v in gens],
                                     [lattice_coordinates(span, v) for v in lins], span.rank)

@@ -47,7 +47,8 @@ triangulation also gives the torsion of Z^n modulo the rows' lattice
 basis of its members): the Smith invariants of its pivot block, with no
 Smith pass when the pivots multiply to +-1.  On independent rows that
 product is the order of the torsion, so only a lattice with torsion runs
-a Smith pass.
+a Smith pass.  A caller that knows the kernel, as face 0 of an atlas does,
+triangulates the transposed basis alone (:func:`basis_torsion`).
 
 Every entry point that eliminates or reduces requires integer entries and
 converts with ``operator.index``, so a ``Fraction`` or a float raises
@@ -401,9 +402,23 @@ def kernel_and_torsion(rows: Sequence[IntVector], ambient_rank: int
     and that product is the order of the torsion.
     """
     kernel, block = _kernel(rows, ambient_rank)
+    return kernel, _block_torsion(block)
+
+
+def basis_torsion(basis: Sequence[IntVector]) -> tuple[int, ...]:
+    """The torsion of Z^n modulo the lattice of independent rows, as
+    :func:`kernel_and_torsion` gives it, for a caller that knows the
+    kernel: the triangulation runs on the transposed basis alone, which
+    gives the same pivot block as the first block of ``[basis^T | I_n]``."""
+    return _block_torsion(_triangulate([list(col) for col in zip(*basis)], len(basis))[0])
+
+
+def _block_torsion(block: list[list[int]]) -> tuple[int, ...]:
+    """The Smith invariants above 1 of a triangulation's pivot block, with
+    no Smith pass when its pivots multiply to +-1."""
     if abs(prod(next(a for a in row if a) for row in block)) == 1:
-        return kernel, ()
-    return kernel, tuple(d for d in _smith_diagonal(block) if d > 1)
+        return ()
+    return tuple(d for d in _smith_diagonal(block) if d > 1)
 
 
 def _kernel(rows: Sequence[IntVector], ambient_rank: int) -> tuple[Lattice, list[list[int]]]:

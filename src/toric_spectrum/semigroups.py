@@ -30,12 +30,16 @@ of its members' lattice basis gives its equations and its torsion, with no
 Smith form for a face without torsion.  Its facet normals are looked up in
 its table of the cone inequalities projected onto its span, which one
 rank-one Gram-Schmidt step derives from the table of a face that covers
-it; face 0 is the asymptotic cone itself.
+it.  Face 0 is the asymptotic cone itself: it holds every generator, so its
+equations are the cone's and its torsion comes from its basis alone.
 
 A tower is flattened once into Z^n (:func:`_flatten`): one half space per
 level, then its innermost generators embedded as a generated spec of rank n.
-The atlas is the half spaces above the faces of that generated spec.  A half
-space's local cone is read off the flag with no Smith form and no solve
+Each level's ray is read off the flag by rank-one Gram-Schmidt steps against
+the rays above it, with no Gram system solved, and a base that spans its
+rank is converted on the last level's lattice and equations.  The atlas is
+the half spaces above the faces of that generated spec.  A half space's
+local cone is read off the flag with no Smith form and no solve
 (:func:`_half_space_local`); only the generated faces are finalised
 (:func:`_finalize_face`).  Membership reads the half spaces' functionals
 level by level and searches the generators only at height zero on every
@@ -55,6 +59,7 @@ from typing import Optional, Sequence, Union
 from .cones import (
     CACHE_SIZE,
     Cone,
+    _cone_in_span,
     _project,
     cone_contains_cone,
     cone_from_rays,
@@ -66,6 +71,7 @@ from .intlinalg import (
     IntVector,
     InvariantViolation,
     Lattice,
+    basis_torsion,
     dot,
     full_lattice,
     hnf,
@@ -410,16 +416,19 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
 
     Each face keeps a table of the inequalities not tight on it, projected
     onto its span, so its facet normals are lookups.  Face 0 is ``ambient``
-    itself, and its table is the cone's inequalities.  A face F takes its
-    table from the face G of its first cover: with b the entry of G for an
-    inequality tight on F but not on G, span F is span G cut by b^perp, so
-    ``(b.b) x - (x.b) b`` is a positive multiple of the projection of G's
-    entry x onto span F (one rank-one Gram-Schmidt step) and its primitive
-    vector is the canonical normal.  The lattice order is the atlas order,
-    so a face's id is its lattice id plus ``depth``, and every cover comes
-    before the faces it covers.  Inside a tower every face's tight set is
-    ``(0,)``: the level-0 normal vanishes on it.  Returns the faces and the
-    lattice's covers, both offset by ``depth``.
+    itself and its table is the cone's inequalities; it holds every
+    generator, so its equations are the cone's and its torsion needs the
+    triangulation of its basis's transpose alone
+    (:func:`~toric_spectrum.intlinalg.basis_torsion`), with no kernel.  A
+    face F takes its table from the face G of its first cover: with b the
+    entry of G for an inequality tight on F but not on G, span F is span G
+    cut by b^perp, so ``(b.b) x - (x.b) b`` is a positive multiple of the
+    projection of G's entry x onto span F (one rank-one Gram-Schmidt step)
+    and its primitive vector is the canonical normal.  The lattice order is
+    the atlas order, so a face's id is its lattice id plus ``depth``, and
+    every cover comes before the faces it covers.  Inside a tower every
+    face's tight set is ``(0,)``: the level-0 normal vanishes on it.
+    Returns the faces and the lattice's covers, both offset by ``depth``.
     """
     n = base.ambient_rank
     lattice = face_lattice(ambient)
@@ -441,9 +450,11 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
         tight = sum(1 << i for i in handle.tight_set)
         members = tuple(g for g, mask in zip(base.generators, vanishing) if mask & tight == tight)
         span = hnf(members, n)
-        equations, torsion = kernel_and_torsion(span.basis, n)
         cone = ambient
-        if handle.id:
+        if not handle.id:  # face 0 holds every generator: its equations are the cone's
+            torsion = basis_torsion(span.basis)
+        else:
+            equations, torsion = kernel_and_torsion(span.basis, n)
             up = parent[handle.id]
             b = tables[up][dropped(handle.id, up)]
             bb, table = dot(b, b), {}
@@ -472,38 +483,50 @@ def _flatten(spec: SemigroupSpec):
     single inequality, is ``E^T normal`` taken modulo that lineality.  The
     flag is walked in one pass: a level's lineality, ``hnf`` of the next
     embedding, is the next level's lattice, and the kernel of the next
-    embedding is the next level's equations, so each level runs one ``hnf``
-    and one kernel.  Those equations span this level's equations and the
-    ray, and ``E^T normal`` is orthogonal to this level's equations, so the
-    ray is also its projection onto them: one Gram elimination on whichever
-    side, the next equations or the lineality, has fewer rows.  The
-    innermost generators are embedded once, into a :class:`Generators` spec
-    of rank n, and their asymptotic cone is converted by
-    :func:`~toric_spectrum.cones.cone_from_rays`: the one double description
-    of the spec, shared by its atlas, its membership data and, for a
-    generated spec, :func:`asymptotic_cone`.  A generated spec is its own
-    base, with no half spaces and nothing embedded.  Returns
-    ``(half spaces, base, base cone)``, each half space a ``(cone,
-    lattice)`` pair; the last :data:`~toric_spectrum.cones.CACHE_SIZE`
-    specs are kept.
+    embedding is the next level's equations, so every level runs one
+    ``hnf`` and one kernel.  The rays of the levels above are pairwise
+    orthogonal and span this level's equations, and the next equations are
+    those plus the ray.  So the ray is read off a row w of the next
+    equations with ``<w, E^T normal> != 0``: one rank-one Gram-Schmidt step
+    ``(r.r) w - (w.r) r`` per ray r above leaves its part orthogonal to
+    this level's equations, on the line of the ray, signed positive on
+    ``E^T normal``; no Gram system is solved.  The innermost generators are
+    embedded once, into a :class:`Generators` spec of rank n, and their
+    asymptotic cone is the one double description of the spec, shared by
+    its atlas, its membership data and, for a generated spec,
+    :func:`asymptotic_cone`.  When they span their own rank, their span is
+    the last level's lattice and its equations the last kernel, so the cone
+    is converted on those (:func:`~toric_spectrum.cones._cone_in_span`);
+    otherwise, and for a generated spec, which is its own base with no half
+    spaces and nothing embedded, by
+    :func:`~toric_spectrum.cones.cone_from_rays`.  Returns ``(half spaces,
+    base, base cone)``, each half space a ``(cone, lattice)`` pair; the last
+    :data:`~toric_spectrum.cones.CACHE_SIZE` specs are kept.
     """
     n = spec.ambient_rank
-    half_spaces = []
+    half_spaces, rays = [], []
     lattice = full_lattice(n)
     embedding, equations = lattice.basis, ()
     while isinstance(spec, Tower):
         inner = tuple(embed_point(embedding, b, n) for b in boundary_basis(spec))
-        lineality = hnf(inner, n)
-        below = int_kernel(inner, n).basis if isinstance(spec.inner, Tower) else None
+        lineality, below = hnf(inner, n), int_kernel(inner, n).basis
         direction = embed_point(embedding, spec.normal, n)
-        onto = below is not None and len(below) < lineality.rank
-        (normal,) = _project([direction], below if onto else lineality.basis, onto)
+        w = next(w for w in below if dot(w, direction))
+        for r, rr in rays:
+            wr = dot(w, r)
+            if wr:
+                w = primitive_vector([rr * a - wr * b for a, b in zip(w, r)])
+        normal = w if dot(w, direction) > 0 else vec_neg(w)
+        rays.append((normal, dot(normal, normal)))
         half_spaces.append((Cone(n, (normal,), (normal,), lineality.basis, equations), lattice))
         embedding, spec = inner, spec.inner
         lattice, equations = lineality, below
-    if half_spaces:
-        spec = Generators(n, tuple(embed_point(embedding, g, n) for g in spec.generators))
-    return tuple(half_spaces), spec, cone_from_rays(spec.generators, (), n)
+    if not half_spaces:
+        return (), spec, cone_from_rays(spec.generators, (), n)
+    gens = tuple(embed_point(embedding, g, n) for g in spec.generators)
+    spans = hnf(spec.generators, spec.ambient_rank).rank == spec.ambient_rank
+    cone = _cone_in_span(gens, (), equations, lattice) if spans else cone_from_rays(gens, (), n)
+    return tuple(half_spaces), Generators(n, gens), cone
 
 
 def _half_space_local(cone: Cone, lattice: Lattice):

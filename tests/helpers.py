@@ -20,6 +20,7 @@ from toric_spectrum import (
 from toric_spectrum.intlinalg import (
     Lattice,
     dot,
+    full_lattice,
     hnf,
     hnf_coordinates,
     int_kernel,
@@ -33,6 +34,7 @@ from toric_spectrum.intlinalg import (
     vec_neg,
 )
 from toric_spectrum.oracle import _orank, _supporting
+from toric_spectrum.semigroups import boundary_basis, embed_point
 
 # quadrant semigroup with a doubled x-axis generator: p,q >= 0, p even when q=0
 EVEN_AXIS = Generators(2, ((2, 0), (0, 1), (1, 1)))
@@ -214,6 +216,40 @@ def ref_generator_faces(base, ambient, depth):
                               *finalize_face(n, cone, span, handle.dim), members,
                               (0,) if depth else handle.tight_set))
     return faces
+
+
+def ref_flatten(spec):
+    """Reference: the flattening by the per-level route that reading the
+    rays off the flag replaces.  Each level's ray is ``E^T normal`` taken
+    modulo its lineality by one Gram elimination (``cones._project``) on the
+    smaller side, the next level's equations or the lineality, and the base
+    cone is ``cone_from_rays`` on the embedded generators."""
+    n = spec.ambient_rank
+    half_spaces = []
+    lattice = full_lattice(n)
+    embedding, equations = lattice.basis, ()
+    while isinstance(spec, Tower):
+        inner = tuple(embed_point(embedding, b, n) for b in boundary_basis(spec))
+        lineality = hnf(inner, n)
+        below = int_kernel(inner, n).basis if isinstance(spec.inner, Tower) else None
+        direction = embed_point(embedding, spec.normal, n)
+        onto = below is not None and len(below) < lineality.rank
+        (normal,) = cones._project([direction], below if onto else lineality.basis, onto)
+        half_spaces.append((Cone(n, (normal,), (normal,), lineality.basis, equations), lattice))
+        embedding, spec = inner, spec.inner
+        lattice, equations = lineality, below
+    if half_spaces:
+        spec = Generators(n, tuple(embed_point(embedding, g, n) for g in spec.generators))
+    return tuple(half_spaces), spec, cones.cone_from_rays(spec.generators, (), n)
+
+
+def nested_tower(depth):
+    """The tower of the given depth with normal e_1 at every level over the
+    half line."""
+    spec = HALF_LINE
+    for n in range(2, depth + 2):
+        spec = Tower(n, (1,) + (0,) * (n - 1), spec)
+    return spec
 
 
 def canonical_sides(ray_gens, lin_gens, n):

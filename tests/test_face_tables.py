@@ -14,7 +14,13 @@ import pytest
 
 from toric_spectrum import Generators, cones, enumerate_faces, intlinalg, semigroups
 from toric_spectrum.cones import face_lattice
-from toric_spectrum.intlinalg import hnf, int_kernel, kernel_and_torsion, quotient_invariants
+from toric_spectrum.intlinalg import (
+    basis_torsion,
+    hnf,
+    int_kernel,
+    kernel_and_torsion,
+    quotient_invariants,
+)
 
 from helpers import (
     EVEN_AXIS,
@@ -88,23 +94,7 @@ def test_kernel_and_torsion_equal_the_kernel_and_the_smith_form():
         kernel, torsion = kernel_and_torsion(rows, n)
         assert kernel == int_kernel(rows, n)
         assert torsion == quotient_invariants(n, hnf(rows, n))[1]
-
-
-@pytest.fixture
-def counted(monkeypatch):
-    """Count calls of a function of a module, by name, while the test runs."""
-    calls = Counter()
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    yield calls, count
+        assert basis_torsion(hnf(rows, n).basis) == torsion
 
 
 @pytest.mark.parametrize("spec", [atlas_spec(random.Random("tables:gram"), "r5.5"), cube(5)])
@@ -116,6 +106,18 @@ def test_pointed_full_dimensional_atlas_runs_no_gram_solve(counted, spec):
     atlas = enumerate_faces(spec)
     assert len(atlas.faces) >= 32
     assert calls["_gram_solve"] == 0
+
+
+def test_face_0_runs_no_kernel(counted):
+    # face 0 holds every generator, so its equations are the cone's and its
+    # torsion comes from its basis alone; every other face runs one kernel
+    calls, count = counted
+    spec = atlas_spec(random.Random("tables:face0"), "r5.5")
+    semigroups._flatten(spec)  # the double description and its kernels, cached
+    count(intlinalg, "_kernel")
+    atlas = enumerate_faces(spec)
+    assert len(atlas.faces) == 32
+    assert calls["_kernel"] == 31
 
 
 def test_unimodular_faces_run_no_smith_form(counted):
