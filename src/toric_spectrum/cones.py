@@ -14,21 +14,22 @@ exact involution by construction.  A conversion runs the double
 description method once, with integer pivots and a combinatorial adjacency
 test on tight-set bitmasks; no floating point and no rank is used.  That
 pass gives the facet normals, in the rank of the cone's linear span: a cone
-that does not span Q^n is converted on the coordinates of a saturated basis
-of its span and its normals are mapped back.  The lineality is the integer
-kernel of the normals in that same rank, mapped back through the span's
-saturated basis, and the extreme rays are read off the normals and the
-input by the same bitmask rule.  One body does the conversion, given the
-span's equations and saturated basis (:func:`_cone_in_span`):
-:func:`cone_from_rays` finds those as two integer kernels, and the base of
-a tower takes them off its flag (``semigroups._flatten``).
+that does not span Q^n is converted on the pairings of its generators with
+a saturated basis B of its span, and a normal a maps back as
+``primitive(B^T a)``, which already lies in the span.  The lineality is the
+integer kernel of the normals in that same rank, mapped back through B^T,
+and the extreme rays are read off the normals and the input by the same
+bitmask rule.  One body does the conversion, given the span's equations
+and saturated basis (:func:`_cone_in_span`): :func:`cone_from_rays` finds
+those as two integer kernels, and the base of a tower takes them off its
+flag (``semigroups._flatten``).
 
-Projections onto a span or modulo it, and the lifts of normals out of a
-span's coordinates, solve the span's Gram system: one fraction-free
-elimination for all the vectors of a call (:func:`_gram_solve`,
-:func:`_project`).  A conversion runs one, to lift its normals; the rest
+Projections modulo a span run no solver: the span's rows are made pairwise
+orthogonal once, and each vector then takes one rank-one Gram-Schmidt step
+``(r.r) v - (v.r) r`` per row (:func:`_reduce`, :func:`_project`).  They
 serve the rays of a conversion and of a face's local cone, modulo their
-lineality.
+lineality; the face tables and the tower rays of
+:mod:`toric_spectrum.semigroups` take the same step.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ from .intlinalg import (
     identity_rows,
     int_kernel,
     is_zero_vector,
-    lattice_coordinates,
     primitive_vector,
-    scaled_solutions,
     vec_neg,
 )
 
@@ -88,37 +87,36 @@ class Cone:
                 and all(dot(a, x) > 0 for a in self.inequalities))
 
 
-def _gram_solve(rows: Sequence[IntVector], rhs: Sequence[Sequence[int]]):
-    """Integers ``(ys, d)`` with ``d > 0`` and ``(R R^T) y = d b`` for each
-    right-hand side b, one y each: a single elimination of the Gram system
-    ``[R R^T | b_1 ... b_m]`` of the independent rows R.  Every projection
-    onto a span or modulo it, and every lift of a normal out of a span's
-    coordinates, goes through it."""
-    return scaled_solutions([[dot(u, v) for v in rows] for u in rows], rhs)
+def _reduce(v: IntVector, basis: Sequence[tuple[IntVector, int]]) -> IntVector:
+    """For a primitive v, the primitive integer vector on the part of v
+    orthogonal to pairwise orthogonal rows, given as ``(r, r.r)`` pairs: one
+    rank-one Gram-Schmidt step ``(r.r) v - (v.r) r`` per row r, skipped
+    where ``v.r = 0``.  Each step scales by ``r.r > 0``, and rows orthogonal
+    to one another leave the later pairings unchanged, so the result is on
+    the line of the orthogonal projection, with its orientation."""
+    for r, rr in basis:
+        vr = dot(v, r)
+        if vr:
+            v = primitive_vector([rr * a - vr * b for a, b in zip(v, r)])
+    return v
 
 
-def _project(vecs: Sequence[Sequence], rows: Sequence[IntVector], onto: bool = False
-             ) -> list[IntVector]:
-    """Canonical representatives of directions modulo a subspace, or, with
-    ``onto``, their parts in it: each the primitive integer vector of the
-    orthogonal projection onto the complement of ``span(R)``, or onto
-    ``span(R)``.
+def _project(vecs: Sequence[Sequence], rows: Sequence[IntVector]) -> list[IntVector]:
+    """Canonical representatives of directions modulo the span of
+    independent rows R: each the primitive integer vector of the orthogonal
+    projection onto the complement of ``span(R)``.
 
     A direction may be rational; clearing its denominators first is a
-    positive rescale.  The part of x in the span is ``R^T c`` with
-    ``(R R^T) c = R x``; with ``c = y / d`` the two projections are ``R^T y``
-    and ``d x - R^T y`` up to the positive factor ``d``, all in integers, and
-    one Gram elimination (:func:`_gram_solve`) serves every direction.
+    positive rescale.  The rows are made pairwise orthogonal once, each
+    reduced against those before it (:func:`_reduce`), which keeps their
+    span; then each direction takes one rank-one step per row, all in
+    integers.
     """
-    vecs = [primitive_vector(v) for v in vecs]
-    if not rows or not vecs:
-        return [tuple(0 for _ in v) for v in vecs] if onto else vecs
-    ys, d = _gram_solve(rows, [[dot(r, v) for r in rows] for v in vecs])
-    columns = list(zip(*rows))
-    parts = ([dot(y, c) for c in columns] for y in ys)
-    if onto:
-        return [primitive_vector(p) for p in parts]
-    return [primitive_vector([d * a - b for a, b in zip(v, p)]) for v, p in zip(vecs, parts)]
+    basis: list[tuple[IntVector, int]] = []
+    for r in rows:
+        r = _reduce(r, basis)
+        basis.append((r, dot(r, r)))
+    return [_reduce(primitive_vector(v), basis) for v in vecs]
 
 
 def _double_description(inequalities: Sequence[IntVector], equations: Sequence[IntVector],
@@ -205,25 +203,30 @@ def _cone_in_span(gens: Sequence[IntVector], lins: Sequence[IntVector],
     tower).
 
     One double description turns the generators into facet normals.  It
-    runs in the rank of the span, after Fukuda & Prodon (1996): the input is
-    written on the saturated basis B of the span, and the cone computed
-    there is full dimensional, so its dual has no lineality.  A facet normal
-    a goes back to Z^n by the Gram lift ``B^T (B B^T)^{-1} a``, the vector
-    of the span that pairs with ``B^T y`` as a pairs with y.  The lineality
-    is the integer kernel of the normals, taken in the same rank: for a cone
-    in a proper subspace it is the kernel of the local normals in Z^d,
-    mapped through B, which is saturated because B is.  The rays are read
-    off the input: the nonzero generators, taken modulo the lineality, whose
-    set of vanishing normals lies strictly inside no other generator's.
+    runs in the rank of the span, after Fukuda & Prodon (1996): each
+    generator x is written as its pairings ``B x`` with the rows of the
+    saturated basis B of the span.  As x -> Bx is injective on the span, the
+    cone computed there is full dimensional, so its dual has no lineality.
+    A facet normal a goes back to Z^n as ``primitive(B^T a)``, which lies in
+    the span and pairs with x as a pairs with ``B x``.  The lineality is the
+    integer kernel of the normals, taken in the same rank: for a cone in a
+    proper subspace it is the kernel in Z^d of the rows ``B v`` over the
+    normals v, mapped back by B^T, which is saturated because B is, and put
+    in HNF.  The rays are read off the input: the nonzero generators, taken
+    modulo the lineality, whose set of vanishing normals lies strictly
+    inside no other generator's.
     """
     n = span.ambient_rank
     if equations:
-        columns = list(zip(*span.basis))
-        local = _double_description([lattice_coordinates(span, v) for v in gens],
-                                    [lattice_coordinates(span, v) for v in lins], span.rank)
-        normals = [tuple(dot(y, c) for c in columns) for y in _gram_solve(span.basis, local)[0]]
-        lin = hnf([[dot(y, c) for c in columns] for y in int_kernel(local, span.rank).basis],
-                  n).basis
+        basis, columns = span.basis, list(zip(*span.basis))
+
+        def pairings(vecs):
+            return [tuple(dot(b, x) for b in basis) for x in vecs]
+
+        local = _double_description(pairings(gens), pairings(lins), span.rank)
+        normals = [primitive_vector([dot(a, c) for c in columns]) for a in local]
+        lin = hnf([[dot(y, c) for c in columns]
+                   for y in int_kernel(pairings(normals), span.rank).basis], n).basis
     else:
         normals = _double_description(gens, lins, n)
         lin = int_kernel(normals, n).basis

@@ -7,25 +7,7 @@ Hermite normal form with positive pivots and entries above each pivot reduced
 into ``[0, pivot)``, which makes the basis a canonical form: two generating
 sets span the same lattice exactly when their normal forms are equal.
 
-Solving over the rationals on arbitrary rows runs on one kernel,
-:func:`_echelon`: fraction-free Gaussian elimination after Bareiss (1968),
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", in which every division is exact and every entry stays an
-integer.  Two solvers return coordinates as integer numerators over one
-positive denominator, for any number of vectors at once:
-
-* :func:`hnf_coordinates` back-substitutes on the pivots of an echelon
-  basis, with no elimination.  Every basis a caller holds in HNF goes
-  through it: the local coordinates and span check of a face's cone
-  (:mod:`toric_spectrum.semigroups`), one call per face, and, as its
-  denominator-free case, :func:`lattice_coordinates`.
-* :func:`scaled_solutions` eliminates with :func:`_echelon`, once for any
-  number of right-hand sides; it serves the Gram systems of
-  :mod:`toric_spectrum.cones` (the projection onto a span or modulo it, and
-  the lift of a normal out of a span's coordinates), whose rows are in no
-  echelon form.
-
-Lattices run on a second kernel, :func:`_triangulate`: unimodular row
+Lattices run on one kernel, :func:`_triangulate`: unimodular row
 operations after Euclid, the least nonzero entry of a column being the
 pivot that reduces the others, and only the rows still nonzero in a
 column take part in its rounds.  :func:`hnf` triangulates every column and
@@ -35,20 +17,29 @@ data block of ``[rows^T | I_n]`` and takes one :func:`hnf` of what is left
 2.4); the kernel of a single nonzero row, the boundary of a tower level or
 of a half space, is written down in closed form from the Bezout
 coefficients of its suffixes (:func:`_one_row_kernel`), with no
-triangulation.  :func:`saturate` is two kernels.  An HNF basis also
-reduces: at each pivot, :func:`lattice_residue` leaves the canonical
-representative of a vector modulo the lattice (ibid.), the key of the
-membership search in :mod:`toric_spectrum.semigroups`.  The invariants of
-Z^n modulo a lattice (:func:`quotient_invariants`) come from the same
-kernel: :func:`_smith_diagonal` alternates row and column passes of
-:func:`_triangulate` until the square block is diagonal.  A kernel's
-triangulation also gives the torsion of Z^n modulo the rows' lattice
+triangulation.  :func:`saturate` is two kernels.  A kernel's triangulation
+also gives the torsion of Z^n modulo the rows' lattice
 (:func:`kernel_and_torsion`, one call per face of an atlas, on the HNF
 basis of its members): the Smith invariants of its pivot block, with no
 Smith pass when the pivots multiply to +-1.  On independent rows that
 product is the order of the torsion, so only a lattice with torsion runs
-a Smith pass.  A caller that knows the kernel, as face 0 of an atlas does,
-triangulates the transposed basis alone (:func:`basis_torsion`).
+a Smith pass (:func:`_smith_diagonal`, which alternates row and column
+passes of :func:`_triangulate` until the block is diagonal).  A caller
+that knows the kernel, as face 0 of an atlas does, triangulates the
+transposed basis alone (:func:`basis_torsion`), and so do the invariants
+of Z^n modulo a lattice (:func:`quotient_invariants`).
+
+An HNF basis needs no elimination at all.  :func:`hnf_coordinates`
+back-substitutes on its pivots, for any number of vectors at once, and
+returns rational coordinates as integer numerators over one positive
+denominator: the local coordinates and span check of a face's cone
+(:mod:`toric_spectrum.semigroups`), one call per face, and, as its
+denominator-free case, :func:`lattice_coordinates`.  At each pivot,
+:func:`lattice_residue` leaves the canonical representative of a vector
+modulo the lattice (ibid.), the key of the membership search in
+:mod:`toric_spectrum.semigroups`.  No rational solver runs on rows in no
+echelon form: :mod:`toric_spectrum.cones` works in a span by rank-one
+Gram-Schmidt steps and by pairings with a saturated basis.
 
 Every entry point that eliminates or reduces requires integer entries and
 converts with ``operator.index``, so a ``Fraction`` or a float raises
@@ -197,64 +188,6 @@ def full_lattice(n: int) -> Lattice:
     return Lattice(n, tuple(identity_rows(n)))
 
 
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) row echelon form of an integer matrix.
-
-    Returns the nonzero echelon rows and their pivot columns.  After the
-    k-th pivot every entry below it is a (k+1) x (k+1) minor of the row
-    permuted input, so the division by the previous pivot is exact and no
-    entry ever leaves the integers.  Non-integer entries are rejected
-    (TypeError) rather than floor-divided.
-    """
-    mat = [list(map(operator.index, r)) for r in rows]
-    pivots: list[int] = []
-    prev = 1
-    for j in range(len(mat[0]) if mat else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][j] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][j]
-        for i in range(r + 1, len(mat)):
-            a = mat[i][j]
-            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], mat[r])]
-        prev = p
-        pivots.append(j)
-        if r + 1 == len(mat):
-            break
-    return mat[:len(pivots)], pivots
-
-
-def scaled_solutions(basis: Sequence[IntVector], xs: Sequence[Sequence[int]]
-                     ) -> Optional[tuple[tuple[IntVector, ...], int]]:
-    """Integers ``(ys, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``
-    for the x of ``xs`` in turn, one ``y`` each, or None if some x is not in
-    the rational row span.  The basis rows must be linearly independent.
-
-    One elimination of ``[basis^T | x_1 ... x_m]`` serves every x: the pivots
-    of the basis columns depend on those columns alone, and some x is
-    outside the span exactly when a pivot falls right of them.  Otherwise
-    ``d`` is the last pivot (the determinant of the pivot rows, up to sign)
-    and, by Cramer's rule, back-substitution on each ``d * x`` stays in the
-    integers.
-    """
-    k = len(basis)
-    n = len(xs[0]) if xs else len(basis[0]) if basis else 0
-    rows, pivots = _echelon([[b[j] for b in basis] + [x[j] for x in xs] for j in range(n)])
-    if pivots and pivots[-1] >= k:
-        return None
-    d = rows[-1][k - 1] if k else 1
-    ys = []
-    for column in range(k, k + len(xs)):
-        y = [0] * k
-        for i in reversed(range(k)):
-            row = rows[i]
-            y[i] = (d * row[column] - sum(row[t] * y[t] for t in range(i + 1, k))) // row[i]
-        ys.append(tuple(y) if d > 0 else tuple(-c for c in y))
-    return tuple(ys), abs(d)
-
-
 def hnf_coordinates(basis: Sequence[IntVector], xs: Sequence[Sequence[int]]
                     ) -> Optional[list[tuple[IntVector, int]]]:
     """Integers ``(y, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``
@@ -361,18 +294,15 @@ def _smith_diagonal(basis: Sequence[IntVector]) -> list[int]:
 
 
 def quotient_invariants(ambient_rank: int, lattice: Lattice) -> tuple[int, tuple[int, ...]]:
-    """Structure of Z^n / lattice: free rank plus invariant torsion factors.
+    """Structure of Z^n / lattice: free rank plus invariant torsion factors,
+    the latter from :func:`basis_torsion`.
 
     Factors equal to 1 are dropped; the rest are returned in divisibility
     order (each divides the next).
     """
     if lattice.ambient_rank != ambient_rank:
         raise ValueError("lattice ambient rank mismatch")
-    if not lattice.basis:
-        return ambient_rank, ()
-    diag = _smith_diagonal(lattice.basis)
-    free = ambient_rank - len(diag)
-    return free, tuple(d for d in diag if d > 1)
+    return ambient_rank - lattice.rank, basis_torsion(lattice.basis)
 
 
 def int_kernel(rows: Sequence[IntVector], ambient_rank: int) -> Lattice:
@@ -476,8 +406,6 @@ def saturate(lattice: Lattice) -> Lattice:
 
 def saturation_index(ambient_rank: int, lattice: Lattice) -> tuple[Lattice, int]:
     """Saturation of the lattice together with its index in it."""
-    if lattice.ambient_rank != ambient_rank:
-        raise ValueError("lattice ambient rank mismatch")
     return saturate(lattice), prod(quotient_invariants(ambient_rank, lattice)[1])
 
 

@@ -61,6 +61,7 @@ from .cones import (
     Cone,
     _cone_in_span,
     _project,
+    _reduce,
     cone_contains_cone,
     cone_from_rays,
     dual_cone,
@@ -423,10 +424,11 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
     face F takes its table from the face G of its first cover: with b the
     entry of G for an inequality tight on F but not on G, span F is span G
     cut by b^perp, so ``(b.b) x - (x.b) b`` is a positive multiple of the
-    projection of G's entry x onto span F (one rank-one Gram-Schmidt step)
-    and its primitive vector is the canonical normal.  The lattice order is
-    the atlas order, so a face's id is its lattice id plus ``depth``, and
-    every cover comes before the faces it covers.  Inside a tower every
+    projection of G's entry x onto span F (one rank-one Gram-Schmidt step,
+    :func:`~toric_spectrum.cones._reduce`) and its primitive vector is the
+    canonical normal.  The lattice order is the atlas order, so a face's id
+    is its lattice id plus ``depth``, and every cover comes before the faces
+    it covers.  Inside a tower every
     face's tight set is ``(0,)``: the level-0 normal vanishes on it.
     Returns the faces and the lattice's covers, both offset by ``depth``.
     """
@@ -457,11 +459,9 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
             equations, torsion = kernel_and_torsion(span.basis, n)
             up = parent[handle.id]
             b = tables[up][dropped(handle.id, up)]
-            bb, table = dot(b, b), {}
-            for i, x in tables[up].items():
-                if i not in handle.tight_set:
-                    xb = dot(x, b)
-                    table[i] = primitive_vector([bb * s - xb * t for s, t in zip(x, b)])
+            step = ((b, dot(b, b)),)
+            table = {i: _reduce(x, step) for i, x in tables[up].items()
+                     if i not in handle.tight_set}
             tables.append(table)
             normals = {table[dropped(f, handle.id)] for f in facets[handle.id]}
             cone = Cone(n, tuple(ambient.rays[j] for j in ray_set), tuple(sorted(normals)),
@@ -488,7 +488,8 @@ def _flatten(spec: SemigroupSpec):
     orthogonal and span this level's equations, and the next equations are
     those plus the ray.  So the ray is read off a row w of the next
     equations with ``<w, E^T normal> != 0``: one rank-one Gram-Schmidt step
-    ``(r.r) w - (w.r) r`` per ray r above leaves its part orthogonal to
+    ``(r.r) w - (w.r) r`` per ray r above
+    (:func:`~toric_spectrum.cones._reduce`) leaves its part orthogonal to
     this level's equations, on the line of the ray, signed positive on
     ``E^T normal``; no Gram system is solved.  The innermost generators are
     embedded once, into a :class:`Generators` spec of rank n, and their
@@ -511,11 +512,7 @@ def _flatten(spec: SemigroupSpec):
         inner = tuple(embed_point(embedding, b, n) for b in boundary_basis(spec))
         lineality, below = hnf(inner, n), int_kernel(inner, n).basis
         direction = embed_point(embedding, spec.normal, n)
-        w = next(w for w in below if dot(w, direction))
-        for r, rr in rays:
-            wr = dot(w, r)
-            if wr:
-                w = primitive_vector([rr * a - wr * b for a, b in zip(w, r)])
+        w = _reduce(next(w for w in below if dot(w, direction)), rays)
         normal = w if dot(w, direction) > 0 else vec_neg(w)
         rays.append((normal, dot(normal, normal)))
         half_spaces.append((Cone(n, (normal,), (normal,), lineality.basis, equations), lattice))

@@ -1,10 +1,14 @@
 """Shared fixtures and generators for the test suite."""
 
 import functools
+import importlib
 import math
 import operator
+import pkgutil
 import random
 from fractions import Fraction
+
+import toric_spectrum
 
 from toric_spectrum import (
     Character,
@@ -30,7 +34,6 @@ from toric_spectrum.intlinalg import (
     primitive_vector,
     quotient_invariants,
     saturate,
-    scaled_solutions,
     vec_neg,
 )
 from toric_spectrum.oracle import _orank, _supporting
@@ -127,6 +130,138 @@ def tower_chain(rng, depth):
     return spec
 
 
+# ---------------------------------------------------------------------------
+# The rational solver the package no longer has: a Bareiss elimination, the
+# Gram systems solved on it, and the projections and conversion built on
+# those.  The references below use it, so they share no arithmetic with the
+# rank-one Gram-Schmidt steps of ``cones._project``.
+
+
+def echelon(rows):
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+
+    Returns the nonzero echelon rows and their pivot columns.  After the
+    k-th pivot every entry below it is a (k+1) x (k+1) minor of the row
+    permuted input, so the division by the previous pivot is exact and no
+    entry ever leaves the integers.  Non-integer entries are rejected
+    (TypeError) rather than floor-divided.
+    """
+    mat = [list(map(operator.index, r)) for r in rows]
+    pivots = []
+    prev = 1
+    for j in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][j] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        p = mat[r][j]
+        for i in range(r + 1, len(mat)):
+            a = mat[i][j]
+            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], mat[r])]
+        prev = p
+        pivots.append(j)
+        if r + 1 == len(mat):
+            break
+    return mat[:len(pivots)], pivots
+
+
+def scaled_solutions(basis, xs):
+    """Integers ``(ys, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``
+    for the x of ``xs`` in turn, one ``y`` each, or None if some x is not in
+    the rational row span.  The basis rows must be linearly independent.
+
+    One elimination of ``[basis^T | x_1 ... x_m]`` serves every x: the pivots
+    of the basis columns depend on those columns alone, and some x is
+    outside the span exactly when a pivot falls right of them.  Otherwise
+    ``d`` is the last pivot (the determinant of the pivot rows, up to sign)
+    and, by Cramer's rule, back-substitution on each ``d * x`` stays in the
+    integers.
+    """
+    k = len(basis)
+    n = len(xs[0]) if xs else len(basis[0]) if basis else 0
+    rows, pivots = echelon([[b[j] for b in basis] + [x[j] for x in xs] for j in range(n)])
+    if pivots and pivots[-1] >= k:
+        return None
+    d = rows[-1][k - 1] if k else 1
+    ys = []
+    for column in range(k, k + len(xs)):
+        y = [0] * k
+        for i in reversed(range(k)):
+            row = rows[i]
+            y[i] = (d * row[column] - sum(row[t] * y[t] for t in range(i + 1, k))) // row[i]
+        ys.append(tuple(y) if d > 0 else tuple(-c for c in y))
+    return tuple(ys), abs(d)
+
+
+def gram_solve(rows, rhs):
+    """Integers ``(ys, d)`` with ``d > 0`` and ``(R R^T) y = d b`` for each
+    right-hand side b, one y each: a single elimination of the Gram system
+    ``[R R^T | b_1 ... b_m]`` of the independent rows R."""
+    return scaled_solutions([[dot(u, v) for v in rows] for u in rows], rhs)
+
+
+SOLVER_NAMES = ("_gram_solve", "scaled_solutions", "_echelon")
+
+
+def package_definitions(names):
+    """The ``module.name`` of every given name that a module of the package
+    defines."""
+    found = []
+    for info in pkgutil.iter_modules(toric_spectrum.__path__):
+        module = importlib.import_module(f"toric_spectrum.{info.name}")
+        found += [f"{info.name}.{name}" for name in names if hasattr(module, name)]
+    return found
+
+
+def ref_project(vecs, rows, onto=False):
+    """Reference for ``cones._project``: canonical representatives of
+    directions modulo the span of independent rows R, or, with ``onto``,
+    their parts in it, from one Gram elimination for every direction.  The
+    part of x in the span is ``R^T c`` with ``(R R^T) c = R x``; with
+    ``c = y / d`` the two projections are ``R^T y`` and ``d x - R^T y`` up
+    to the positive factor ``d``."""
+    vecs = [primitive_vector(v) for v in vecs]
+    if not rows or not vecs:
+        return [tuple(0 for _ in v) for v in vecs] if onto else vecs
+    ys, d = gram_solve(rows, [[dot(r, v) for r in rows] for v in vecs])
+    columns = list(zip(*rows))
+    parts = ([dot(y, c) for c in columns] for y in ys)
+    if onto:
+        return [primitive_vector(p) for p in parts]
+    return [primitive_vector([d * a - b for a, b in zip(v, p)]) for v, p in zip(vecs, parts)]
+
+
+def ref_cone_from_rays(rays, lineality, n):
+    """Reference for ``cones.cone_from_rays``: the Gram-lift conversion.  A
+    cone in a proper subspace runs its double description on the lattice
+    coordinates of its generators on a saturated basis B of its span, and a
+    facet normal a goes back as the Gram lift ``B^T (B B^T)^{-1} a``; its
+    lineality is the kernel of the local normals mapped through B; its rays
+    are the input modulo the lineality by ``ref_project``."""
+    gens = [tuple(map(operator.index, r)) for r in rays]
+    lins = [tuple(map(operator.index, l)) for l in lineality]
+    equations = int_kernel(gens + lins, n).basis
+    if equations:
+        span = int_kernel(equations, n)
+        columns = list(zip(*span.basis))
+        local = cones._double_description([lattice_coordinates(span, v) for v in gens],
+                                          [lattice_coordinates(span, v) for v in lins],
+                                          span.rank)
+        normals = [tuple(dot(y, c) for c in columns) for y in gram_solve(span.basis, local)[0]]
+        lin = hnf([[dot(y, c) for c in columns] for y in int_kernel(local, span.rank).basis],
+                  n).basis
+    else:
+        normals = cones._double_description(gens, lins, n)
+        lin = int_kernel(normals, n).basis
+    normals = tuple(sorted({primitive_vector(a) for a in normals}))
+    tight = {r: sum(1 << i for i, a in enumerate(normals) if dot(a, r) == 0)
+             for r in ref_project(gens, lin) if not is_zero_vector(r)}
+    extreme = (r for r, m in tight.items()
+               if not any(o != m and o & m == m for o in tight.values()))
+    return Cone(n, tuple(sorted(extreme)), normals, lin, equations)
+
+
 def scaled_coordinates(basis, x):
     """Integers ``(y, d)`` with ``d > 0`` and ``sum(y_i * basis_i) == d * x``,
     or None if x is not in the rational row span: ``scaled_solutions`` for
@@ -190,7 +325,7 @@ def ref_generator_faces(base, ambient, depth):
     that the projection tables replace.  Each face's equations are the
     ``int_kernel`` of its rays and lineality, its facet normals the cone
     inequalities tight on a facet but not on it, projected onto its span by
-    one Gram elimination (``cones._project``) on the smaller side, its
+    one Gram elimination (``ref_project``) on the smaller side, its
     members' lattice basis or its equations, and its torsion and local cones
     come from ``finalize_face``, with the torsion from the Smith form."""
     n = base.ambient_rank
@@ -210,7 +345,7 @@ def ref_generator_faces(base, ambient, depth):
                                              if i not in handle.tight_set)]
                    for f in facets[handle.id]]
         onto = span.rank < len(equations)
-        normals = cones._project(normals, span.basis if onto else equations, onto)
+        normals = ref_project(normals, span.basis if onto else equations, onto)
         cone = Cone(n, rays, tuple(sorted(set(normals))), ambient.lineality, equations)
         faces.append(FaceData(depth + handle.id, handle.dim, cone, span,
                               *finalize_face(n, cone, span, handle.dim), members,
@@ -221,7 +356,7 @@ def ref_generator_faces(base, ambient, depth):
 def ref_flatten(spec):
     """Reference: the flattening by the per-level route that reading the
     rays off the flag replaces.  Each level's ray is ``E^T normal`` taken
-    modulo its lineality by one Gram elimination (``cones._project``) on the
+    modulo its lineality by one Gram elimination (``ref_project``) on the
     smaller side, the next level's equations or the lineality, and the base
     cone is ``cone_from_rays`` on the embedded generators."""
     n = spec.ambient_rank
@@ -234,7 +369,7 @@ def ref_flatten(spec):
         below = int_kernel(inner, n).basis if isinstance(spec.inner, Tower) else None
         direction = embed_point(embedding, spec.normal, n)
         onto = below is not None and len(below) < lineality.rank
-        (normal,) = cones._project([direction], below if onto else lineality.basis, onto)
+        (normal,) = ref_project([direction], below if onto else lineality.basis, onto)
         half_spaces.append((Cone(n, (normal,), (normal,), lineality.basis, equations), lattice))
         embedding, spec = inner, spec.inner
         lattice, equations = lineality, below
@@ -321,7 +456,7 @@ def ref_double_description(inequalities, equations, ambient_rank):
                 new_rays.append(tuple(w0 * c - v * d for c, d in zip(r, l0)))
             new_rays.append(l0)
             rays = list(dict.fromkeys(
-                rr for rr in cones._project(new_rays, lin) if not is_zero_vector(rr)))
+                rr for rr in ref_project(new_rays, lin) if not is_zero_vector(rr)))
             constraints.append(a)
             continue
         values = [dot(a, r) for r in rays]

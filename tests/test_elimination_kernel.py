@@ -1,10 +1,13 @@
-"""Property tests of the fraction-free elimination kernel in ``intlinalg``.
+"""Property tests of the exact solving in ``intlinalg`` and of the
+projection modulo a span.
 
-Rank, solving and the projection modulo a span (``cones._project``)
-all run on one Bareiss elimination (``_echelon``); they are checked here against the
-independent ``Fraction`` Gauss-Jordan code of the oracle.  Coordinates on an
-echelon basis run on no elimination at all (``hnf_coordinates``); they are
-checked against the elimination.
+Coordinates on an echelon basis run on no elimination at all
+(``hnf_coordinates``); they are checked against the Bareiss elimination of
+the test helpers (``helpers.scaled_coordinates``), which is checked in turn
+against the independent ``Fraction`` Gauss-Jordan code of the oracle.  The
+projection modulo a span (``cones._project``) runs rank-one Gram-Schmidt
+steps on rows made pairwise orthogonal; it is checked against the oracle
+and against one Gram elimination per call (``helpers.ref_project``).
 """
 
 from fractions import Fraction
@@ -22,7 +25,6 @@ from toric_spectrum.cones import (  # noqa: E402
 )
 from toric_spectrum.intlinalg import (  # noqa: E402
     Lattice,
-    _echelon,
     dot,
     full_lattice,
     hnf,
@@ -36,7 +38,7 @@ from toric_spectrum.intlinalg import (  # noqa: E402
 )
 from toric_spectrum.oracle import _orank, _osolve  # noqa: E402
 
-from helpers import rational_coordinates, scaled_coordinates  # noqa: E402
+from helpers import rational_coordinates, ref_project, scaled_coordinates  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None)
 entries = st.integers(-6, 6)
@@ -82,23 +84,10 @@ def independent_rows_and_point(draw):
     return basis, x
 
 
-@SETTINGS
-@given(matrices())
-def test_rank_matches_oracle(case):
-    _, rows = case
-    assert len(_echelon(rows)[1]) == _orank(rows)
-
-
-def test_rank_of_no_rows_is_zero():
-    assert _echelon([]) == ([], [])
-    assert _echelon([(0, 0), (0, 0)]) == ([], [])
-
-
 def test_kernel_refuses_rationals():
     # floor division or int() would silently corrupt a non-integer entry
     for row in ((Fraction(1, 2), 1), (2.7, 1)):
         calls = [
-            lambda: _echelon([row]),
             lambda: hnf([row], 2),
             lambda: int_kernel([row], 2),
             lambda: saturate(Lattice(2, (row,))),
@@ -158,6 +147,43 @@ def test_projection_of_a_rational_point(case, data):
     c = _osolve(gram, [dot(r, q) for r in rows])
     proj = [a - sum((ci * r[j] for ci, r in zip(c, rows)), Fraction(0)) for j, a in enumerate(q)]
     assert _project([q], rows) == [primitive_vector(proj)]
+
+
+@st.composite
+def spans_and_directions(draw):
+    """Independent rows of rank 0 to 5 in Z^n, each random and scaled by
+    1, 2 or 3, and directions to project: zero, integer, rational, and in
+    the span (projecting to zero)."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, min(n, 5)))):
+        row = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+        if _orank(rows + [row]) > len(rows):
+            rows.append(tuple(draw(st.sampled_from((1, 2, 3))) * a for a in row))
+    vecs = []
+    for kind in draw(st.lists(st.sampled_from(("zero", "integer", "rational", "span")),
+                              max_size=5)):
+        x = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+        if kind == "zero":
+            x = (0,) * n
+        elif kind == "rational":
+            x = tuple(Fraction(a, draw(st.integers(1, 12))) for a in x)
+        elif kind == "span":
+            coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+            x = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n))
+        vecs.append(x)
+    return rows, vecs
+
+
+@SETTINGS
+@given(spans_and_directions())
+def test_projection_equals_one_gram_elimination(case):
+    rows, vecs = case
+    projected = _project(vecs, rows)
+    assert projected == ref_project(vecs, rows)
+    for v, p in zip(vecs, projected):
+        # a direction in the span projects to zero, and no other does
+        assert (not any(p)) == (_osolve(rows, v) is not None)
 
 
 @st.composite

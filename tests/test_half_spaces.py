@@ -1,7 +1,8 @@
-"""A tower's half spaces read off the flag, one Gram elimination per span,
-and member generators read off masks, each checked against the generic or
-per-vector construction it replaces (``helpers.finalize_face``,
-``helpers.reduce_mod_span``, and the vanishing of every tight inequality).
+"""A tower's half spaces read off the flag, projections modulo a span by
+rank-one Gram-Schmidt steps, and member generators read off masks, each
+checked against the generic or per-vector construction it replaces
+(``helpers.finalize_face``, ``helpers.reduce_mod_span`` and
+``helpers.ref_project``, and the vanishing of every tight inequality).
 """
 
 import random
@@ -9,8 +10,8 @@ import random
 import pytest
 
 from toric_spectrum import Generators, Tower, enumerate_faces, is_separating, semigroups
-from toric_spectrum.cones import _gram_solve, _project
-from toric_spectrum.intlinalg import dot, hnf, int_kernel, scaled_solutions
+from toric_spectrum.cones import _project
+from toric_spectrum.intlinalg import dot, hnf, int_kernel
 from toric_spectrum.oracle import _orank
 
 from helpers import (
@@ -18,10 +19,13 @@ from helpers import (
     FIXTURES,
     TORSION_BASES,
     finalize_face,
+    gram_solve,
     random_generators,
     random_tower,
     reduce_mod_span,
+    ref_project,
     scaled_coordinates,
+    scaled_solutions,
 )
 
 
@@ -61,11 +65,12 @@ def test_one_gram_elimination_equals_one_per_vector():
         vecs.append((0,) * n)
         for rows in spans(rng, n):
             assert _project(vecs, rows) == [reduce_mod_span(v, rows) for v in vecs]
+            assert _project(vecs, rows) == ref_project(vecs, rows)
             # the part in the span is the part modulo the orthogonal complement
-            assert _project(vecs, rows, onto=True) == _project(vecs, int_kernel(rows, n).basis)
+            assert ref_project(vecs, rows, onto=True) == _project(vecs, int_kernel(rows, n).basis)
             if rows:
                 rhs = [[dot(r, v) for r in rows] for v in vecs]
-                ys, d = _gram_solve(rows, rhs)
+                ys, d = gram_solve(rows, rhs)
                 gram = [[dot(u, v) for v in rows] for u in rows]
                 for y, b in zip(ys, rhs):
                     assert scaled_coordinates(gram, b) == (y, d)
