@@ -5,6 +5,8 @@ The search reads each generator's coefficient range off the cone's
 inequalities, so no child leaves the cone and the cone is tested once per
 query, and it solves the last generator in closed form.  The reference
 (``helpers.ref_contains``) runs the weight range with a cone test per state.
+A numerical semigroup within the table's bounds is answered by one lookup in
+its Apery table instead, checked against brute-force reachability too.
 """
 
 import random
@@ -24,6 +26,7 @@ from helpers import (
     TORSION_BASES,
     random_tower,
     ref_contains,
+    skew_normal,
 )
 
 # the rank-3 spec of the benchmark's membership ladder (5k+3, 7k+1, 9k+2)
@@ -128,8 +131,124 @@ def test_the_cone_is_tested_once_per_query(monkeypatch):
 
 
 def test_a_budget_counts_the_closed_form_check():
-    # <2, 3> searches 3 first, by weight; at (2,) its only coefficient is 0,
-    # and the last generator, 2, is solved in closed form at the second node
-    assert contains(GAP_NUMERIC, (2,), max_nodes=2) is True
+    # the quadrant searches (0, 1) first, by weight and then order; at (1, 0)
+    # its only coefficient is 0, and the last generator, (1, 0), is solved in
+    # closed form at the second node
+    quadrant = Generators(2, ((1, 0), (0, 1)))
+    assert contains(quadrant, (1, 0), max_nodes=2) is True
     with pytest.raises(MembershipUndecided):
-        contains(GAP_NUMERIC, (2,), max_nodes=1)
+        contains(quadrant, (1, 0), max_nodes=1)
+
+
+# ---------------------------------------------------------------------------
+# numerical semigroups: the Apery table
+
+# the rank-1 spec of the ROADMAP baseline, whose search takes about 10^6
+# nodes at 10^7 + 3
+BASELINE_RANK1 = Generators(1, ((10007,), (10009,), (10037,), (10039,)))
+
+
+def reachable(steps, bound):
+    """Brute-force reachability: bit m of the result, m <= bound, is set iff
+    m is a sum of the steps.  Shifting by c, 2c, 4c, ... adds every multiple
+    of c up to the bound."""
+    bits, mask = 1, (2 << bound) - 1
+    for c in filter(None, set(steps)):
+        while c <= bound:
+            bits |= (bits << c) & mask
+            c *= 2
+    return bits
+
+
+def ray_cases(seed):
+    """Numerical semigroups on a ray, as ``(spec, rho, multiples)``: random
+    multiples of either sign of a primitive ray rho in Z^1, Z^3 or Z^5, some
+    with gcd > 1, a zero or a duplicate generator, or the least multiple 1;
+    and towers of depth 1 to 3 over a rank-1 one, whose ray is the embedded
+    base ray, at height zero on every level."""
+    rng = random.Random(seed)
+    for i in range(160):
+        scale = rng.choice((1, 1, 2, 3, 6))
+        steps = [scale * rng.randint(1, 25) for _ in range(rng.randint(1, 6))]
+        steps += [0] * (rng.random() < 0.2) + [rng.choice(steps)] * (rng.random() < 0.2)
+        steps += [scale] * (rng.random() < 0.1)
+        rng.shuffle(steps)
+        sign = rng.choice((1, -1))
+        if i % 4 == 3:
+            base = Generators(1, tuple((sign * c,) for c in steps))
+            spec = random_tower(rng, rng.randint(1, 3), bases=(base,))
+            c, g = next((c, g) for c, g in zip(steps, _flatten(spec)[1].generators) if c)
+            rho = tuple(v // c for v in g)
+        else:
+            n = rng.choice((1, 3, 5))
+            rho = tuple(sign * v for v in skew_normal(rng, n)) if n > 1 else (sign,)
+            spec = Generators(n, tuple(tuple(c * v for v in rho) for c in steps))
+        yield spec, rho, steps
+
+
+def test_the_apery_table_matches_brute_force_and_the_search():
+    # every multiple m of the ray from -3 to three times the largest
+    # generator, one lookup each, and a point off the ray beside each tenth
+    queries = 0
+    for spec, rho, steps in ray_cases("apery"):
+        bound = 3 * max(steps)
+        reach = reachable(steps, bound)
+        for m in range(-3, bound + 1):
+            x = tuple(m * v for v in rho)
+            expected = m >= 0 and bool(reach >> m & 1)
+            assert contains(spec, x, max_nodes=1) is expected == ref_contains(spec, x), (spec, m)
+            queries += 1
+            if m % 10 == 0 and len(x) > 1:
+                y = (x[0] + 1,) + x[1:]
+                assert contains(spec, y, max_nodes=1) is ref_contains(spec, y), (spec, y)
+                queries += 1
+    assert queries >= 20_000
+
+
+@pytest.mark.parametrize("steps, searched", [
+    ((16384, 16385), False),               # a at APERY_MAX_MODULUS
+    ((16385, 16387), True),                # a one over it
+    (tuple(range(16384, 16448)), False),   # a k = 2^20, APERY_MAX_WORK
+    (tuple(range(16384, 16449)), True),    # a k = 2^20 + 2^14
+    ((3, 2 ** 62 - 1), False),             # (a - 1) max = 2^63 - 2, in 8 bytes
+    ((3, 2 ** 62), True),                  # (a - 1) max = 2^63
+], ids=["modulus", "modulus+1", "work", "work+1", "int64", "int64+1"])
+def test_specs_over_the_bounds_take_the_search(steps, searched):
+    spec = Generators(1, tuple((c,) for c in steps))
+    a, b = steps[0], steps[-1]
+    points = [0, 1, a - 1, a, a + 1, b, 2 * a, a + b, 2 * b, 2 * b + 1, 3 * a - 1, 3 * b]
+    if len(steps) == 2:
+        # x = i a + j b with j < a, since a copies of b are b copies of a
+        expected = [any(m >= j * b and (m - j * b) % a == 0 for j in range(a)) for m in points]
+    else:
+        reach = reachable(steps, 3 * b)
+        expected = [bool(reach >> m & 1) for m in points]
+        assert expected == [ref_contains(spec, (m,)) for m in points]
+    assert [contains(spec, (m,)) for m in points] == expected
+    # 1 lies below every generator: one lookup, or a root and a child
+    if searched:
+        with pytest.raises(MembershipUndecided):
+            contains(spec, (1,), max_nodes=1)
+    else:
+        assert contains(spec, (1,), max_nodes=1) is False
+
+
+def test_the_baseline_rank1_spec_is_decided_by_one_lookup():
+    assert contains(BASELINE_RANK1, (10 ** 7 + 3,), max_nodes=1) is True
+    assert contains(BASELINE_RANK1, (10 ** 7 + 3,)) is True
+
+
+def test_a_budget_of_zero_refuses_the_lookup():
+    contains(GAP_NUMERIC, (2,))
+    with pytest.raises(MembershipUndecided):
+        contains(GAP_NUMERIC, (2,), max_nodes=0)
+    with pytest.raises(MembershipUndecided):
+        contains(BASELINE_RANK1, (10 ** 7 + 3,), max_nodes=0)
+
+
+def test_a_spec_over_the_work_bound_is_searched():
+    # 1500 generators from 1500: a k = 2,250,000, over APERY_MAX_WORK
+    wide = Generators(1, tuple((g,) for g in range(1500, 3000)))
+    with pytest.raises(MembershipUndecided):
+        contains(wide, (1,), max_nodes=1)
+    assert contains(wide, (1,)) is False

@@ -59,6 +59,13 @@ def test_oracle_members_match_main_membership():
              (Generators(3, ((4, 2, 0), (-4, -2, 0), (1, 1, 1), (0, 0, 1), (3, 0, 5))), 4)]
     cases += [(random_generators(rng, max_rank=3, max_gens=5, coord=2), 4 + i % 3)
               for i in range(12)]
+    # numerical semigroups, which membership reads off their Apery tables:
+    # the member workload's four and the multiples 4, 6, 10 of a ray in Z^3
+    cases += [(Generators(1, ((7,), (11,))), 80),
+              (Generators(1, ((11,), (13,), (17,), (23,))), 100),
+              (Generators(1, tuple((g,) for g in (31, 37, 41, 43, 47, 53, 59))), 200),
+              (Generators(1, ((12,), (21,), (27,))), 120),
+              (Generators(3, ((4, 8, -4), (6, 12, -6), (10, 20, -10))), 12)]
     for spec, radius in cases:
         assert oracle_members(spec, BoxSpec(radius)) == frozenset(
             members_in_box(spec, radius)), spec
