@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import gcd
 from typing import Optional, Sequence, Union
@@ -290,7 +290,10 @@ def contains(spec: SemigroupSpec, x: Sequence[int], max_nodes: Optional[int] = N
     pathologically large search into an explicit
     :class:`MembershipUndecided` instead of a wrong answer.  One node is one
     state of the generator search expanded, the closed-form check of the
-    last generator included; a state already known dead costs none.  A
+    last generator included; a state already known dead costs none.  An
+    expanded node adds at most one state to the dead set, so ``max_nodes``
+    bounds the search's memory as well as its time, though one node walks
+    its whole coefficient range, whose dead children cost no node.  A
     numerical semigroup with an Apery table answers with one lookup of the
     table, which is one node too.  A tower decides at its first level where
     x has nonzero height; a point of height zero on every level lies in the
@@ -335,9 +338,12 @@ def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool
     # so memory stays linear in the depth.  The last generator needs no
     # loop: rem - c g lies in the units, inside the lineality where g is
     # not, for at most one c, read off g's first pair.  A state whose
-    # children all fail is memoised as dead.
+    # children all fail is memoised as dead.  In a pointed cone the units
+    # are zero and a remainder is its own residue.  Every remainder is built
+    # here at length n, so its pairings need no length check.
+    residue = partial(lattice_residue, units) if units.basis else tuple
     stack: list = []
-    state = (0, lattice_residue(units, x))
+    state = (0, residue(x))
     while True:
         if state is not None:
             idx, rem = state
@@ -350,12 +356,12 @@ def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool
                         raise MembershipUndecided(f"membership search budget exhausted for {x}")
                 g, pairs = gens[idx]
                 if idx < last:
-                    top = min(dot(a, rem) // ag for a, ag in pairs)
+                    top = min(sum(map(operator.mul, a, rem)) // ag for a, ag in pairs)
                     stack.append((state, iter(range(top, -1, -1))))
                 else:
                     a, ag = pairs[0]
-                    c, r = divmod(dot(a, rem), ag)
-                    if not (r or any(lattice_residue(units, [u - c * v for u, v in zip(rem, g)]))):
+                    c, r = divmod(sum(map(operator.mul, a, rem)), ag)
+                    if not (r or any(residue([u - c * v for u, v in zip(rem, g)]))):
                         return True
                     dead.add(state)
         if not stack:
@@ -368,7 +374,7 @@ def _generators_contains(search, x: IntVector, max_nodes: Optional[int]) -> bool
             state = None
             continue
         idx, rem = parent
-        state = (idx + 1, lattice_residue(units, [a - c * b for a, b in zip(rem, gens[idx][0])]))
+        state = (idx + 1, residue([a - c * b for a, b in zip(rem, gens[idx][0])]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ its Apery table instead, checked against brute-force reachability too.
 import random
 from itertools import product
 
-from toric_spectrum import Generators, MembershipUndecided, Tower, cones, contains
+from toric_spectrum import Generators, MembershipUndecided, Tower, cones, contains, semigroups
 from toric_spectrum.semigroups import _flatten
 
 import pytest
@@ -138,6 +138,47 @@ def test_a_budget_counts_the_closed_form_check():
     assert contains(quadrant, (1, 0), max_nodes=2) is True
     with pytest.raises(MembershipUndecided):
         contains(quadrant, (1, 0), max_nodes=1)
+
+
+# The least budget that decides each query, pinned: a node is one state
+# expanded, the closed-form check included, and a change to how a state is
+# computed must not change which states are expanded.
+LEAST_BUDGETS = [
+    (RANK3, ladder(5), True, 694),
+    (RANK3, ladder(20), True, 4_214),
+    (UNIT_SPECS[1], (17, 9, 29), True, 24),
+    (UNIT_SPECS[1], (-9, -4, 31), True, 13),
+    (MEMBER_SPECS[5], (2, 5, 4), True, 5),   # a tower at height zero
+    (MEMBER_SPECS[5], (5, 5, 5), False, 5),
+]
+
+
+@pytest.mark.parametrize("spec, x, expected, nodes", LEAST_BUDGETS,
+                         ids=["k5", "k20", "units-member", "units-member2",
+                              "tower-member", "tower-nonmember"])
+def test_the_least_budget_of_each_query_is_pinned(spec, x, expected, nodes):
+    assert contains(spec, x, max_nodes=nodes) is expected
+    with pytest.raises(MembershipUndecided):
+        contains(spec, x, max_nodes=nodes - 1)
+
+
+def test_a_pointed_search_takes_no_residue(monkeypatch):
+    # with no units a remainder is its own residue, so only a spec with a
+    # group of units reduces its remainders
+    calls = []
+    original = semigroups.lattice_residue
+
+    def counted(lattice, point):
+        calls.append(point)
+        return original(lattice, point)
+
+    monkeypatch.setattr(semigroups, "lattice_residue", counted)
+    for k in (5, 20):
+        assert contains(RANK3, ladder(k)) is True
+    assert contains(MEMBER_SPECS[5], (5, 5, 5)) is False
+    assert calls == []
+    assert contains(UNIT_SPECS[1], (17, 9, 29)) is True
+    assert calls
 
 
 # ---------------------------------------------------------------------------
