@@ -26,7 +26,7 @@ _EXPORTS = {
         "cone_from_inequalities", "cone_from_rays", "dual_cone", "face_lattice",
         "full_cone", "is_pointed", "zero_cone"),
     "intlinalg": (
-        "IntVector", "InvariantViolation", "Lattice", "RationalVector", "hnf",
+        "IntVector", "InvariantViolation", "Lattice", "hnf",
         "int_kernel", "lattice_contains", "quotient_invariants", "saturation_index"),
     "semigroups": (
         "FaceData", "Generators", "MembershipUndecided", "SemigroupSpec",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -38,6 +37,8 @@ from .semigroups import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .characters import Character
 
 SAFE_INT = 2 ** 53 - 1
@@ -251,7 +252,11 @@ def emit_dot(atlas: SpectrumAtlas) -> str:
 def _parse_fraction(token: str, where: str) -> Fraction:
     """An integer, ``p/q`` or a decimal.  No exponent: ``Fraction`` expands
     one into an exact power of ten, so a short token such as ``1e-3000000``
-    would cost time out of all proportion to its length."""
+    would cost time out of all proportion to its length.  ``fractions``, and
+    the ``decimal`` it loads, are imported here, by the commands that parse
+    a rational."""
+    from fractions import Fraction
+
     if "e" not in token.lower():
         try:
             return Fraction(token)

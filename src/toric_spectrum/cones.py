@@ -22,7 +22,11 @@ and the extreme rays are read off the normals and the input by the same
 bitmask rule.  One body does the conversion, given the span's equations
 and saturated basis (:func:`_cone_in_span`): :func:`cone_from_rays` finds
 those as two integer kernels, and the base of a tower takes them off its
-flag (``semigroups._flatten``).
+flag (``semigroups._flatten``), as does a generated spec that spans Z^n,
+which has no equations.
+
+:func:`face_lattice` walks the faces on bitmasks too: each ray set, of a
+face or of a facet, is an integer bitmask over the cone's rays.
 
 Projections modulo a span run no solver: the span's rows are made pairwise
 orthogonal once, and each vector then takes one rank-one Gram-Schmidt step
@@ -200,7 +204,7 @@ def _cone_in_span(gens: Sequence[IntVector], lins: Sequence[IntVector],
     ``equations`` of their linear span and the saturated lattice ``span``
     of its integer points, which a caller that knows them passes in
     (:func:`cone_from_rays`, and ``semigroups._flatten`` for the base of a
-    tower).
+    tower and for a generated spec that spans Z^n).
 
     One double description turns the generators into facet normals.  It
     runs in the rank of the span, after Fukuda & Prodon (1996): each
@@ -208,8 +212,9 @@ def _cone_in_span(gens: Sequence[IntVector], lins: Sequence[IntVector],
     saturated basis B of the span.  As x -> Bx is injective on the span, the
     cone computed there is full dimensional, so its dual has no lineality.
     A facet normal a goes back to Z^n as ``primitive(B^T a)``, which lies in
-    the span and pairs with x as a pairs with ``B x``.  The lineality is the
-    integer kernel of the normals, taken in the same rank: for a cone in a
+    the span and pairs with x as a pairs with ``B x``; B^T is injective, so
+    the normals stay distinct, and they are only sorted.  The lineality is
+    the integer kernel of the normals, taken in the same rank: for a cone in a
     proper subspace it is the kernel in Z^d of the rows ``B v`` over the
     normals v, mapped back by B^T, which is saturated because B is, and put
     in HNF.  The rays are read off the input: the nonzero generators, taken
@@ -230,7 +235,7 @@ def _cone_in_span(gens: Sequence[IntVector], lins: Sequence[IntVector],
     else:
         normals = _double_description(gens, lins, n)
         lin = int_kernel(normals, n).basis
-    normals = tuple(sorted({primitive_vector(a) for a in normals}))
+    normals = tuple(sorted(normals))
     tight = {r: sum(1 << i for i, a in enumerate(normals) if dot(a, r) == 0)
              for r in _project(gens, lin) if not is_zero_vector(r)}
     extreme = (r for r, m in tight.items()
@@ -311,28 +316,29 @@ def face_lattice(cone: Cone) -> FaceLattice:
     Face 0 is the cone itself; ``covers`` lists sorted (larger, smaller) id
     pairs.
 
-    One worklist walks down from the whole cone: the faces a face covers are
-    the maximal proper intersections of its ray set with the facet ray sets
-    (Kaibel & Pfetsch 2002), each one dimension lower.
+    One worklist walks down from the whole cone, each ray set and each
+    facet a bitmask over the rays (bit j for ray j): the faces a face covers
+    are the maximal proper intersections of its ray set with the facet ray
+    sets (Kaibel & Pfetsch 2002), each one dimension lower.  The ray and
+    tight sets are written as index tuples once, at the end.
     """
     m = len(cone.rays)
-    facets = [frozenset(j for j in range(m) if dot(a, cone.rays[j]) == 0)
+    facets = [sum(1 << j for j, r in enumerate(cone.rays) if dot(a, r) == 0)
               for a in cone.inequalities]
-    top = frozenset(range(m))
+    top = (1 << m) - 1
     dims = {top: cone.dim()}
     below = {}
     work = [top]
     for rs in work:
-        meets = {rs & f for f in facets if not rs <= f}
-        below[rs] = [g for g in meets if not any(g < h for h in meets)]
+        meets = {rs & f for f in facets if rs & f != rs}
+        below[rs] = [g for g in meets if not any(g != h and g & h == g for h in meets)]
         for g in below[rs]:
             if g not in dims:
                 dims[g] = dims[rs] - 1
                 work.append(g)
-    entries = sorted((-dims[rs], tuple(sorted(rs)), rs) for rs in work)
-    handles = tuple(FaceHandle(i, tuple(k for k, f in enumerate(facets) if rs <= f), -d)
+    entries = sorted((-dims[rs], tuple(j for j in range(m) if rs >> j & 1), rs) for rs in work)
+    handles = tuple(FaceHandle(i, tuple(k for k, f in enumerate(facets) if rs & f == rs), -d)
                     for i, (d, _, rs) in enumerate(entries))
     index = {rs: i for i, (_, _, rs) in enumerate(entries)}
     covers = sorted((index[rs], index[g]) for rs in work for g in below[rs])
     return FaceLattice(cone, handles, tuple(covers), tuple(ray_set for _, ray_set, _ in entries))
-

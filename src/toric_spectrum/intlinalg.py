@@ -1,11 +1,12 @@
 """Exact integer/rational linear algebra on row lattices.
 
-All values are plain tuples of Python ints (arbitrary precision), or of
-``fractions.Fraction`` where a result is rational; no floating point enters
-any computation in this module.  Lattices are kept in row-style
-Hermite normal form with positive pivots and entries above each pivot reduced
-into ``[0, pivot)``, which makes the basis a canonical form: two generating
-sets span the same lattice exactly when their normal forms are equal.
+All values are plain tuples of Python ints (arbitrary precision), and a
+rational result is integer numerators over one positive denominator; no
+floating point enters any computation in this module.  Lattices are kept in
+row-style Hermite normal form with positive pivots and entries above each
+pivot reduced into ``[0, pivot)``, which makes the basis a canonical form:
+two generating sets span the same lattice exactly when their normal forms
+are equal.
 
 Lattices run on one kernel, :func:`_triangulate`: unimodular row
 operations after Euclid, the least nonzero entry of a column being the
@@ -43,20 +44,19 @@ Gram-Schmidt steps and by pairings with a saturated basis.
 
 Every entry point that eliminates or reduces requires integer entries and
 converts with ``operator.index``, so a ``Fraction`` or a float raises
-TypeError instead of being truncated.  ``fractions.Fraction`` appears only
-in the input of :func:`primitive_vector`.
+TypeError instead of being truncated.  Only :func:`primitive_vector` takes
+``Fraction`` entries, whose denominators it clears; a float raises
+TypeError there too.  The module does not import ``fractions``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 IntVector = tuple[int, ...]
-RationalVector = tuple[Fraction, ...]
 
 
 class InvariantViolation(AssertionError):
@@ -85,11 +85,14 @@ def is_zero_vector(u: Sequence) -> bool:
 
 def primitive_vector(vec: Sequence) -> IntVector:
     """Scale a rational vector to the primitive integer vector with the same
-    direction (gcd of entries 1, orientation preserved).  Zero stays zero."""
+    direction (gcd of entries 1, orientation preserved).  Zero stays zero.
+    Entries are ints or Fractions; a float raises TypeError."""
     try:
         g = gcd(*vec)
     except TypeError:  # a Fraction entry: clear the denominators first
-        denom = lcm(*(a.denominator for a in vec))
+        # an int or a Fraction has a denominator; a float has none, and lcm
+        # refuses the float itself with a TypeError
+        denom = lcm(*(getattr(a, "denominator", a) for a in vec))
         vec = [int(a * denom) for a in vec]
         g = gcd(*vec)
     return tuple(a // g for a in vec) if g > 1 else tuple(vec)

@@ -10,11 +10,12 @@ the same supporting hyperplanes of the generator side.  The only shared
 vocabulary with the main modules is the plain tuple-of-ints vector type and
 the public dataclasses being validated; all linear algebra is reimplemented
 locally, nothing is imported from ``intlinalg``.  It has one Gauss-Jordan
-elimination over ``Fraction`` (``_orref``), from which rank, nullspaces,
-solves and each tower level's height functional are read; one Euclid HNF
-for lattices (``_ohnf``); one enumeration of supporting hyperplanes
-(``_supporting``) for the face check and the cross-check; and cofactor
-determinants (``_det``), kept as a reference for the tests.
+elimination over ``Fraction`` (``_orref``), from which rank, nullspaces and
+each tower level's height functional are read; one Euclid HNF for lattices
+(``_ohnf``); and one enumeration of supporting hyperplanes (``_supporting``)
+for the face check and the cross-check.  The references that only the tests
+use, a solve on ``_orref`` and a cofactor determinant, are kept with the
+tests (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .characters import evaluate, make_character, multiply
 from .cones import Cone
@@ -120,33 +121,6 @@ def _onullspace(rows, n) -> list[tuple[int, ...]]:
             vec[p] = -row[j]
         basis.append(_oprimitive(vec))
     return basis
-
-
-def _osolve(basis_rows, x) -> Optional[tuple[Fraction, ...]]:
-    """Coefficients c with sum(c_i * basis_i) = x, basis rows independent;
-    None when x leaves their span."""
-    k = len(basis_rows)
-    reduced, pivots = _orref([[b[j] for b in basis_rows] + [a] for j, a in enumerate(x)],
-                             k + 1)
-    if pivots != list(range(k)):
-        return None
-    return tuple(row[k] for row in reduced)
-
-
-def _det(mat) -> int:
-    """Cofactor determinant, a reference for the tests."""
-    k = len(mat)
-    if k == 0:
-        return 1
-    if k == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(k):
-        if mat[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _det(minor)
-    return total
 
 
 def _ohnf(rows, n) -> list[tuple[int, ...]]:

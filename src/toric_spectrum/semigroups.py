@@ -44,8 +44,10 @@ local cone is read off the flag with no Smith form and no solve
 (:func:`_finalize_face`).  Membership reads the half spaces' functionals
 level by level and searches the generators only at height zero on every
 level.  The flattening is cached with the base's asymptotic cone, so an
-atlas and a membership search on one spec share one double description; a
-generated spec is its own base, and its asymptotic cone is that cone.
+atlas and a membership search on one spec share one double description.  A
+generated spec is flattened as a tower of depth zero: no half space, the
+identity embedding, and its generators as the base, whose asymptotic cone
+is the spec's.
 
 When that cone is a single ray with no lineality, the generators are
 multiples of its primitive ray and the search is the money-changing
@@ -524,14 +526,15 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
         parent.setdefault(smaller, larger)
     vanishing = [sum(1 << i for i, a in enumerate(ambient.inequalities) if dot(a, g) == 0)
                  for g in base.generators]
+    tights = [sum(1 << i for i in handle.tight_set) for handle in handles]
 
     def dropped(f: int, g: int) -> int:  # an inequality tight on face f but not on face g
-        return next(i for i in handles[f].tight_set if i not in handles[g].tight_set)
+        extra = tights[f] & ~tights[g]
+        return (extra & -extra).bit_length() - 1
 
     tables = [dict(enumerate(ambient.inequalities))]
     faces = []
-    for handle, ray_set in zip(handles, lattice.ray_sets):
-        tight = sum(1 << i for i in handle.tight_set)
+    for handle, ray_set, tight in zip(handles, lattice.ray_sets, tights):
         members = tuple(g for g, mask in zip(base.generators, vanishing) if mask & tight == tight)
         span = hnf(members, n)
         cone = ambient
@@ -542,8 +545,7 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
             up = parent[handle.id]
             b = tables[up][dropped(handle.id, up)]
             step = ((b, dot(b, b)),)
-            table = {i: _reduce(x, step) for i, x in tables[up].items()
-                     if i not in handle.tight_set}
+            table = {i: _reduce(x, step) for i, x in tables[up].items() if not tight >> i & 1}
             tables.append(table)
             normals = {table[dropped(f, handle.id)] for f in facets[handle.id]}
             cone = Cone(n, tuple(ambient.rays[j] for j in ray_set), tuple(sorted(normals)),
@@ -580,11 +582,12 @@ def _flatten(spec: SemigroupSpec):
     :func:`asymptotic_cone`.  When they span their own rank, their span is
     the last level's lattice and its equations the last kernel, so the cone
     is converted on those (:func:`~toric_spectrum.cones._cone_in_span`);
-    otherwise, and for a generated spec, which is its own base with no half
-    spaces and nothing embedded, by
-    :func:`~toric_spectrum.cones.cone_from_rays`.  Returns ``(half spaces,
-    base, base cone)``, each half space a ``(cone, lattice)`` pair; the last
-    :data:`~toric_spectrum.cones.CACHE_SIZE` specs are kept.
+    otherwise by :func:`~toric_spectrum.cones.cone_from_rays`.  A generated
+    spec runs the same steps as a tower of depth zero: no level, so the
+    embedding is the identity, the lattice Z^n and the equations none, and
+    a spec whose generators span Z^n is converted on Z^n.  Returns ``(half
+    spaces, base, base cone)``, each half space a ``(cone, lattice)`` pair;
+    the last :data:`~toric_spectrum.cones.CACHE_SIZE` specs are kept.
     """
     n = spec.ambient_rank
     half_spaces, rays = [], []
@@ -600,8 +603,6 @@ def _flatten(spec: SemigroupSpec):
         half_spaces.append((Cone(n, (normal,), (normal,), lineality.basis, equations), lattice))
         embedding, spec = inner, spec.inner
         lattice, equations = lineality, below
-    if not half_spaces:
-        return (), spec, cone_from_rays(spec.generators, (), n)
     gens = tuple(embed_point(embedding, g, n) for g in spec.generators)
     spans = hnf(spec.generators, spec.ambient_rank).rank == spec.ambient_rank
     cone = _cone_in_span(gens, (), equations, lattice) if spans else cone_from_rays(gens, (), n)
@@ -634,7 +635,9 @@ def _finalize_face(cone: Cone, lattice: Lattice, torsion: tuple[int, ...], dim: 
     full dimensional: its facet normals are ``B a`` for the face's normals
     ``a``, and no double description runs.  Rays and lineality are written
     on B by one back-substitution on its HNF pivots, which also checks that
-    they lie in its span.  Without torsion the face lattice is saturated;
+    they lie in its span.  The coordinates are not made primitive:
+    :func:`~toric_spectrum.cones._project` makes the rays primitive, and the
+    lineality is put in HNF.  Without torsion the face lattice is saturated;
     the lineality then has integer coordinates that span a saturated
     lattice, so their ``hnf`` is canonical and only a face with torsion
     saturates it.
@@ -645,7 +648,7 @@ def _finalize_face(cone: Cone, lattice: Lattice, torsion: tuple[int, ...], dim: 
     solved = hnf_coordinates(basis, cone.lineality + cone.rays)
     if solved is None:
         raise InvariantViolation("face cone leaves the span of its lattice")
-    local = [primitive_vector(y) for y, _ in solved]
+    local = [y for y, _ in solved]
     k = len(cone.lineality)
     lineality = hnf(local[:k], dim)
     # on a saturated face lattice the coordinates already span a saturated lattice

@@ -2,11 +2,12 @@
 
 import functools
 import importlib
-import math
 import operator
 import pkgutil
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import toric_spectrum
 
@@ -36,8 +37,13 @@ from toric_spectrum.intlinalg import (
     saturate,
     vec_neg,
 )
-from toric_spectrum.oracle import _orank, _supporting
+from toric_spectrum.oracle import _orank, _orref, _supporting
 from toric_spectrum.semigroups import boundary_basis, embed_point
+
+# the benchmark's seeded draws, shared with the tests that reproduce its inputs
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+from workloads import pointed_generators, skew_normal  # noqa: E402,F401
 
 # quadrant semigroup with a doubled x-axis generator: p,q >= 0, p even when q=0
 EVEN_AXIS = Generators(2, ((2, 0), (0, 1), (1, 1)))
@@ -75,13 +81,6 @@ def random_pointed_generators(rng: random.Random, max_rank: int = 3,
             return spec
 
 
-def skew_normal(rng, n):
-    while True:
-        v = tuple(rng.randint(-3, 3) for _ in range(n))
-        if math.gcd(*v) == 1:
-            return v
-
-
 TORSION_BASES = (Generators(1, ((2,),)), EVEN_AXIS, Generators(2, ((4, 2), (0, 3))),
                  Generators(1, ((3,), (-3,))))
 
@@ -94,40 +93,49 @@ def random_tower(rng, depth, bases=TORSION_BASES):
     return spec
 
 
-def pointed_generators(rng, n, m, coord=3):
-    """m generators of full rank n, all strictly positive on one functional,
-    drawn as ``perfbench/workloads.pointed_generators`` draws them."""
-    w = [rng.randint(1, 3) for _ in range(n)]
-    while True:
-        gens = []
-        while len(gens) < m:
-            g = tuple(rng.randint(-coord, coord) for _ in range(n))
-            if dot(w, g) > 0:
-                gens.append(g)
-        if _orank(gens) == n:
-            return tuple(gens)
-
-
 def atlas_spec(rng, kind):
-    """The benchmark's atlas specs, drawn as ``perfbench/workloads.atlas_spec``
-    draws them: ``r<n>.<m>`` is m pointed generators of rank n, ``r<n>l`` n
-    pointed generators plus a line."""
-    n = int(kind[1])
-    if kind.endswith("l"):
-        line = (0,) * n
-        while not any(line):
-            line = tuple(rng.randint(-2, 2) for _ in range(n))
-        return Generators(n, pointed_generators(rng, n, n) + (line, vec_neg(line)))
-    return Generators(n, pointed_generators(rng, n, int(kind[3:])))
+    """The benchmark's atlas specs (``workloads.atlas_spec``): ``r<n>.<m>``
+    is m pointed generators of rank n, ``r<n>l`` n pointed generators plus a
+    line."""
+    return workloads.build(toric_spectrum, workloads.atlas_spec(rng, kind))
 
 
 def tower_chain(rng, depth):
-    """The benchmark's tower chains, drawn as ``perfbench/workloads.tower_chain``
-    draws them: skewed normals over the even-axis boundary."""
-    spec = EVEN_AXIS
-    for level in range(depth):
-        spec = Tower(3 + level, skew_normal(rng, 3 + level), spec)
-    return spec
+    """The benchmark's tower chains (``workloads.tower_chain``): skewed
+    normals over the even-axis boundary."""
+    return workloads.build(toric_spectrum, workloads.tower_chain(rng, depth))
+
+
+# ---------------------------------------------------------------------------
+# References on the oracle's Fraction Gauss-Jordan elimination: a solve and a
+# cofactor determinant, which no code of the package needs.
+
+
+def _osolve(basis_rows, x):
+    """Coefficients c with sum(c_i * basis_i) = x, as Fractions, basis rows
+    independent; None when x leaves their span."""
+    k = len(basis_rows)
+    reduced, pivots = _orref([[b[j] for b in basis_rows] + [a] for j, a in enumerate(x)],
+                             k + 1)
+    if pivots != list(range(k)):
+        return None
+    return tuple(row[k] for row in reduced)
+
+
+def _det(mat) -> int:
+    """Cofactor determinant."""
+    k = len(mat)
+    if k == 0:
+        return 1
+    if k == 1:
+        return mat[0][0]
+    total = 0
+    for j in range(k):
+        if mat[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        total += (-1) ** j * mat[0][j] * _det(minor)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,10 @@ from toric_spectrum.intlinalg import (  # noqa: E402
     primitive_vector,
     saturate,
 )
-from toric_spectrum.oracle import _orank, _osolve  # noqa: E402
+from toric_spectrum.oracle import _orank  # noqa: E402
+from toric_spectrum.semigroups import Generators, Tower  # noqa: E402
 
-from helpers import rational_coordinates, ref_project, scaled_coordinates  # noqa: E402
+from helpers import _osolve, rational_coordinates, ref_project, scaled_coordinates  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None)
 entries = st.integers(-6, 6)
@@ -103,6 +104,15 @@ def test_kernel_refuses_rationals():
         for call in calls:
             with pytest.raises(TypeError):
                 call()
+
+
+def test_primitive_vector_clears_fractions_and_refuses_floats():
+    # a Fraction entry has an exact denominator to clear; a float has none
+    assert primitive_vector((Fraction(1, 2), Fraction(-3, 4))) == (2, -3)
+    for call in (lambda: primitive_vector((1.5, 2)),
+                 lambda: Tower(2, (1.0, 0.0), Generators(1, ((1,),)))):
+        with pytest.raises(TypeError):
+            call()
 
 
 @SETTINGS

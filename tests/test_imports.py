@@ -1,7 +1,9 @@
 """The package surface and what each command loads.
 
 ``toric_spectrum`` resolves its exported names on first use, and the CLI
-imports ``characters`` and ``oracle`` only for the commands that run them.
+imports ``characters`` and ``oracle`` only for the commands that run them,
+and ``fractions`` (with the ``decimal`` it loads) only for those that parse
+a rational.
 The CLI checks start one interpreter per command under ``-X importtime`` and
 read the names of the modules it imported from stderr.
 """
@@ -26,7 +28,7 @@ EXPORTS = {
         "cone_from_inequalities", "cone_from_rays", "dual_cone", "face_lattice",
         "full_cone", "is_pointed", "zero_cone"],
     "intlinalg": [
-        "IntVector", "InvariantViolation", "Lattice", "RationalVector", "hnf", "int_kernel",
+        "IntVector", "InvariantViolation", "Lattice", "hnf", "int_kernel",
         "lattice_contains", "quotient_invariants", "saturation_index"],
     "semigroups": [
         "FaceData", "Generators", "MembershipUndecided", "SemigroupSpec",
@@ -40,6 +42,7 @@ EVEN_AXIS_DOC = {"kind": "generators", "ambient_rank": 2,
                  "generators": [[2, 0], [0, 1], [1, 1]]}
 CHARACTERS = "toric_spectrum.characters"
 ORACLE = "toric_spectrum.oracle"
+RATIONALS = {"fractions", "decimal"}
 
 
 def fresh(code):
@@ -92,7 +95,8 @@ def test_a_name_or_a_module_loads_on_first_use():
 
 
 def cli_imports(tmp_path, args):
-    """Exit code, stdout and the package modules that one CLI run imports."""
+    """Exit code, stdout and the package modules, ``fractions`` and
+    ``decimal`` that one CLI run imports."""
     path = tmp_path / "even_axis.json"
     path.write_text(json.dumps(EVEN_AXIS_DOC), encoding="utf-8")
     argv = [str(path) if a == "{path}" else a for a in args]
@@ -100,7 +104,8 @@ def cli_imports(tmp_path, args):
                            *argv], capture_output=True, text=True, timeout=60)
     modules = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
                if line.startswith("import time:")}
-    return proc.returncode, proc.stdout, {m for m in modules if m.startswith("toric_spectrum")}
+    return proc.returncode, proc.stdout, {m for m in modules if m.startswith("toric_spectrum")
+                                          or m in RATIONALS}
 
 
 @pytest.mark.parametrize("args", [
@@ -115,6 +120,7 @@ def test_atlas_and_membership_commands_load_neither_characters_nor_oracle(tmp_pa
     assert code == 0
     assert "toric_spectrum.semigroups" in modules
     assert CHARACTERS not in modules and ORACLE not in modules
+    assert not modules & RATIONALS
 
 
 @pytest.mark.parametrize("args", [

@@ -20,14 +20,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from toric_spectrum import oracle  # noqa: E402
 from toric_spectrum.oracle import (  # noqa: E402
-    _det,
     _membership_tester,
     _onullspace,
     _oprimitive,
     _orank,
     _orref,
-    _osolve,
 )
+
+from helpers import _det, _osolve  # noqa: E402
 
 SETTINGS = settings(max_examples=120, deadline=None)
 entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))

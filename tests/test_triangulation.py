@@ -27,7 +27,8 @@ from toric_spectrum.intlinalg import (  # noqa: E402
     quotient_invariants,
     saturate,
 )
-from toric_spectrum.oracle import _det  # noqa: E402
+
+from helpers import _det  # noqa: E402
 
 SETTINGS = settings(max_examples=200, deadline=None)
 entries = st.one_of(st.integers(-6, 6), st.integers(-2 ** 70, 2 ** 70))
