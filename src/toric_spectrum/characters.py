@@ -70,7 +70,9 @@ class ExactValue:
     def to_complex(self) -> complex:
         if self.zero:
             return 0j
-        return cmath.rect(exp(-float(self.exponent)), 2.0 * pi * float(self.angle))
+        # exp(-800) already underflows to 0.0, and a larger exponent would
+        # overflow the float
+        return cmath.rect(exp(-float(min(self.exponent, 800))), 2.0 * pi * float(self.angle))
 
 
 ZERO_VALUE = ExactValue(True)

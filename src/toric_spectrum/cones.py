@@ -49,7 +49,6 @@ from .intlinalg import (
     Lattice,
     _check_rows,
     dot,
-    full_lattice,
     hnf,
     identity_rows,
     int_kernel,
@@ -187,15 +186,14 @@ def cone_from_rays(rays: Sequence[Sequence[int]], lineality: Sequence[Sequence[i
 
     The input may be redundant; the stored data is canonical.  The span's
     equations are found once, as the integer kernel of the input, and the
-    saturated basis of the span as the kernel of those; the conversion
-    itself is :func:`_cone_in_span`.
+    saturated basis of the span as the kernel of those, which is Z^n when
+    there are none; the conversion itself is :func:`_cone_in_span`.
     """
     n = _check_rows([*rays, *lineality], ambient_rank)
     gens = [tuple(map(operator.index, r)) for r in rays]
     lins = [tuple(map(operator.index, l)) for l in lineality]
     equations = int_kernel(gens + lins, n).basis
-    span = int_kernel(equations, n) if equations else full_lattice(n)
-    return _cone_in_span(gens, lins, equations, span)
+    return _cone_in_span(gens, lins, equations, int_kernel(equations, n))
 
 
 def _cone_in_span(gens: Sequence[IntVector], lins: Sequence[IntVector],
@@ -295,7 +293,11 @@ class FaceHandle:
 
 @dataclass(frozen=True)
 class FaceLattice:
-    cone: Cone
+    """The faces of a cone as :func:`face_lattice` lists them: a handle
+    each, the (larger, smaller) id pairs of the covers, and each face's ray
+    set as indices into the cone's rays; the cone itself stays the
+    caller's."""
+
     faces: tuple[FaceHandle, ...]
     covers: tuple[tuple[int, int], ...]
     ray_sets: tuple[tuple[int, ...], ...]
@@ -341,4 +343,4 @@ def face_lattice(cone: Cone) -> FaceLattice:
                     for i, (d, _, rs) in enumerate(entries))
     index = {rs: i for i, (_, _, rs) in enumerate(entries)}
     covers = sorted((index[rs], index[g]) for rs in work for g in below[rs])
-    return FaceLattice(cone, handles, tuple(covers), tuple(ray_set for _, ray_set, _ in entries))
+    return FaceLattice(handles, tuple(covers), tuple(ray_set for _, ray_set, _ in entries))

@@ -12,8 +12,9 @@ the public dataclasses being validated; all linear algebra is reimplemented
 locally, nothing is imported from ``intlinalg``.  It has one Gauss-Jordan
 elimination over ``Fraction`` (``_orref``), from which rank, nullspaces and
 each tower level's height functional are read; one Euclid HNF for lattices
-(``_ohnf``); and one enumeration of supporting hyperplanes (``_supporting``)
-for the face check and the cross-check.  The references that only the tests
+(``_ohnf``), which also gives the kernel of a tower normal from its Koszul
+generators (``_okernel_lattice``); and one enumeration of supporting
+hyperplanes (``_supporting``) for the face check and the cross-check.  The references that only the tests
 use, a solve on ``_orref`` and a cofactor determinant, are kept with the
 tests (``tests/helpers.py``).
 """
@@ -152,13 +153,14 @@ def _ohnf(rows, n) -> list[tuple[int, ...]]:
     return [tuple(row) for row in mat[:r]]
 
 
-def _okernel_lattice(rows, n) -> list[tuple[int, ...]]:
-    """HNF basis of the integer kernel {x in Z^n : <row, x> = 0}."""
-    m = len(rows)
-    aug = [tuple(rows[i][j] for i in range(m)) + tuple(1 if t == j else 0 for t in range(n))
-           for j in range(n)]
-    reduced = _ohnf(aug, m + n)
-    return _ohnf([row[m:] for row in reduced if all(a == 0 for a in row[:m])], n)
+def _okernel_lattice(v, n) -> list[tuple[int, ...]]:
+    """HNF basis of the integer kernel {x in Z^n : <v, x> = 0} of one
+    primitive row v.  The Koszul complex of a unimodular row is exact
+    (Eisenbud, *Commutative Algebra*, 1995, ch. 17), so the vectors
+    ``v_j e_i - v_i e_j`` for i < j generate that kernel, and their HNF is
+    its basis."""
+    return _ohnf([tuple(v[j] if t == i else -v[i] if t == j else 0 for t in range(n))
+                  for i, j in combinations(range(n), 2)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,7 @@ def _view(spec: SemigroupSpec):
         if _oprimitive([_odot(b, w) for b in basis]) != spec.normal:
             raise AssertionError("a tower level's functional misses its normal")
         functionals.append(w)
-        basis = [_embed(basis, row) for row in _okernel_lattice([spec.normal], spec.ambient_rank)]
+        basis = [_embed(basis, row) for row in _okernel_lattice(spec.normal, spec.ambient_rank)]
         spec = spec.inner
     embedded = (_embed(basis, g) for g in spec.generators)
     return tuple(functionals), tuple(dict.fromkeys(g for g in embedded if any(g)))

@@ -551,7 +551,7 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
             cone = Cone(n, tuple(ambient.rays[j] for j in ray_set), tuple(sorted(normals)),
                         ambient.lineality, equations.basis)
         faces.append(FaceData(depth + handle.id, handle.dim, cone, span, torsion,
-                              *_finalize_face(cone, span, torsion, handle.dim), members,
+                              *_finalize_face(cone, span, handle.dim), members,
                               (0,) if depth else handle.tight_set))
     return faces, [(depth + a, depth + b) for a, b in lattice.covers]
 
@@ -626,8 +626,8 @@ def _half_space_local(cone: Cone, lattice: Lattice):
     return (), cone_local, dual_cone(cone_local)
 
 
-def _finalize_face(cone: Cone, lattice: Lattice, torsion: tuple[int, ...], dim: int):
-    """Local cone and dual local cone of a generated face, given its torsion
+def _finalize_face(cone: Cone, lattice: Lattice, dim: int):
+    """Local cone and dual local cone of a generated face
     (:func:`_generator_faces`); a tower's half spaces read theirs off the
     flag (:func:`_half_space_local`).
 
@@ -637,10 +637,9 @@ def _finalize_face(cone: Cone, lattice: Lattice, torsion: tuple[int, ...], dim: 
     on B by one back-substitution on its HNF pivots, which also checks that
     they lie in its span.  The coordinates are not made primitive:
     :func:`~toric_spectrum.cones._project` makes the rays primitive, and the
-    lineality is put in HNF.  Without torsion the face lattice is saturated;
-    the lineality then has integer coordinates that span a saturated
-    lattice, so their ``hnf`` is canonical and only a face with torsion
-    saturates it.
+    lineality is put in HNF and saturated, whenever there is one: on a face
+    lattice with torsion its coordinates may span a sublattice of finite
+    index, and on a saturated one the saturation returns the same HNF.
     """
     if lattice.rank != dim:
         raise InvariantViolation("face lattice does not span its cone")
@@ -651,8 +650,7 @@ def _finalize_face(cone: Cone, lattice: Lattice, torsion: tuple[int, ...], dim: 
     local = [y for y, _ in solved]
     k = len(cone.lineality)
     lineality = hnf(local[:k], dim)
-    # on a saturated face lattice the coordinates already span a saturated lattice
-    lineality = (saturate(lineality) if torsion and lineality.basis else lineality).basis
+    lineality = (saturate(lineality) if lineality.basis else lineality).basis
     rays = tuple(sorted(_project(local[k:], lineality)))
     inequalities = tuple(sorted({primitive_vector([dot(b, a) for b in basis])
                                  for a in cone.inequalities}))

@@ -293,3 +293,11 @@ def test_make_character_validation():
         make_character(ATLAS, 0, [F(0), F(0)], [F(-1), F(0)])
     wrapped = make_character(ATLAS, 0, [F(5, 4), F(-1, 4)], [F(0), F(0)])
     assert wrapped.theta == (F(1, 4), F(3, 4))
+
+
+def test_to_complex_of_a_huge_exponent_is_zero():
+    # float(10**400) overflows; exp(-800) already underflows to 0.0
+    from toric_spectrum.characters import ExactValue
+    assert ExactValue(False, F(0), F(10 ** 400)).to_complex() == 0j
+    assert ExactValue(False, F(1, 3), F(801)).to_complex() == 0j
+    assert ExactValue(False, F(0), F(700)).to_complex() != 0j

@@ -550,3 +550,13 @@ def test_char_eval_at_a_member_off_the_face_is_zero(tmp_path):
     # face 1 is the ray of (0, 1); the member (1, 1) lies off it
     assert run_cli(["char", "eval", path, "face:1", "theta:0", "lambda:1",
                     "--point", "1", "1"]) == (0, "zero\n")
+
+
+def test_char_eval_with_a_400_digit_decay_renders_zero(tmp_path):
+    # exp(-10**400) underflows; float(10**400) alone would overflow
+    path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
+    code, text = run_cli(["char", "eval", path, "face:0", "theta:0,0",
+                          f"lambda:{10 ** 400},0", "--point", "2", "0"])
+    assert code == 0
+    assert text.startswith(f"angle 0 exponent {2 * 10 ** 400} ")
+    assert text.endswith("~ +0.000000000000+0.000000000000j\n")

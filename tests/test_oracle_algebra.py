@@ -5,10 +5,13 @@ nullspace and solves are read off it.  Each is checked here against what it
 must satisfy, with entries up to 2^70, zero rows and dependent rows, and
 never against ``intlinalg``: the oracle is the independent check of the main
 modules.  So is the cross-check's membership test, which reads the facets of
-a cone from ``oracle._supporting``.
+a cone from ``oracle._supporting``.  The one exception is the tower
+kernel ``oracle._okernel_lattice``: an HNF basis is canonical, so it is
+compared with ``intlinalg.int_kernel`` entry for entry.
 """
 
 import ast
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -176,3 +179,25 @@ def test_oracle_imports_nothing_from_intlinalg():
     modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names]
     assert modules and not [m for m in modules if "intlinalg" in m], modules
+
+
+def test_koszul_kernel_is_the_main_kernel():
+    # the one check against intlinalg: an HNF basis is canonical, so the
+    # oracle's kernel from the Koszul generators v_j e_i - v_i e_j of a
+    # primitive row must be the main modules' basis entry for entry
+    from math import gcd
+
+    from toric_spectrum.intlinalg import int_kernel
+
+    rng = random.Random(35)
+    checked = 0
+    while checked < 600:
+        n = rng.randint(1, 7)
+        v = [rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10 ** 6, 10 ** 6)))
+             for _ in range(n)]
+        g = gcd(*v)
+        if not g:
+            continue
+        v = tuple(a // g for a in v)
+        assert oracle._okernel_lattice(v, n) == list(int_kernel([v], n).basis), v
+        checked += 1
