@@ -169,7 +169,10 @@ def spans_and_directions(draw):
     for _ in range(draw(st.integers(0, min(n, 5)))):
         row = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
         if _orank(rows + [row]) > len(rows):
-            rows.append(tuple(draw(st.sampled_from((1, 2, 3))) * a for a in row))
+            # one scale for the whole row: a scale per entry could make the
+            # row dependent on the rows before it
+            scale = draw(st.sampled_from((1, 2, 3)))
+            rows.append(tuple(scale * a for a in row))
     vecs = []
     for kind in draw(st.lists(st.sampled_from(("zero", "integer", "rational", "span")),
                               max_size=5)):
