@@ -23,17 +23,14 @@ _EXPORTS = {
         "ray_limit", "ray_point", "zero_character"),
     "cones": (
         "Cone", "FaceHandle", "FaceLattice", "cone_contains_cone",
-        "cone_from_inequalities", "cone_from_rays", "dual_cone", "face_lattice",
-        "full_cone", "is_pointed", "zero_cone"),
+        "cone_from_inequalities", "cone_from_rays", "dual_cone", "face_lattice"),
     "intlinalg": (
-        "IntVector", "InvariantViolation", "Lattice", "hnf",
-        "int_kernel", "lattice_contains", "quotient_invariants", "saturation_index"),
+        "IntVector", "InvariantViolation", "Lattice", "hnf", "int_kernel", "lattice_contains"),
     "semigroups": (
         "FaceData", "Generators", "MembershipUndecided", "SemigroupSpec",
         "SpectrumAtlas", "Tower", "asymptotic_cone", "contains",
-        "enumerate_faces", "face_members_in_box", "hull_contains",
-        "is_antisymmetric", "is_separating", "members_in_box", "validate_atlas",
-        "zero_face"),
+        "enumerate_faces", "face_members_in_box", "hull_contains", "members_in_box",
+        "validate_atlas", "zero_face"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

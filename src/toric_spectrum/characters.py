@@ -129,7 +129,8 @@ def idempotent(atlas: SpectrumAtlas, face_id: int) -> Character:
 
 
 def identity_character(atlas: SpectrumAtlas) -> Character:
-    return idempotent(atlas, atlas.top_id)
+    """The idempotent of face 0, the whole semigroup: 1 everywhere."""
+    return idempotent(atlas, 0)
 
 
 def zero_character(atlas: SpectrumAtlas) -> Optional[Character]:
@@ -307,13 +308,14 @@ def chain_of_rays(atlas: SpectrumAtlas, from_face: int, to_face: int) -> list[Ra
 def classify(atlas: SpectrumAtlas, chi: Character) -> dict:
     """Structural flags of a character.
 
-    ``full_support`` (top face) is computed twice: from the face id and from
-    nonvanishing at an interior member; the two answers must agree.
+    ``full_support`` (face 0, the whole semigroup) is computed twice: from
+    the face id and from nonvanishing at an interior member; the two answers
+    must agree.
     """
     is_idempotent = all(t == 0 for t in chi.theta) and all(v == 0 for v in chi.lam)
     is_symmetric = all(t == 0 or t == Fraction(1, 2) for t in chi.theta)
     is_nonnegative = all(t == 0 for t in chi.theta)
-    by_face = chi.face_id == atlas.top_id
+    by_face = chi.face_id == 0
     by_value = not evaluate(atlas, chi, atlas.interior_member).zero
     if by_face != by_value:
         raise InvariantViolation("openness test disagrees with the face test")

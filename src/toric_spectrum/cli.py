@@ -3,10 +3,11 @@ the character operations.
 
 Exit codes: 0 success, 2 malformed input, 3 recognised but unsupported input
 class (non-integer data), 4 internal invariant violation (always a bug), 5 out
-of memory (the input needs more memory than the process can get).  A
-``ValueError`` the library raises on a command's input (an unknown face, a
-lambda off the dual cone, a point that is not a member) is malformed input
-and exits 2 with its message.
+of memory (the input needs more memory than the process can get), 141 a
+closed output pipe (128 + SIGPIPE, as a shell reports for coreutils; nothing
+is written to stderr).  A ``ValueError`` the library raises on a command's
+input (an unknown face, a lambda off the dual cone, a point that is not a
+member) is malformed input and exits 2 with its message.
 
 Each subparser names the function that runs its command; that function
 builds the atlas if it needs one.  ``characters`` and ``oracle`` are
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -509,7 +511,15 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
-        return _run(args, out)
+        code = _run(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to the null device
+        # at exit, so nothing is written to stderr
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UnsupportedInputError as exc:
         print(f"unsupported input: {exc}", file=sys.stderr)
         return 3

@@ -27,8 +27,7 @@ product is the order of the torsion, so only a lattice with torsion runs
 a Smith pass (:func:`_smith_diagonal`, which alternates row and column
 passes of :func:`_triangulate` until the block is diagonal).  A caller
 that knows the kernel, as face 0 of an atlas does, triangulates the
-transposed basis alone (:func:`basis_torsion`), and so do the invariants
-of Z^n modulo a lattice (:func:`quotient_invariants`).
+transposed basis alone (:func:`basis_torsion`).
 
 An HNF basis needs no elimination at all.  :func:`hnf_coordinates`
 back-substitutes on its pivots, for any number of vectors at once, and
@@ -296,18 +295,6 @@ def _smith_diagonal(basis: Sequence[IntVector]) -> list[int]:
     return diag
 
 
-def quotient_invariants(ambient_rank: int, lattice: Lattice) -> tuple[int, tuple[int, ...]]:
-    """Structure of Z^n / lattice: free rank plus invariant torsion factors,
-    the latter from :func:`basis_torsion`.
-
-    Factors equal to 1 are dropped; the rest are returned in divisibility
-    order (each divides the next).
-    """
-    if lattice.ambient_rank != ambient_rank:
-        raise ValueError("lattice ambient rank mismatch")
-    return ambient_rank - lattice.rank, basis_torsion(lattice.basis)
-
-
 def int_kernel(rows: Sequence[IntVector], ambient_rank: int) -> Lattice:
     """Canonical basis of ``{x in Z^n : <row, x> = 0 for every row}``.
 
@@ -323,8 +310,7 @@ def int_kernel(rows: Sequence[IntVector], ambient_rank: int) -> Lattice:
 def kernel_and_torsion(rows: Sequence[IntVector], ambient_rank: int
                        ) -> tuple[Lattice, tuple[int, ...]]:
     """The :func:`int_kernel` of the rows and the torsion of Z^n modulo the
-    lattice they span, as :func:`quotient_invariants` gives it, from the
-    same computation.
+    lattice they span, from the same computation.
 
     The triangulation's unimodular row operations U make ``U rows^T`` a
     pivot block P over zero rows, so Z^n modulo the rows' lattice is
@@ -405,11 +391,6 @@ def saturate(lattice: Lattice) -> Lattice:
     """Saturation: (Q-span of the lattice) intersected with Z^n."""
     ker = int_kernel(lattice.basis, lattice.ambient_rank)
     return int_kernel(ker.basis, lattice.ambient_rank)
-
-
-def saturation_index(ambient_rank: int, lattice: Lattice) -> tuple[Lattice, int]:
-    """Saturation of the lattice together with its index in it."""
-    return saturate(lattice), prod(quotient_invariants(ambient_rank, lattice)[1])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -77,7 +77,6 @@ from .cones import (
     cone_from_rays,
     dual_cone,
     face_lattice,
-    is_pointed,
 )
 from .intlinalg import (
     IntVector,
@@ -171,25 +170,6 @@ def _half_space(normal: IntVector, n: int) -> Cone:
     normal is its only ray and its only inequality, and the integer kernel
     of the normal is its lineality."""
     return Cone(n, (normal,), (normal,), int_kernel([normal], n).basis, ())
-
-
-def is_antisymmetric(spec: SemigroupSpec) -> bool:
-    """Whether ``S intersect (-S) == {0}``.
-
-    For a generated semigroup this is pointedness of the asymptotic cone; a
-    tower is antisymmetric iff its boundary semigroup is (the open side never
-    meets its own negative).
-    """
-    if isinstance(spec, Generators):
-        return is_pointed(asymptotic_cone(spec))
-    return is_antisymmetric(spec.inner)
-
-
-def is_separating(spec: SemigroupSpec) -> bool:
-    """Whether the group generated by S is all of Z^n."""
-    if isinstance(spec, Tower):
-        return True
-    return hnf(spec.generators, spec.ambient_rank) == full_lattice(spec.ambient_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +391,6 @@ class SpectrumAtlas:
     interior_member: IntVector
 
     @property
-    def top_id(self) -> int:
-        return 0
-
-    @property
     def minimal_id(self) -> int:
         """The least face, the meet of all faces."""
         return self.meet_of(range(len(self.faces)))
@@ -479,6 +455,7 @@ class SpectrumAtlas:
         """Face order: j <= k iff the j-th face is contained in the k-th."""
         return self.order[1][j] >> k & 1 == 1
 
+    # perfbench/tracing.py wraps meet and join by name: a prune waits on the harness (ROADMAP)
     def meet(self, j: int, k: int) -> int:
         return self._bound(0, (j, k))
 

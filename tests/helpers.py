@@ -24,6 +24,7 @@ from toric_spectrum import (
 )
 from toric_spectrum.intlinalg import (
     Lattice,
+    basis_torsion,
     dot,
     full_lattice,
     hnf,
@@ -33,7 +34,6 @@ from toric_spectrum.intlinalg import (
     lattice_coordinates,
     lattice_residue,
     primitive_vector,
-    quotient_invariants,
     saturate,
     vec_neg,
 )
@@ -74,11 +74,32 @@ def random_generators(rng: random.Random, max_rank: int = 4, max_gens: int = 8,
 
 def random_pointed_generators(rng: random.Random, max_rank: int = 3,
                               max_gens: int = 5, coord: int = 3) -> Generators:
-    from toric_spectrum import asymptotic_cone, is_pointed
+    from toric_spectrum import asymptotic_cone
     while True:
         spec = random_generators(rng, max_rank, max_gens, coord)
-        if is_pointed(asymptotic_cone(spec)):
+        if not asymptotic_cone(spec).lineality:
             return spec
+
+
+def ref_is_antisymmetric(spec) -> bool:
+    """Reference for ``SpectrumAtlas.antisymmetric``: whether
+    ``S intersect (-S) == {0}``, by another route than the atlas's least
+    face.  A generated semigroup is antisymmetric iff its asymptotic cone is
+    pointed; a tower iff its boundary semigroup is, as the open side never
+    meets its own negative."""
+    from toric_spectrum import asymptotic_cone
+    if isinstance(spec, Tower):
+        return ref_is_antisymmetric(spec.inner)
+    return not asymptotic_cone(spec).lineality
+
+
+def ref_is_separating(spec) -> bool:
+    """Reference for ``SpectrumAtlas.separating``: whether S generates Z^n,
+    from the HNF of the generators rather than face 0.  A tower's open half
+    lattice alone generates Z^n."""
+    if isinstance(spec, Tower):
+        return True
+    return hnf(spec.generators, spec.ambient_rank) == full_lattice(spec.ambient_rank)
 
 
 TORSION_BASES = (Generators(1, ((2,),)), EVEN_AXIS, Generators(2, ((4, 2), (0, 3))),
@@ -301,7 +322,7 @@ def reduce_mod_span(vec, span_rows):
     return primitive_vector([d * a - dot(y, column) for a, column in zip(vec, zip(*span_rows))])
 
 
-def finalize_face(n, cone, lattice, dim):
+def finalize_face(cone, lattice, dim):
     """Reference: torsion, local cone and dual local cone of any face, by
     the generic path that once served the half spaces of a tower too.  The
     torsion comes from the Smith form, the lineality from the coordinates of
@@ -310,7 +331,7 @@ def finalize_face(n, cone, lattice, dim):
     inequalities as ``primitive(B a)``."""
     if lattice.rank != dim:
         raise InvariantViolation("face lattice does not span its cone")
-    torsion = quotient_invariants(n, lattice)[1]
+    torsion = basis_torsion(lattice.basis)
     basis = lattice.basis
 
     def local(v):
@@ -356,7 +377,7 @@ def ref_generator_faces(base, ambient, depth):
         normals = ref_project(normals, span.basis if onto else equations, onto)
         cone = Cone(n, rays, tuple(sorted(set(normals))), ambient.lineality, equations)
         faces.append(FaceData(depth + handle.id, handle.dim, cone, span,
-                              *finalize_face(n, cone, span, handle.dim), members,
+                              *finalize_face(cone, span, handle.dim), members,
                               (0,) if depth else handle.tight_set))
     return faces
 

@@ -27,7 +27,6 @@ from toric_spectrum import (
     face_members_in_box,
     hull_contains,
     idempotent,
-    is_pointed,
     make_character,
     members_in_box,
     multiply,
@@ -102,7 +101,7 @@ def test_criterion_04_antisymmetry_equivalence():
     rng = random.Random(20240401)
     for trial in range(200):
         spec = random_generators(rng, max_rank=4, max_gens=8)
-        pointed = is_pointed(asymptotic_cone(spec))
+        pointed = not asymptotic_cone(spec).lineality
         atlas = enumerate_faces(spec)
         has_zero = zero_character(atlas) is not None
         # membership-level test: a nontrivial symmetric pair exists exactly
@@ -111,7 +110,7 @@ def test_criterion_04_antisymmetry_equivalence():
                       and contains(spec, tuple(-a for a in g))
                       for g in spec.generators)
         trivial_symmetric_part = not witness
-        assert trivial_symmetric_part == pointed == has_zero, (trial, spec)
+        assert trivial_symmetric_part == pointed == has_zero == atlas.antisymmetric, (trial, spec)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(4, f"200 random specs: symmetric part trivial <=> pointed <=> zero "

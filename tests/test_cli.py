@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from toric_spectrum import cli, enumerate_faces, oracle, semigroups
 from toric_spectrum.cli import MAX_TOWER_DEPTH, main, parse_spec
-from toric_spectrum.intlinalg import InvariantViolation, hnf, quotient_invariants
+from toric_spectrum.intlinalg import InvariantViolation, basis_torsion, hnf
 
 EVEN_AXIS_DOC = {"kind": "generators", "ambient_rank": 2,
                  "generators": [[2, 0], [0, 1], [1, 1]]}
@@ -171,7 +172,7 @@ def test_a_6000_digit_torsion_prints_in_full(tmp_path):
     # main lifts the digit limit in this process too, so int() reads the report
     torsion = tuple(int(d) for d in json.loads(text)["faces"][0]["torsion"])
     assert code == 0 and len(str(torsion[-1])) > 5990
-    assert torsion == quotient_invariants(2, hnf(rows))[1]
+    assert torsion == basis_torsion(hnf(rows).basis)
 
 
 def nested_tower(depth):
@@ -560,3 +561,36 @@ def test_char_eval_with_a_400_digit_decay_renders_zero(tmp_path):
     assert code == 0
     assert text.startswith(f"angle 0 exponent {2 * 10 ** 400} ")
     assert text.endswith("~ +0.000000000000+0.000000000000j\n")
+
+
+class ClosedPipe(io.StringIO):
+    """An output stream whose reader is gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_output_stream_exits_141_in_silence(tmp_path, capsys):
+    path = write(tmp_path, "g.json", EVEN_AXIS_DOC)
+    assert main(["chain", path, "--from", "0", "--to", "3"], out=ClosedPipe()) == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_pipe_exits_141_in_silence(tmp_path, unbuffered):
+    # the read end is closed before the child starts, so its first write or
+    # its flush meets a pipe with no reader: block-buffered, the output
+    # would otherwise fail at interpreter exit
+    path = write(tmp_path, "nested.json", nested_tower(10))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "toric_spectrum.cli", "chain", path,
+                                 "--from", "0", "--to", "11"],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")

@@ -11,9 +11,6 @@ from toric_spectrum.cones import (
     cone_from_rays,
     dual_cone,
     face_lattice,
-    full_cone,
-    is_pointed,
-    zero_cone,
 )
 from toric_spectrum.intlinalg import InvariantViolation, dot, vec_neg
 from toric_spectrum.oracle import BoxSpec, _orank, dd_cross_check
@@ -49,7 +46,7 @@ def test_convert_halfspace():
 
 
 def test_convert_no_inequalities_is_full_space():
-    cone = full_cone(2)
+    cone = cone_from_inequalities([], [], 2)
     assert cone.rays == () and cone.inequalities == ()
     assert cone.lineality == ((1, 0), (0, 1)) and cone.equations == ()
 
@@ -64,8 +61,8 @@ def test_dual_examples():
     ray = cone_from_rays([(1, 0)], ambient_rank=2)
     halfplane = dual_cone(ray)
     assert halfplane.rays == ((1, 0),) and halfplane.lineality == ((0, 1),)
-    zero = zero_cone(2)
-    assert dual_cone(zero) == full_cone(2)
+    zero = cone_from_rays([], [], 2)
+    assert dual_cone(zero) == cone_from_inequalities([], [], 2)
 
 
 def test_dual_is_involution_on_random_cones():
@@ -102,12 +99,6 @@ def test_face_lattice_closed_under_meet():
         assert all(bottom <= s for s in sets)
 
 
-def test_is_pointed():
-    assert is_pointed(QUADRANT)
-    assert not is_pointed(HALFSPACE3)
-    assert not is_pointed(full_cone(2))
-
-
 def test_representation_consistency_random():
     rng = random.Random(1331)
     for _ in range(30):
@@ -128,7 +119,7 @@ def test_representation_consistency_random():
 
 
 def test_zero_rank_cone():
-    cone = zero_cone(0)
+    cone = cone_from_rays([], [], 0)
     assert cone.rays == () and cone.contains(())
     assert len(face_lattice(cone).faces) == 1
 

@@ -30,14 +30,13 @@ from toric_spectrum import (
     face_lattice,
     hnf,
     idempotent,
-    is_antisymmetric,
-    quotient_invariants,
 )
 from toric_spectrum import cones, semigroups
-from toric_spectrum.intlinalg import dot, full_lattice, primitive_vector
+from toric_spectrum.intlinalg import basis_torsion, dot, full_lattice, primitive_vector
 from toric_spectrum.semigroups import _membership_data, boundary_basis, embed_point
 
-from helpers import FIXTURES, random_tower, rational_coordinates, skew_normal
+from helpers import (FIXTURES, random_tower, rational_coordinates, ref_is_antisymmetric,
+                     skew_normal)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toric_spectrum"
 
@@ -96,7 +95,6 @@ def reference_local_cone(face):
 @pytest.mark.parametrize("spec", GENERATOR_SPECS + TOWER_SPECS)
 def test_atlas_matches_per_face_double_description(spec):
     atlas = enumerate_faces(spec)
-    n = spec.ambient_rank
     reference = reference_faces(spec)
     top, rest = reference[0], reference[1:]
     rest.sort(key=lambda t: (-t[0].dim(), t[0].rays, t[0].lineality))
@@ -107,7 +105,7 @@ def test_atlas_matches_per_face_double_description(spec):
             assert face.member_generators == tuple(
                 g for g in spec.generators if face.cone.contains(g))
         assert face.dim == face.cone.dim() == face.rank
-        assert face.torsion == quotient_invariants(n, face.lattice)[1]
+        assert face.torsion == basis_torsion(face.lattice.basis)
         assert face.cone_local == reference_local_cone(face)
         assert face.dual_cone_local == dual_cone(face.cone_local)
         assert face.tight_set == tuple(
@@ -124,7 +122,7 @@ def test_atlas_matches_per_face_double_description(spec):
         and not any(c not in (a, b) and atlas.leq(b, c) and atlas.leq(c, a)
                     for c in range(m)))
     assert list(atlas.covers) == reduction
-    assert atlas.antisymmetric == is_antisymmetric(spec)
+    assert atlas.antisymmetric == ref_is_antisymmetric(spec)
 
 
 def test_tower_half_space_is_canonical():
@@ -187,13 +185,13 @@ def test_membership_setup_runs_one_double_description(dd_runs):
 
 def test_generated_spec_queries_share_one_double_description(dd_runs):
     # a generated spec is its own base, so its asymptotic cone is the cone
-    # its flattening converts, and antisymmetry, the atlas and membership
-    # all read that one conversion
+    # its flattening converts, and the atlas, its antisymmetry included, and
+    # membership all read that one conversion
     spec = Generators(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 2), (1, 1, 1)))
     _membership_data.cache_clear()
     cone = asymptotic_cone(spec)
-    assert not is_antisymmetric(spec)
     atlas = enumerate_faces(spec)
+    assert not atlas.antisymmetric
     assert contains(spec, atlas.interior_member)
     assert atlas.ambient_cone == cone
     assert len(dd_runs) == 1

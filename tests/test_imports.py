@@ -25,17 +25,15 @@ EXPORTS = {
         "ray_limit", "ray_point", "zero_character"],
     "cones": [
         "Cone", "FaceHandle", "FaceLattice", "cone_contains_cone",
-        "cone_from_inequalities", "cone_from_rays", "dual_cone", "face_lattice",
-        "full_cone", "is_pointed", "zero_cone"],
+        "cone_from_inequalities", "cone_from_rays", "dual_cone", "face_lattice"],
     "intlinalg": [
         "IntVector", "InvariantViolation", "Lattice", "hnf", "int_kernel",
-        "lattice_contains", "quotient_invariants", "saturation_index"],
+        "lattice_contains"],
     "semigroups": [
         "FaceData", "Generators", "MembershipUndecided", "SemigroupSpec",
         "SpectrumAtlas", "Tower", "asymptotic_cone", "contains",
         "enumerate_faces", "face_members_in_box", "hull_contains",
-        "is_antisymmetric", "is_separating", "members_in_box", "validate_atlas",
-        "zero_face"],
+        "members_in_box", "validate_atlas", "zero_face"],
 }
 
 EVEN_AXIS_DOC = {"kind": "generators", "ambient_rank": 2,

@@ -5,17 +5,17 @@ import pytest
 
 from toric_spectrum.intlinalg import (
     Lattice,
+    basis_torsion,
     hnf,
     int_kernel,
     lattice_contains,
     lattice_coordinates,
     lattice_residue,
-    quotient_invariants,
-    saturation_index,
+    saturate,
 )
 from toric_spectrum.semigroups import embed_point
 
-from helpers import rational_coordinates
+from helpers import _det, rational_coordinates
 
 
 def combos(rows, bound):
@@ -81,9 +81,11 @@ def test_hnf_idempotent_and_unimodular_invariant():
 
 
 def test_quotient_invariants_examples():
-    assert quotient_invariants(2, hnf([(2, 0)], 2)) == (1, (2,))
-    assert quotient_invariants(2, hnf([(1, 0), (0, 1)], 2)) == (0, ())
-    assert quotient_invariants(2, hnf([(2, 0), (0, 3)], 2)) == (0, (6,))
+    # Z^2 modulo the lattice: free rank 2 - rank, torsion from the basis
+    for rows, free, torsion in (([(2, 0)], 1, (2,)), ([(1, 0), (0, 1)], 0, ()),
+                                ([(2, 0), (0, 3)], 0, (6,))):
+        lat = hnf(rows, 2)
+        assert (2 - lat.rank, basis_torsion(lat.basis)) == (free, torsion)
 
 
 def test_quotient_invariants_against_coset_enumeration():
@@ -100,16 +102,11 @@ def test_quotient_invariants_against_coset_enumeration():
         else:
             classes.append([p])
     assert len(classes) == 6
-    free, torsion = quotient_invariants(2, lat)
+    free, torsion = 2 - lat.rank, basis_torsion(lat.basis)
     order = 1
     for d in torsion:
         order *= d
     assert free == 0 and order == 6
-
-
-def test_quotient_rank_mismatch():
-    with pytest.raises(ValueError):
-        quotient_invariants(3, hnf([(2, 0)], 2))
 
 
 def test_lattice_contains_examples():
@@ -144,12 +141,9 @@ def test_lattice_contains_matches_bruteforce():
 
 
 def test_saturation_examples():
-    sat, index = saturation_index(2, hnf([(2, 0)], 2))
-    assert sat.basis == ((1, 0),) and index == 2
-    sat, index = saturation_index(2, hnf([(1, 1)], 2))
-    assert sat.basis == ((1, 1),) and index == 1
-    sat, index = saturation_index(2, hnf([(2, 0), (0, 3)], 2))
-    assert sat.basis == ((1, 0), (0, 1)) and index == 6
+    assert saturate(hnf([(2, 0)], 2)).basis == ((1, 0),)
+    assert saturate(hnf([(1, 1)], 2)).basis == ((1, 1),)
+    assert saturate(hnf([(2, 0), (0, 3)], 2)).basis == ((1, 0), (0, 1))
 
 
 def test_saturation_index_equals_torsion_product():
@@ -159,15 +153,17 @@ def test_saturation_index_equals_torsion_product():
         rows = [tuple(rng.randint(-4, 4) for _ in range(n))
                 for _ in range(rng.randint(1, n))]
         lat = hnf(rows, n)
-        _, torsion = quotient_invariants(n, lat)
         product_of_torsion = 1
-        for d in torsion:
+        for d in basis_torsion(lat.basis):
             product_of_torsion *= d
-        sat, index = saturation_index(n, lat)
-        assert index == product_of_torsion
+        sat = saturate(lat)
         assert sat.rank == lat.rank
         for row in lat.basis:
             assert lattice_contains(sat, row)
+        # the index of the lattice in its saturation: |det| of its basis
+        # written on the saturation's basis
+        assert abs(_det([lattice_coordinates(sat, row) for row in lat.basis])) == \
+            product_of_torsion
 
 
 def test_int_kernel():

@@ -12,7 +12,6 @@ from toric_spectrum import (
     enumerate_faces,
     face_members_in_box,
     members_in_box,
-    zero_cone,
 )
 from toric_spectrum import oracle
 from toric_spectrum.oracle import (
@@ -152,7 +151,7 @@ def test_dd_cross_check_examples():
     assert report.points_checked == 121 and report.mismatches == ()
     halfspace = cone_from_inequalities([(0, 0, 1)])
     assert dd_cross_check(halfspace, BoxSpec(3)).mismatches == ()
-    zero = zero_cone(2)
+    zero = cone_from_rays([], [], 2)
     report = dd_cross_check(zero, BoxSpec(2))
     assert report.mismatches == ()
 

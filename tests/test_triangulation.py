@@ -1,5 +1,5 @@
 """Property tests of the Euclid triangulation under ``hnf``, ``int_kernel``,
-``saturate`` and ``quotient_invariants``, and of ``primitive_vector``.
+``saturate`` and ``basis_torsion``, and of ``primitive_vector``.
 
 The references below are the earlier bodies of these functions: ``hnf``
 reduced above each pivot as soon as its column was done, and ``int_kernel``
@@ -21,10 +21,10 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from toric_spectrum.intlinalg import (  # noqa: E402
     Lattice,
     _triangulate,
+    basis_torsion,
     hnf,
     int_kernel,
     primitive_vector,
-    quotient_invariants,
     saturate,
 )
 
@@ -164,7 +164,8 @@ def torsion_lattices(draw):
 @given(torsion_lattices())
 def test_quotient_invariants_match_the_determinantal_divisors(case):
     n, lattice = case
-    assert quotient_invariants(n, lattice) == reference_quotient_invariants(lattice.basis, n)
+    assert (n - lattice.rank, basis_torsion(lattice.basis)) == \
+        reference_quotient_invariants(lattice.basis, n)
 
 
 @st.composite

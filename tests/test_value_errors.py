@@ -16,7 +16,6 @@ from toric_spectrum import (
     idempotent_lattice_ops,
     ray_limit,
     ray_point,
-    saturation_index,
 )
 from toric_spectrum.intlinalg import dot, lattice_coordinates, lattice_residue
 
@@ -40,7 +39,6 @@ X_AXIS = Lattice(2, ((1, 0),))
     (lambda: Lattice(2, ((1, 0, 0),)), "basis row length does not match ambient rank"),
     (lambda: lattice_coordinates(X_AXIS, (1,)), "vector length does not match ambient rank"),
     (lambda: lattice_residue(X_AXIS, (1, 0, 0)), "vector length does not match ambient rank"),
-    (lambda: saturation_index(3, X_AXIS), "lattice ambient rank mismatch"),
     (lambda: Tower(2, (0, 0, 1), HALF_LINE), "normal length does not match ambient rank"),
     (lambda: contains(EVEN_AXIS, (1,)), "point length does not match ambient rank"),
 ])
