@@ -32,7 +32,7 @@ Projections modulo a span run no solver: the span's rows are made pairwise
 orthogonal once, and each vector then takes one rank-one Gram-Schmidt step
 ``(r.r) v - (v.r) r`` per row (:func:`_reduce`, :func:`_project`).  They
 serve the rays of a conversion and of a face's local cone, modulo their
-lineality; the face tables and the tower rays of
+lineality; the facet normals of a face and the tower rays of
 :mod:`toric_spectrum.semigroups` take the same step.
 """
 

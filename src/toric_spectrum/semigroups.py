@@ -27,11 +27,12 @@ A face's member generators are read off bitmasks: each generator's mask of
 the cone inequalities that vanish on it is found once per atlas, and a face
 holds the generators whose mask contains its tight set.  One triangulation
 of its members' lattice basis gives its equations and its torsion, with no
-Smith form for a face without torsion.  Its facet normals are looked up in
-its table of the cone inequalities projected onto its span, which one
-rank-one Gram-Schmidt step derives from the table of a face that covers
-it.  Face 0 is the asymptotic cone itself: it holds every generator, so its
-equations are the cone's and its torsion comes from its basis alone.
+Smith form for a face without torsion.  Its facet normals are cone
+inequalities projected onto its span, each computed when first read and
+memoised: one rank-one Gram-Schmidt step applied to the projection onto
+the span of its first cover.  Face 0 is the asymptotic cone itself: it
+holds every generator, so its equations are the cone's and its torsion
+comes from its basis alone.
 
 A tower is flattened once into Z^n (:func:`_flatten`): one half space per
 level, then its innermost generators embedded as a generated spec of rank n.
@@ -463,6 +464,18 @@ class SpectrumAtlas:
         return self._bound(1, (j, k))
 
 
+def _projected(projected: dict, steps: dict, face: int, i: int) -> IntVector:
+    """Cone inequality i projected onto the span of a face, memoised in
+    ``projected`` by ``(face, i)``: the rank-one step of the face,
+    ``steps[face]``, applied to the entry of its first cover.  Each call
+    climbs one cover, so the depth is at most the cone's dimension less its
+    lineality's."""
+    if (face, i) not in projected:
+        up, step = steps[face]
+        projected[face, i] = _reduce(_projected(projected, steps, up, i), step)
+    return projected[face, i]
+
+
 def _generator_faces(base: Generators, ambient: Cone, depth: int):
     """Faces of a generated semigroup, read off the face lattice of its
     asymptotic cone ``ambient``, below ``depth`` half spaces.
@@ -476,31 +489,30 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
     face, so one triangulation of their lattice basis gives its equations
     and its torsion (:func:`~toric_spectrum.intlinalg.kernel_and_torsion`).
 
-    Each face keeps a table of the inequalities not tight on it, projected
-    onto its span, so its facet normals are lookups.  Face 0 is ``ambient``
-    itself and its table is the cone's inequalities; it holds every
-    generator, so its equations are the cone's and its torsion needs the
-    triangulation of its basis's transpose alone
+    A facet normal is the projection of a cone inequality onto the face's
+    span, computed the first time it is read and memoised
+    (:func:`_projected`), so only the projections some face reads are ever
+    made.  The sorted covers are walked once, before the faces: each reads
+    the normal of its smaller face in its larger one, and a face's first
+    cover also gives its step.  Face 0 is ``ambient`` itself and its
+    projections are the cone's inequalities; it holds every generator, so
+    its equations are the cone's and its torsion needs the triangulation of
+    its basis's transpose alone
     (:func:`~toric_spectrum.intlinalg.basis_torsion`), with no kernel.  A
-    face F takes its table from the face G of its first cover: with b the
-    entry of G for an inequality tight on F but not on G, span F is span G
-    cut by b^perp, so ``(b.b) x - (x.b) b`` is a positive multiple of the
-    projection of G's entry x onto span F (one rank-one Gram-Schmidt step,
-    :func:`~toric_spectrum.cones._reduce`) and its primitive vector is the
-    canonical normal.  The lattice order is the atlas order, so a face's id
-    is its lattice id plus ``depth``, and every cover comes before the faces
-    it covers.  Inside a tower every
-    face's tight set is ``(0,)``: the level-0 normal vanishes on it.
+    face F projects from the face G of its first cover: with b the
+    projection onto span G of an inequality tight on F but not on G, span F
+    is span G cut by b^perp, so ``(b.b) x - (x.b) b`` is a positive
+    multiple of the projection onto span F of G's projection x (one
+    rank-one Gram-Schmidt step, :func:`~toric_spectrum.cones._reduce`) and
+    its primitive vector is the canonical normal.  The lattice order is the
+    atlas order, so a face's id is its lattice id plus ``depth``, and every
+    cover comes before the faces it covers.  Inside a tower every face's
+    tight set is ``(0,)``: the level-0 normal vanishes on it.
     Returns the faces and the lattice's covers, both offset by ``depth``.
     """
     n = base.ambient_rank
     lattice = face_lattice(ambient)
     handles = lattice.faces
-    facets: list[list[int]] = [[] for _ in handles]
-    parent: dict[int, int] = {}
-    for larger, smaller in lattice.covers:
-        facets[larger].append(smaller)
-        parent.setdefault(smaller, larger)
     vanishing = [sum(1 << i for i, a in enumerate(ambient.inequalities) if dot(a, g) == 0)
                  for g in base.generators]
     tights = [sum(1 << i for i in handle.tight_set) for handle in handles]
@@ -509,7 +521,13 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
         extra = tights[f] & ~tights[g]
         return (extra & -extra).bit_length() - 1
 
-    tables = [dict(enumerate(ambient.inequalities))]
+    projected = {(0, i): a for i, a in enumerate(ambient.inequalities)}
+    normals: list[set[IntVector]] = [set() for _ in handles]
+    steps: dict[int, tuple] = {}
+    for larger, smaller in lattice.covers:  # sorted, so every face above has its step
+        b = _projected(projected, steps, larger, dropped(smaller, larger))
+        normals[larger].add(b)
+        steps.setdefault(smaller, (larger, ((b, dot(b, b)),)))
     faces = []
     for handle, ray_set, tight in zip(handles, lattice.ray_sets, tights):
         members = tuple(g for g, mask in zip(base.generators, vanishing) if mask & tight == tight)
@@ -519,14 +537,8 @@ def _generator_faces(base: Generators, ambient: Cone, depth: int):
             torsion = basis_torsion(span.basis)
         else:
             equations, torsion = kernel_and_torsion(span.basis, n)
-            up = parent[handle.id]
-            b = tables[up][dropped(handle.id, up)]
-            step = ((b, dot(b, b)),)
-            table = {i: _reduce(x, step) for i, x in tables[up].items() if not tight >> i & 1}
-            tables.append(table)
-            normals = {table[dropped(f, handle.id)] for f in facets[handle.id]}
-            cone = Cone(n, tuple(ambient.rays[j] for j in ray_set), tuple(sorted(normals)),
-                        ambient.lineality, equations.basis)
+            cone = Cone(n, tuple(ambient.rays[j] for j in ray_set),
+                        tuple(sorted(normals[handle.id])), ambient.lineality, equations.basis)
         faces.append(FaceData(depth + handle.id, handle.dim, cone, span, torsion,
                               *_finalize_face(cone, span, handle.dim), members,
                               (0,) if depth else handle.tight_set))

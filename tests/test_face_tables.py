@@ -1,11 +1,12 @@
 """Facet normals carried down the face lattice and torsion read off the
 kernel's triangulation, checked against the per-face route they replace
 (``helpers.ref_generator_faces``: a Gram elimination per face, then the
-Smith form), plus the completeness of the face lattice that the tables'
-walk relies on: every face below the top has a cover above it, and the
-lattice is Eulerian and has the diamond property.
+Smith form), plus the completeness of the face lattice that projecting
+from a face's first cover relies on: every face below the top has a cover
+above it, and the lattice is Eulerian and has the diamond property.
 """
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -61,6 +62,17 @@ GENERATED = ([generated_spec(random.Random(f"tables:{n}:{i}"), n)
              + [atlas_spec(random.Random(f"tables:{kind}:{i}"), kind)
                 for kind in ("r3.5", "r3l", "r4.6", "r4l", "r5.5") for i in range(4)])
 CUBES = [cube(n) for n in (2, 3, 4, 5, 6)]
+def seeded_spec(seed, n, m):
+    """m generators of rank n drawn one by one from ``random.Random(seed)``:
+    the first coordinate in 1..4, the others in -3..3."""
+    rng = random.Random(seed)
+    return Generators(n, tuple((rng.randint(1, 4), *(rng.randint(-3, 3) for _ in range(n - 1)))
+                               for _ in range(m)))
+
+
+# 150 facets and 1,012 faces: each face reads a small share of the cone's
+# inequalities projected onto its span
+MANY_FACETS = seeded_spec(630, 6, 30)
 TOWERS = ([random_tower(random.Random(f"tables:tower:{d}:{i}"), d, TORSION_BASES)
            for d in range(1, 5) for i in range(6)]
           + [tower_chain(random.Random(f"tables:chain:{d}"), d) for d in range(1, 6)])
@@ -74,7 +86,7 @@ def generated_part(spec):
     return enumerate_faces(spec).faces[depth:], ref_generator_faces(base, ambient, depth)
 
 
-@pytest.mark.parametrize("spec", GENERATED + CUBES + TOWERS)
+@pytest.mark.parametrize("spec", GENERATED + CUBES + TOWERS + [MANY_FACETS])
 def test_faces_equal_the_per_face_route(spec):
     faces, reference = generated_part(spec)
     assert list(faces) == reference
@@ -84,6 +96,28 @@ def test_the_rank_7_cube_equals_the_per_face_route():
     faces, reference = generated_part(cube(7))
     assert len(faces) == 730
     assert list(faces) == reference
+
+
+def test_facet_normals_are_projected_only_when_read(counted):
+    # one rank-one step per projection some face reads, not one per face
+    # and inequality not tight on it (146,850 steps here)
+    calls, count = counted
+    semigroups._flatten(MANY_FACETS)  # the double description, cached
+    count(semigroups, "_reduce")
+    atlas = enumerate_faces(MANY_FACETS)
+    assert len(atlas.faces) == 1012 and len(atlas.faces[0].cone.inequalities) == 150
+    assert calls["_reduce"] <= 10_000
+
+
+def test_the_atlas_leaves_no_reference_cycles():
+    enumerate_faces(MANY_FACETS)  # warm caches
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_faces(MANY_FACETS)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_kernel_and_torsion_equal_the_kernel_and_the_smith_form():
