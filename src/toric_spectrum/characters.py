@@ -18,7 +18,8 @@ not change cone membership, so the dual cone tests read the numerators.
 Entries must be ints or Fractions; a float raises TypeError.
 
 Restriction from a face to a face below it is an integer matrix, the rows of
-the smaller face's lattice basis on the larger one's.  Each matrix is built
+the smaller face's lattice basis on the larger one's, all rows from one
+back-substitution on the larger basis's HNF pivots.  Each matrix is built
 once per atlas, when first queried, and kept in a table on the atlas.  A face
 lattice spans its cone, so a functional vanishes on a face cone exactly when
 it vanishes on the rows of that face's restriction.
@@ -46,7 +47,7 @@ from .intlinalg import (
     IntVector,
     InvariantViolation,
     dot,
-    lattice_coordinates,
+    hnf_coordinates,
 )
 from .semigroups import SpectrumAtlas, contains, zero_face
 
@@ -139,11 +140,14 @@ def zero_character(atlas: SpectrumAtlas) -> Optional[Character]:
     return None if j is None else idempotent(atlas, j)
 
 
-def _face_coordinates(atlas: SpectrumAtlas, face_id: int, x: IntVector) -> tuple[int, ...]:
-    coords = lattice_coordinates(atlas.faces[face_id].lattice, x)
-    if coords is None:
-        raise InvariantViolation(f"{x} must lie in the lattice of face {face_id}")
-    return coords
+def _face_coordinates(atlas: SpectrumAtlas, face_id: int,
+                      xs: Sequence[IntVector]) -> list[IntVector]:
+    """The coordinates of each x on the face's lattice basis, all from one
+    back-substitution on its HNF pivots."""
+    solved = hnf_coordinates(atlas.faces[face_id].lattice.basis, xs)
+    if solved is None or any(d != 1 for _, d in solved):
+        raise InvariantViolation(f"{tuple(xs)} must lie in the lattice of face {face_id}")
+    return [y for y, _ in solved]
 
 
 def evaluate(atlas: SpectrumAtlas, chi: Character, x: Sequence[int]) -> ExactValue:
@@ -159,7 +163,7 @@ def evaluate(atlas: SpectrumAtlas, chi: Character, x: Sequence[int]) -> ExactVal
         raise ValueError(f"{x} is not a member of the semigroup")
     if not face.cone.contains(x):
         return ZERO_VALUE
-    coords = _face_coordinates(atlas, chi.face_id, x)
+    (coords,) = _face_coordinates(atlas, chi.face_id, [x])
     angles, d = _numerators(chi.theta)
     decay, e = _numerators(chi.lam)
     exponent = dot(decay, coords)
@@ -178,7 +182,7 @@ def _restriction(atlas: SpectrumAtlas, sub_face: int, face: int) -> tuple[IntVec
     rows = table.get((sub_face, face))
     if rows is None:
         rows = table[sub_face, face] = tuple(
-            _face_coordinates(atlas, face, b) for b in atlas.faces[sub_face].lattice.basis)
+            _face_coordinates(atlas, face, atlas.faces[sub_face].lattice.basis))
     return rows
 
 

@@ -18,8 +18,9 @@ data block of ``[rows^T | I_n]`` and takes one :func:`hnf` of what is left
 2.4); the kernel of a single nonzero row, the boundary of a tower level or
 of a half space, is written down in closed form from the Bezout
 coefficients of its suffixes (:func:`_one_row_kernel`), with no
-triangulation.  :func:`saturate` is two kernels.  A kernel's triangulation
-also gives the torsion of Z^n modulo the rows' lattice
+triangulation; a kernel is saturated by construction, so the lineality of
+every cone of the package is the kernel of its facet normals.  A kernel's
+triangulation also gives the torsion of Z^n modulo the rows' lattice
 (:func:`kernel_and_torsion`, one call per face of an atlas, on the HNF
 basis of its members): the Smith invariants of its pivot block, with no
 Smith pass when the pivots multiply to +-1.  On independent rows that
@@ -33,10 +34,11 @@ An HNF basis needs no elimination at all.  :func:`hnf_coordinates`
 back-substitutes on its pivots, for any number of vectors at once, and
 returns rational coordinates as integer numerators over one positive
 denominator: the local coordinates and span check of a face's cone
-(:mod:`toric_spectrum.semigroups`), one call per face, and, as its
-denominator-free case, :func:`lattice_coordinates`.  At each pivot,
-:func:`lattice_residue` leaves the canonical representative of a vector
-modulo the lattice (ibid.), the key of the membership search in
+(:mod:`toric_spectrum.semigroups`), one call per face, and the lattice
+coordinates of the character algebra (:mod:`toric_spectrum.characters`),
+whose denominators must be 1, one call per restriction matrix.  At each
+pivot, :func:`lattice_residue` leaves the canonical representative of a
+vector modulo the lattice (ibid.), the key of the membership search in
 :mod:`toric_spectrum.semigroups`.  No rational solver runs on rows in no
 echelon form: :mod:`toric_spectrum.cones` works in a span by rank-one
 Gram-Schmidt steps and by pairings with a saturated basis.
@@ -228,16 +230,6 @@ def hnf_coordinates(basis: Sequence[IntVector], xs: Sequence[Sequence[int]]
     return solved
 
 
-def lattice_coordinates(lattice: Lattice, x: Sequence[int]) -> Optional[IntVector]:
-    """Integer coefficients c with ``sum(c_i * basis_i) == x`` on the lattice
-    basis, or None if x is not in the lattice: the :func:`hnf_coordinates`
-    of ``[x]`` that need no denominator."""
-    if len(x) != lattice.ambient_rank:
-        raise ValueError("vector length does not match ambient rank")
-    solved = hnf_coordinates(lattice.basis, [x])
-    return solved[0][0] if solved is not None and solved[0][1] == 1 else None
-
-
 def lattice_contains(lattice: Lattice, x: Sequence[int]) -> bool:
     """Whether x lies in the integer row span of the lattice basis: whether
     its :func:`lattice_residue` is zero."""
@@ -385,12 +377,6 @@ def _one_row_kernel(v: IntVector, n: int) -> Lattice:
         g, bezout = h, [s] + [u * b for b in bezout]
     units = tuple((0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(t + 1, n))
     return Lattice(n, tuple(map(tuple, rows)) + units)
-
-
-def saturate(lattice: Lattice) -> Lattice:
-    """Saturation: (Q-span of the lattice) intersected with Z^n."""
-    ker = int_kernel(lattice.basis, lattice.ambient_rank)
-    return int_kernel(ker.basis, lattice.ambient_rank)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -94,7 +94,6 @@ from .intlinalg import (
     lattice_contains,
     lattice_residue,
     primitive_vector,
-    saturate,
     vec_neg,
 )
 
@@ -456,7 +455,8 @@ class SpectrumAtlas:
         """Face order: j <= k iff the j-th face is contained in the k-th."""
         return self.order[1][j] >> k & 1 == 1
 
-    # perfbench/tracing.py wraps meet and join by name: a prune waits on the harness (ROADMAP)
+    # perfbench/tracing.py wraps meet and join by name; join has no caller in the
+    # package, and its prune waits on the harness (ROADMAP)
     def meet(self, j: int, k: int) -> int:
         return self._bound(0, (j, k))
 
@@ -622,13 +622,13 @@ def _finalize_face(cone: Cone, lattice: Lattice, dim: int):
 
     The face lattice spans the face, so on the lattice basis B the cone is
     full dimensional: its facet normals are ``B a`` for the face's normals
-    ``a``, and no double description runs.  Rays and lineality are written
-    on B by one back-substitution on its HNF pivots, which also checks that
-    they lie in its span.  The coordinates are not made primitive:
-    :func:`~toric_spectrum.cones._project` makes the rays primitive, and the
-    lineality is put in HNF and saturated, whenever there is one: on a face
-    lattice with torsion its coordinates may span a sublattice of finite
-    index, and on a saturated one the saturation returns the same HNF.
+    ``a``, and no double description runs.  Its lineality is the integer
+    kernel of those normals, as for every cone of the package, saturated
+    and in HNF, and none when the face cone has none.  Rays and lineality
+    are written on B by one back-substitution on its HNF pivots, which
+    checks that they lie in its span; the rays' coordinates are taken
+    modulo the lineality and made primitive by
+    :func:`~toric_spectrum.cones._project`.
     """
     if lattice.rank != dim:
         raise InvariantViolation("face lattice does not span its cone")
@@ -636,13 +636,10 @@ def _finalize_face(cone: Cone, lattice: Lattice, dim: int):
     solved = hnf_coordinates(basis, cone.lineality + cone.rays)
     if solved is None:
         raise InvariantViolation("face cone leaves the span of its lattice")
-    local = [y for y, _ in solved]
-    k = len(cone.lineality)
-    lineality = hnf(local[:k], dim)
-    lineality = (saturate(lineality) if lineality.basis else lineality).basis
-    rays = tuple(sorted(_project(local[k:], lineality)))
     inequalities = tuple(sorted({primitive_vector([dot(b, a) for b in basis])
                                  for a in cone.inequalities}))
+    lineality = int_kernel(inequalities, dim).basis if cone.lineality else ()
+    rays = tuple(sorted(_project([y for y, _ in solved[len(cone.lineality):]], lineality)))
     cone_local = Cone(dim, rays, inequalities, lineality, ())
     return cone_local, dual_cone(cone_local)
 

@@ -31,10 +31,8 @@ from toric_spectrum.intlinalg import (
     hnf_coordinates,
     int_kernel,
     is_zero_vector,
-    lattice_coordinates,
     lattice_residue,
     primitive_vector,
-    saturate,
     vec_neg,
 )
 from toric_spectrum.oracle import _orank, _orref, _supporting
@@ -125,6 +123,26 @@ def tower_chain(rng, depth):
     """The benchmark's tower chains (``workloads.tower_chain``): skewed
     normals over the even-axis boundary."""
     return workloads.build(toric_spectrum, workloads.tower_chain(rng, depth))
+
+
+# ---------------------------------------------------------------------------
+# Lattice helpers the package no longer needs: a face's lineality is the
+# kernel of its normals, and a lattice's coordinates one back-substitution.
+
+
+def saturate(lattice):
+    """Saturation, (Q-span of the lattice) intersected with Z^n: two
+    integer kernels."""
+    ker = int_kernel(lattice.basis, lattice.ambient_rank)
+    return int_kernel(ker.basis, lattice.ambient_rank)
+
+
+def lattice_coordinates(lattice, x):
+    """Integer coefficients c with ``sum(c_i * basis_i) == x`` on the lattice
+    basis, or None if x is not in the lattice: the ``hnf_coordinates`` of
+    ``[x]`` that need no denominator."""
+    solved = hnf_coordinates(lattice.basis, [x])
+    return solved[0][0] if solved is not None and solved[0][1] == 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,14 @@ from toric_spectrum.cones import (  # noqa: E402
     cone_from_rays,
 )
 from toric_spectrum.intlinalg import (  # noqa: E402
-    Lattice,
     dot,
     full_lattice,
     hnf,
     hnf_coordinates,
     int_kernel,
     lattice_contains,
-    lattice_coordinates,
     lattice_residue,
     primitive_vector,
-    saturate,
 )
 from toric_spectrum.oracle import _orank  # noqa: E402
 from toric_spectrum.semigroups import Generators, Tower  # noqa: E402
@@ -91,9 +88,7 @@ def test_kernel_refuses_rationals():
         calls = [
             lambda: hnf([row], 2),
             lambda: int_kernel([row], 2),
-            lambda: saturate(Lattice(2, (row,))),
             lambda: hnf_coordinates(((1, 0), (0, 1)), [(0, 0), row]),
-            lambda: lattice_coordinates(full_lattice(2), row),
             lambda: lattice_contains(full_lattice(2), row),
             lambda: lattice_residue(hnf([(2, 1)], 2), row),
             lambda: cone_from_rays([row, (1, 0)]),
@@ -248,9 +243,6 @@ def test_pivot_coordinates_match_elimination(case):
         assert [Fraction(c, d) for c in y] == [Fraction(c, expected[1]) for c in expected[0]]
         # d is the least common denominator of the coordinates
         assert gcd(d, *y) == 1
-        # on the lattice no pivot scales: the integer coordinates, or None
-        lattice = Lattice(len(x), tuple(basis))
-        assert lattice_coordinates(lattice, x) == (y if d == 1 else None)
         singles.append((y, d))
     # all points in one call: None iff some point leaves the span, and
     # otherwise each pair is its one-point solve

@@ -20,7 +20,7 @@ from toric_spectrum import (
 )
 from toric_spectrum import cones, semigroups
 from toric_spectrum.cli import main, spec_document
-from toric_spectrum.intlinalg import Lattice, dot, lattice_coordinates
+from toric_spectrum.intlinalg import Lattice, dot
 from toric_spectrum.semigroups import boundary_basis, embed_point
 
 from helpers import (
@@ -28,6 +28,7 @@ from helpers import (
     FULL_LINE,
     HALFSPACE_TOWER,
     atlas_spec,
+    lattice_coordinates,
     random_tower,
     skew_normal,
     tower_chain,

@@ -9,13 +9,11 @@ from toric_spectrum.intlinalg import (
     hnf,
     int_kernel,
     lattice_contains,
-    lattice_coordinates,
     lattice_residue,
-    saturate,
 )
 from toric_spectrum.semigroups import embed_point
 
-from helpers import _det, rational_coordinates
+from helpers import _det, lattice_coordinates, rational_coordinates, saturate
 
 
 def combos(rows, bound):

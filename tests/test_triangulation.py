@@ -1,5 +1,6 @@
-"""Property tests of the Euclid triangulation under ``hnf``, ``int_kernel``,
-``saturate`` and ``basis_torsion``, and of ``primitive_vector``.
+"""Property tests of the Euclid triangulation under ``hnf``, ``int_kernel``
+and ``basis_torsion``, and of ``primitive_vector``; the saturation of the
+test helpers is two of these kernels.
 
 The references below are the earlier bodies of these functions: ``hnf``
 reduced above each pivot as soon as its column was done, and ``int_kernel``
@@ -25,10 +26,9 @@ from toric_spectrum.intlinalg import (  # noqa: E402
     hnf,
     int_kernel,
     primitive_vector,
-    saturate,
 )
 
-from helpers import _det  # noqa: E402
+from helpers import _det, saturate  # noqa: E402
 
 SETTINGS = settings(max_examples=200, deadline=None)
 entries = st.one_of(st.integers(-6, 6), st.integers(-2 ** 70, 2 ** 70))

@@ -17,7 +17,7 @@ from toric_spectrum import (
     ray_limit,
     ray_point,
 )
-from toric_spectrum.intlinalg import dot, lattice_coordinates, lattice_residue
+from toric_spectrum.intlinalg import dot, lattice_residue
 
 from helpers import EVEN_AXIS, HALF_LINE
 
@@ -37,7 +37,6 @@ X_AXIS = Lattice(2, ((1, 0),))
     (lambda: cone_contains_cone(QUADRANT, cone_from_rays([(1, 0, 0)])), "ambient rank mismatch"),
     (lambda: dot((1, 2), (1,)), "length mismatch: 2 vs 1"),
     (lambda: Lattice(2, ((1, 0, 0),)), "basis row length does not match ambient rank"),
-    (lambda: lattice_coordinates(X_AXIS, (1,)), "vector length does not match ambient rank"),
     (lambda: lattice_residue(X_AXIS, (1, 0, 0)), "vector length does not match ambient rank"),
     (lambda: Tower(2, (0, 0, 1), HALF_LINE), "normal length does not match ambient rank"),
     (lambda: contains(EVEN_AXIS, (1,)), "point length does not match ambient rank"),
