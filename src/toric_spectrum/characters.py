@@ -19,10 +19,14 @@ Entries must be ints or Fractions; a float raises TypeError.
 
 Restriction from a face to a face below it is an integer matrix, the rows of
 the smaller face's lattice basis on the larger one's, all rows from one
-back-substitution on the larger basis's HNF pivots.  Each matrix is built
-once per atlas, when first queried, and kept in a table on the atlas.  A face
-lattice spans its cone, so a functional vanishes on a face cone exactly when
-it vanishes on the rows of that face's restriction.
+back-substitution on the larger basis's HNF pivots; :func:`multiply` alone
+reads them.  Where a decay vanishes is decided from one point per face
+instead: a functional that is >= 0 on a cone vanishes on it iff it vanishes
+at one point of its relative interior (Ziegler, *Lectures on Polytopes*,
+1995, §2.1), and the sum of a face cone's rays is such a point, also for a
+cone with lineality.  One back-substitution on a base's lattice basis gives
+that point of every face below the base.  Matrices and points are built
+once per atlas, when first queried, and kept in a table on the atlas.
 
 The face order is read from the atlas's down-set and up-set bitmasks
 (:attr:`~toric_spectrum.semigroups.SpectrumAtlas.order`), so every order query
@@ -252,21 +256,29 @@ def ray_limit(atlas: SpectrumAtlas, ray: Ray) -> int:
     base on whose cone the decay functional vanishes, the join of those
     faces."""
     decay = _ray_decay(atlas, ray)[1]
-    below = atlas.order[0][ray.base_face_id]
-    candidates = [j for j in range(len(atlas.faces)) if below >> j & 1
-                  and _vanishes_on_face(atlas, decay, ray.base_face_id, j)]
+    candidates = [j for j, point in _interior_points(atlas, ray.base_face_id).items()
+                  if dot(decay, point) == 0]
     limit = atlas.join_of(candidates)
     if limit not in candidates:
         raise InvariantViolation("limit face is not unique")
     return limit
 
 
-def _vanishes_on_face(atlas: SpectrumAtlas, lam: Sequence,
-                      base_id: int, face_id: int) -> bool:
-    """Whether the functional ``lam`` on the base face lattice vanishes on
-    the cone of a face below the base: on its lattice basis, which spans
-    that cone."""
-    return all(dot(lam, row) == 0 for row in _restriction(atlas, face_id, base_id))
+def _interior_points(atlas: SpectrumAtlas, base_id: int) -> dict[int, IntVector]:
+    """A relative interior point of each face in the base's down-set, the
+    sum of its cone's rays, on the base's lattice basis up to a positive
+    scale, by face id: all from one back-substitution, built on first use
+    and kept in the atlas's table under the base id."""
+    points = atlas._restrictions.get(base_id)
+    if points is None:
+        below = [f for f in atlas.faces if atlas.order[0][base_id] >> f.face_id & 1]
+        zero = [0] * atlas.spec.ambient_rank
+        solved = hnf_coordinates(atlas.faces[base_id].lattice.basis,
+                                 [tuple(map(sum, zip(zero, *f.cone.rays))) for f in below])
+        if solved is None:
+            raise InvariantViolation(f"a face below face {base_id} leaves the span of its lattice")
+        points = atlas._restrictions[base_id] = {f.face_id: y for f, (y, _) in zip(below, solved)}
+    return points
 
 
 def idempotent_lattice_ops(atlas: SpectrumAtlas, face_ids: Sequence[int]) -> tuple[int, int]:
@@ -296,8 +308,8 @@ def chain_of_rays(atlas: SpectrumAtlas, from_face: int, to_face: int) -> list[Ra
         between = up[to_face] & down[current] & ~(1 << current)
         target = (between & -between).bit_length() - 1
         face = atlas.faces[current]
-        normals = [a for a in face.cone_local.inequalities
-                   if _vanishes_on_face(atlas, a, current, target)]
+        point = _interior_points(atlas, current)[target]
+        normals = [a for a in face.cone_local.inequalities if dot(a, point) == 0]
         if not normals:
             raise InvariantViolation("a strictly smaller face lies on at least one facet")
         ray = Ray(current, tuple(Fraction(sum(column)) for column in zip(*normals)))

@@ -36,7 +36,8 @@ returns rational coordinates as integer numerators over one positive
 denominator: the local coordinates and span check of a face's cone
 (:mod:`toric_spectrum.semigroups`), one call per face, and the lattice
 coordinates of the character algebra (:mod:`toric_spectrum.characters`),
-whose denominators must be 1, one call per restriction matrix.  At each
+whose denominators must be 1, one call per restriction matrix, and the
+points at which a ray's decay is tested, one call per base face.  At each
 pivot, :func:`lattice_residue` leaves the canonical representative of a
 vector modulo the lattice (ibid.), the key of the membership search in
 :mod:`toric_spectrum.semigroups`.  No rational solver runs on rows in no

@@ -414,10 +414,12 @@ class SpectrumAtlas:
         return tuple(down), tuple(up)
 
     @cached_property
-    def _restrictions(self) -> dict[tuple[int, int], tuple[IntVector, ...]]:
-        """Restriction matrices of the character algebra by ``(sub_face,
-        face)``, filled on first query by :mod:`~toric_spectrum.characters`;
-        at most one entry per pair of faces."""
+    def _restrictions(self) -> dict:
+        """The character algebra's tables, filled on first query by
+        :mod:`~toric_spectrum.characters`: restriction matrices by
+        ``(sub_face, face)``, at most one entry per pair of faces, and by a
+        base face id the relative interior points of the faces below it, at
+        most one entry per face."""
         return {}
 
     def face(self, face_id: int) -> FaceData:

@@ -7,6 +7,7 @@ import pkgutil
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import toric_spectrum
@@ -110,6 +111,32 @@ def random_tower(rng, depth, bases=TORSION_BASES):
         n = spec.ambient_rank + 1
         spec = Tower(n, skew_normal(rng, n), spec)
     return spec
+
+
+def cube(n):
+    """The cone over the (n - 1)-cube, of rank n: the generators
+    {1} x {-1, 1}^(n - 1), 3^(n - 1) + 1 faces."""
+    return Generators(n, tuple((1,) + signs for signs in product((-1, 1), repeat=n - 1)))
+
+
+def seeded_spec(seed, n, m):
+    """m generators of rank n drawn one by one from ``random.Random(seed)``:
+    the first coordinate in 1..4, the others in -3..3."""
+    rng = random.Random(seed)
+    return Generators(n, tuple((rng.randint(1, 4), *(rng.randint(-3, 3) for _ in range(n - 1)))
+                               for _ in range(m)))
+
+
+# the atlases of the benchmark's ``chars`` workload: a cone over a cube, a
+# cone over a pentagon, a skewed simplicial cone with torsion 28, a cone with
+# lineality and the even-axis quadrant
+CHARS_SPECS = (
+    cube(4),
+    Generators(3, ((1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -2, 1))),
+    Generators(4, ((2, 1, 0, 0), (0, 3, 1, 0), (0, 0, 1, 2), (1, 0, 0, 5))),
+    Generators(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 2))),
+    EVEN_AXIS,
+)
 
 
 def atlas_spec(rng, kind):

@@ -10,7 +10,6 @@ a Fraction of the same value.
 
 import random
 from fractions import Fraction as F
-from itertools import product
 
 import pytest
 
@@ -30,6 +29,7 @@ from toric_spectrum import (
 )
 
 from helpers import (
+    CHARS_SPECS,
     EVEN_AXIS,
     coordinate_table,
     leq_table,
@@ -39,17 +39,6 @@ from helpers import (
     ref_multiply,
     ref_ray_limit,
 )
-
-# a cone over a cube, a cone over a pentagon, a skewed simplicial cone with
-# torsion 28, a cone with lineality and the even-axis quadrant
-CHARS_SPECS = (
-    Generators(4, tuple((1,) + v for v in product((-1, 1), repeat=3))),
-    Generators(3, ((1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -2, 1))),
-    Generators(4, ((2, 1, 0, 0), (0, 3, 1, 0), (0, 0, 1, 2), (1, 0, 0, 5))),
-    Generators(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 2))),
-    EVEN_AXIS,
-)
-
 
 def seeded_character(rng, atlas, face_id, ints):
     """Angles and a point of the dual cone: Fractions, or ints throughout,

@@ -50,10 +50,12 @@ from helpers import (
     TORSION_BASES,
     coordinate_table,
     leq_table,
+    nested_tower,
     random_generators,
     random_tower,
     ref_chain,
     ref_ray_limit,
+    tower_chain,
 )
 
 CUBE6 = Generators(6, tuple((1,) + v for v in product((-1, 1), repeat=5)))
@@ -108,8 +110,8 @@ def outcome(fn, *args):
 
 def corpus():
     """Generator specs of rank 1-6, with lineality and torsion among them,
-    towers of depth 1-5 over torsion bases, the fixtures and the rank-6
-    cube."""
+    towers of depth 1-5 over torsion bases, the nested tower of depth 12, a
+    tower chain of depth 8 and the fixtures."""
     rng = random.Random(2026)
     specs = list(FIXTURES) + list(TORSION_BASES)
     specs += [random_generators(rng, max_rank=6, max_gens=7) for _ in range(24)]
@@ -117,6 +119,7 @@ def corpus():
               Generators(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2),
                              (0, 0, 0, 1), (0, 0, 0, -1)))]
     specs += [random_tower(rng, depth) for depth in range(1, 6) for _ in range(2)]
+    specs += [nested_tower(12), tower_chain(rng, 8)]
     return specs
 
 

@@ -7,7 +7,6 @@ above it, and the lattice is Eulerian and has the diamond property.
 """
 
 import gc
-import itertools
 import random
 from collections import Counter
 
@@ -27,16 +26,13 @@ from helpers import (
     SOLVER_NAMES,
     TORSION_BASES,
     atlas_spec,
+    cube,
     package_definitions,
     random_tower,
     ref_generator_faces,
+    seeded_spec,
     tower_chain,
 )
-
-
-def cube(n):
-    """The cone over the (n-1)-cube, of rank n: 3^(n-1) + 1 faces."""
-    return Generators(n, tuple((1, *s) for s in itertools.product((-1, 1), repeat=n - 1)))
 
 
 def generated_spec(rng, n):
@@ -62,14 +58,6 @@ GENERATED = ([generated_spec(random.Random(f"tables:{n}:{i}"), n)
              + [atlas_spec(random.Random(f"tables:{kind}:{i}"), kind)
                 for kind in ("r3.5", "r3l", "r4.6", "r4l", "r5.5") for i in range(4)])
 CUBES = [cube(n) for n in (2, 3, 4, 5, 6)]
-def seeded_spec(seed, n, m):
-    """m generators of rank n drawn one by one from ``random.Random(seed)``:
-    the first coordinate in 1..4, the others in -3..3."""
-    rng = random.Random(seed)
-    return Generators(n, tuple((rng.randint(1, 4), *(rng.randint(-3, 3) for _ in range(n - 1)))
-                               for _ in range(m)))
-
-
 # 150 facets and 1,012 faces: each face reads a small share of the cone's
 # inequalities projected onto its span
 MANY_FACETS = seeded_spec(630, 6, 30)

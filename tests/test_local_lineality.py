@@ -6,9 +6,10 @@ one kernel and no HNF per face, the rule of every cone of the package; it
 is checked against the earlier route of ``helpers.finalize_face``, the HNF
 of the lineality's coordinates saturated by two more kernels.  A
 restriction matrix of the character algebra is one back-substitution for
-all its rows.  The oracle's faces and the numeric homomorphism check cover
-specs with a line, and a unimodular change of basis keeps every invariant
-of the atlas and of membership.
+all its rows, and a ray query one per base for a point of every face below
+it, with no restriction matrix.  The oracle's faces and the numeric
+homomorphism check cover specs with a line, and a unimodular change of
+basis keeps every invariant of the atlas and of membership.
 """
 
 import random
@@ -19,15 +20,18 @@ import pytest
 
 from toric_spectrum import (
     Generators,
+    Ray,
+    chain_of_rays,
     characters,
     contains,
     enumerate_faces,
     face_members_in_box,
+    ray_limit,
     semigroups,
 )
 from toric_spectrum.oracle import BoxSpec, brute_force_faces, numeric_homomorphism_check
 
-from helpers import atlas_spec, finalize_face
+from helpers import CHARS_SPECS, atlas_spec, finalize_face, nested_tower
 
 # a line through a plane with torsion Z/2: the CI spec of plane.json
 PLANE = Generators(3, ((1, 1, 0), (-1, -1, 0), (0, 2, 2), (1, 3, 2)))
@@ -90,6 +94,29 @@ def test_a_restriction_is_one_back_substitution(counted, spec):
         assert calls["hnf_coordinates"] == built
         assert characters._restriction(atlas, j, k) is rows
         assert calls["hnf_coordinates"] == built
+
+
+def test_a_ray_query_solves_one_point_per_face_below_its_base(monkeypatch):
+    solved = Counter()
+    original = characters.hnf_coordinates
+
+    def counting(basis, xs):
+        solved["calls"] += 1
+        solved["vectors"] += len(xs)
+        return original(basis, xs)
+
+    monkeypatch.setattr(characters, "hnf_coordinates", counting)
+    # 62 faces in a chain: one call per step's base, on the faces below it
+    atlas = enumerate_faces(nested_tower(60))
+    assert len(chain_of_rays(atlas, 0, 61)) == 61
+    assert solved["calls"] <= 61 and solved["vectors"] <= 1952
+    assert not any(isinstance(key, tuple) for key in atlas._restrictions)
+    for spec in CHARS_SPECS:
+        atlas = enumerate_faces(spec)
+        for j, face in enumerate(atlas.faces):
+            for lam in [(0,) * face.rank, *face.dual_cone_local.rays]:
+                ray_limit(atlas, Ray(j, lam))
+        assert not any(isinstance(key, tuple) for key in atlas._restrictions)
 
 
 @pytest.mark.parametrize("spec", WITH_LINE[:2] + WITH_LINE[3:5] + [PLANE])

@@ -29,17 +29,13 @@ from helpers import (
     HALF_LINE,
     HALFSPACE_TOWER,
     FULL_LINE,
+    cube,
     random_generators,
     random_pointed_generators,
     TORSION_BASES,
     random_tower,
     ref_face_candidates,
 )
-
-
-def cube(n):
-    """The cone over the (n - 1)-cube: the generators {1} x {-1, 1}^(n - 1)."""
-    return Generators(n, tuple((1,) + signs for signs in product((-1, 1), repeat=n - 1)))
 
 
 # the rank-4 cone of the 57 generators (2, a, b, c), a, b, c in [-2, 2] with
