@@ -18,8 +18,10 @@ data block of ``[rows^T | I_n]`` and takes one :func:`hnf` of what is left
 2.4); the kernel of a single nonzero row, the boundary of a tower level or
 of a half space, is written down in closed form from the Bezout
 coefficients of its suffixes (:func:`_one_row_kernel`), with no
-triangulation; a kernel is saturated by construction, so the lineality of
-every cone of the package is the kernel of its facet normals.  A kernel's
+triangulation, and the same loop gives the columns of a right inverse of
+its basis, which a tower's flattening carries down its flag in place of a
+kernel per level; a kernel is saturated by construction, so the lineality
+of every cone of the package is the kernel of its facet normals.  A kernel's
 triangulation also gives the torsion of Z^n modulo the rows' lattice
 (:func:`kernel_and_torsion`, one call per face of an atlas, on the HNF
 basis of its members): the Smith invariants of its pivot block, with no
@@ -31,7 +33,8 @@ that knows the kernel, as face 0 of an atlas does, triangulates the
 transposed basis alone (:func:`basis_torsion`).
 
 An HNF basis needs no elimination at all.  :func:`hnf_coordinates`
-back-substitutes on its pivots, for any number of vectors at once, and
+back-substitutes on its pivots, for any number of vectors at once, stops
+at the first pivot that leaves nothing of a vector to solve, and
 returns rational coordinates as integer numerators over one positive
 denominator: the local coordinates and span check of a face's cone
 (:mod:`toric_spectrum.semigroups`), one call per face, and the lattice
@@ -205,7 +208,8 @@ def hnf_coordinates(basis: Sequence[IntVector], xs: Sequence[Sequence[int]]
     fix the coefficients one row at a time.  Where a pivot does not divide
     what remains in its column, everything found so far is scaled by the
     missing factor, so ``d`` is the least denominator of x's rational
-    coordinates, and x is in the span exactly when nothing remains.
+    coordinates, and x is in the span exactly when nothing remains.  Once
+    nothing remains, the coordinates left are zero and the walk stops.
     """
     pivots = [(row, next(i for i, a in enumerate(row) if a)) for row in basis]
     solved = []
@@ -213,7 +217,7 @@ def hnf_coordinates(basis: Sequence[IntVector], xs: Sequence[Sequence[int]]
         rem = list(map(operator.index, x))
         coords: list[int] = []
         d = 1
-        for row, j in pivots:
+        for k, (row, j) in enumerate(pivots, 1):
             p = row[j]
             q, r = divmod(rem[j], p)
             if r:
@@ -225,6 +229,9 @@ def hnf_coordinates(basis: Sequence[IntVector], xs: Sequence[Sequence[int]]
             coords.append(q)
             if q != 0:
                 rem = [a - q * b for a, b in zip(rem, row)]
+                if not any(rem):
+                    coords += [0] * (len(pivots) - k)
+                    break
         if any(rem):
             return None
         solved.append((tuple(coords), d))
@@ -341,43 +348,54 @@ def _kernel(rows: Sequence[IntVector], ambient_rank: int) -> tuple[Lattice, list
     if not rows:
         return full_lattice(n), []
     if len(rows) == 1:
-        return _one_row_kernel(rows[0], n), [[gcd(*rows[0])]]
+        return _one_row_kernel(rows[0], n)[0], [[gcd(*rows[0])]]
     m = len(rows)
     aug = [[r[j] for r in rows] + [1 if t == j else 0 for t in range(n)] for j in range(n)]
     pivots, rest = _triangulate(aug, m)
     return hnf([row[m:] for row in rest], n), [row[:m] for row in pivots]
 
 
-def _one_row_kernel(v: IntVector, n: int) -> Lattice:
-    """The HNF basis of ``v^perp intersect Z^n`` for a nonzero v, in closed
-    form.
+def _one_row_kernel(v: IntVector, n: int) -> tuple[Lattice, tuple[IntVector, ...]]:
+    """The HNF basis B of ``v^perp intersect Z^n`` for a nonzero v, in
+    closed form, and the columns of a right inverse C of it (``B C = I``).
 
     Let t be the last column where v is nonzero.  Every column but t is a
     pivot, and the rows after t are unit vectors.  The row at a pivot j < t
     is the least positive multiple of e_j that some kernel vector supported
-    on columns j..t starts with: with ``g = gcd(v_{j+1..t})`` the pivot is
-    ``g / gcd(v_j, g)``, and the tail is ``-v_j / gcd(v_j, g)`` times the
-    Bezout coefficients of that suffix, which pair with it to g.  The rows
+    on columns j..t starts with: with ``g = gcd(v_{j+1..t})`` and
+    ``s v_j + u g = gcd(v_j, g)`` the pivot is ``g / gcd(v_j, g)``, and the
+    tail is ``-v_j / gcd(v_j, g)`` times the Bezout coefficients of that
+    suffix, which pair with it to g.  Its column of C is u at j and
+    ``-s v_i / g`` at each i = j+1..t: it pairs with the row to 1, with the
+    rows after j to 0 because they are kernel vectors supported on their
+    own suffix, and with the rows before j to 0 because their tails on
+    columns j..t are multiples of that suffix's Bezout coefficients
+    ``(s, u b)``.  A unit row's column is the same unit vector.  The rows
     are built from the bottom up, so each tail is reduced at the later
-    pivots by rows already in normal form.
+    pivots by rows already in normal form, and each reduction
+    ``row_j -= q row_k`` is undone on C by ``col_k += q col_j``.
     """
     t = max(j for j, a in enumerate(v) if a)
     zeros = [0] * (n - 1 - t)
     rows: list[list[int]] = []  # the rows at pivots j + 1 .. t - 1, in order
+    columns: list[list[int]] = []  # their columns of C, in the same order
     g, s, _ = _xgcd(v[t], 0)
     bezout = [s]
     for j in range(t - 1, -1, -1):
         h, s, u = _xgcd(v[j], g)
         c = -v[j] // h
         row = [0] * j + [g // h] + [c * b for b in bezout] + zeros
-        for k, below in enumerate(rows, j + 1):
-            q = row[k] // below[k]
+        column = [0] * j + [u] + [-s * (a // g) for a in v[j + 1:t + 1]] + zeros
+        for k, below in enumerate(rows):
+            q = row[j + 1 + k] // below[j + 1 + k]
             if q:
                 row = [a - q * b for a, b in zip(row, below)]
+                columns[k] = [a + q * b for a, b in zip(columns[k], column)]
         rows.insert(0, row)
+        columns.insert(0, column)
         g, bezout = h, [s] + [u * b for b in bezout]
     units = tuple((0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(t + 1, n))
-    return Lattice(n, tuple(map(tuple, rows)) + units)
+    return Lattice(n, tuple(map(tuple, rows)) + units), tuple(map(tuple, columns)) + units
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -36,19 +36,21 @@ comes from its basis alone.
 
 A tower is flattened once into Z^n (:func:`_flatten`): one half space per
 level, then its innermost generators embedded as a generated spec of rank n.
-Each level's ray is read off the flag by rank-one Gram-Schmidt steps against
-the rays above it, with no Gram system solved, and a base that spans its
-rank is converted on the last level's lattice and equations.  The atlas is
-the half spaces above the faces of that generated spec.  A half space's
-local cone is read off the flag with no Smith form and no solve
+The flag is walked with a right inverse of each level's embedding, so no
+level takes an integer kernel: the inverse image of a level's normal gives
+the next level's equations and, by rank-one Gram-Schmidt steps against the
+rays above it, the level's ray, with no Gram system solved.  A base that
+spans its rank is converted on the last level's lattice and equations.  The
+atlas is the half spaces above the faces of that generated spec.  A half
+space's local cone is read off the flag with no Smith form and no solve
 (:func:`_half_space_local`); only the generated faces are finalised
 (:func:`_finalize_face`).  Membership reads the half spaces' functionals
 level by level and searches the generators only at height zero on every
 level.  The flattening is cached with the base's asymptotic cone, so an
 atlas and a membership search on one spec share one double description.  A
-generated spec is flattened as a tower of depth zero: no half space, the
-identity embedding, and its generators as the base, whose asymptotic cone
-is the spec's.
+generated spec is flattened as a tower of depth zero: no half space, no
+embedding, and its generators as the base, whose asymptotic cone is the
+spec's.
 
 When that cone is a single ray with no lineality, the generators are
 multiples of its primitive ray and the search is the money-changing
@@ -83,6 +85,7 @@ from .intlinalg import (
     IntVector,
     InvariantViolation,
     Lattice,
+    _one_row_kernel,
     basis_torsion,
     dot,
     full_lattice,
@@ -554,47 +557,63 @@ def _flatten(spec: SemigroupSpec):
 
     Level k's span is the image of its embedding E, the product of the
     boundary bases above it (the identity at the top).  Its lineality is the
-    image of the next level's embedding; its single ray, which is also its
-    single inequality, is ``E^T normal`` taken modulo that lineality.  The
-    flag is walked in one pass: a level's lineality, ``hnf`` of the next
-    embedding, is the next level's lattice, and the kernel of the next
-    embedding is the next level's equations, so every level runs one
-    ``hnf`` and one kernel.  The rays of the levels above are pairwise
-    orthogonal and span this level's equations, and the next equations are
-    those plus the ray.  So the ray is read off a row w of the next
-    equations with ``<w, E^T normal> != 0``: one rank-one Gram-Schmidt step
-    ``(r.r) w - (w.r) r`` per ray r above
-    (:func:`~toric_spectrum.cones._reduce`) leaves its part orthogonal to
-    this level's equations, on the line of the ray, signed positive on
-    ``E^T normal``; no Gram system is solved.  The innermost generators are
-    embedded once, into a :class:`Generators` spec of rank n, and their
-    asymptotic cone is the one double description of the spec, shared by
-    its atlas, its membership data and, for a generated spec,
-    :func:`asymptotic_cone`.  When they span their own rank, their span is
-    the last level's lattice and its equations the last kernel, so the cone
-    is converted on those (:func:`~toric_spectrum.cones._cone_in_span`);
-    otherwise by :func:`~toric_spectrum.cones.cone_from_rays`.  A generated
-    spec runs the same steps as a tower of depth zero: no level, so the
-    embedding is the identity, the lattice Z^n and the equations none, and
-    a spec whose generators span Z^n is converted on Z^n.  Returns ``(half
-    spaces, base, base cone)``, each half space a ``(cone, lattice)`` pair;
-    the last :data:`~toric_spectrum.cones.CACHE_SIZE` specs are kept.
+    image of the next level's embedding ``B E``, B the level's boundary
+    basis; its single ray, which is also its single inequality, is
+    ``E^T normal`` taken modulo that lineality.  The flag is walked in one
+    pass, with a right inverse D of the embedding (``E D = I``, the
+    identity at the top) in place of a kernel per level.  ``v = D normal``
+    lies in the kernel of ``B E``, as B kills the normal, and pairs with
+    ``E^T normal`` to ``|normal|^2``, which is checked.  Any x in that
+    kernel is ``x - D E x`` in the kernel of E plus ``D E x``, a multiple
+    of v, since ``E x`` is killed by B and the normal is primitive.  So the
+    next level's equations are ``hnf`` of this level's and v, and its
+    inverse is ``D C``, C the right inverse of B that the closed form of
+    the normal's kernel gives with B
+    (:func:`~toric_spectrum.intlinalg._one_row_kernel`); a level's
+    lineality, ``hnf`` of the next embedding, is the next level's lattice.
+    The rays of the levels above are pairwise orthogonal, span this level's
+    equations and are orthogonal to ``E^T normal``, so the ray is v after
+    one rank-one Gram-Schmidt step ``(r.r) v - (v.r) r`` per ray r above
+    (:func:`~toric_spectrum.cones._reduce`): on the line of the ray and
+    positive on ``E^T normal``; no Gram system is solved.  The innermost
+    generators are embedded once, into a :class:`Generators` spec of rank
+    n, and their asymptotic cone is the one double description of the
+    spec, shared by its atlas, its membership data and, for a generated
+    spec, :func:`asymptotic_cone`.  When they span their own rank, their
+    span is the last level's lattice and its equations the last level's, so
+    the cone is converted on those
+    (:func:`~toric_spectrum.cones._cone_in_span`); otherwise by
+    :func:`~toric_spectrum.cones.cone_from_rays`.  A generated spec is a
+    tower of depth zero: no level, no embedding and no inverse, its
+    generators the base as given, the lattice Z^n and the equations none,
+    and a spec whose generators span Z^n is converted on Z^n.  Returns
+    ``(half spaces, base, base cone)``, each half space a ``(cone,
+    lattice)`` pair; the last :data:`~toric_spectrum.cones.CACHE_SIZE`
+    specs are kept.
     """
     n = spec.ambient_rank
     half_spaces, rays = [], []
-    lattice = full_lattice(n)
-    embedding, equations = lattice.basis, ()
+    lattice, equations = full_lattice(n), ()
+    embedding = inverse = None  # the identity: the top level's embedding and its inverse
     while isinstance(spec, Tower):
-        inner = tuple(embed_point(embedding, b, n) for b in boundary_basis(spec))
-        lineality, below = hnf(inner, n), int_kernel(inner, n).basis
-        direction = embed_point(embedding, spec.normal, n)
-        w = _reduce(next(w for w in below if dot(w, direction)), rays)
-        normal = w if dot(w, direction) > 0 else vec_neg(w)
+        boundary, columns = _one_row_kernel(spec.normal, spec.ambient_rank)
+        inner, direction, v = boundary.basis, spec.normal, spec.normal
+        if embedding is not None:
+            inner = tuple(embed_point(embedding, b, n) for b in inner)
+            direction, v = embed_point(embedding, v, n), embed_point(inverse, v, n)
+            if isinstance(spec.inner, Tower):  # the last level's inverse has no reader
+                columns = tuple(embed_point(inverse, c, n) for c in columns)
+        if dot(v, direction) != dot(spec.normal, spec.normal):
+            raise InvariantViolation("the flag's inverse does not invert its embedding")
+        lineality, below = hnf(inner, n), hnf(equations + (v,), n).basis
+        normal = _reduce(primitive_vector(v), rays)
         rays.append((normal, dot(normal, normal)))
         half_spaces.append((Cone(n, (normal,), (normal,), lineality.basis, equations), lattice))
-        embedding, spec = inner, spec.inner
+        embedding, inverse, spec = inner, columns, spec.inner
         lattice, equations = lineality, below
-    gens = tuple(embed_point(embedding, g, n) for g in spec.generators)
+    gens = spec.generators
+    if half_spaces:
+        gens = tuple(embed_point(embedding, g, n) for g in spec.generators)
     spans = hnf(spec.generators, spec.ambient_rank).rank == spec.ambient_rank
     cone = _cone_in_span(gens, (), equations, lattice) if spans else cone_from_rays(gens, (), n)
     return tuple(half_spaces), Generators(n, gens), cone

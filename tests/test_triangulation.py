@@ -1,6 +1,7 @@
 """Property tests of the Euclid triangulation under ``hnf``, ``int_kernel``
-and ``basis_torsion``, and of ``primitive_vector``; the saturation of the
-test helpers is two of these kernels.
+and ``basis_torsion``, of the right inverse that the closed-form kernel of
+one row gives with its basis, and of ``primitive_vector``; the saturation
+of the test helpers is two of these kernels.
 
 The references below are the earlier bodies of these functions: ``hnf``
 reduced above each pivot as soon as its column was done, and ``int_kernel``
@@ -17,10 +18,11 @@ from math import gcd, lcm
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from toric_spectrum.intlinalg import (  # noqa: E402
     Lattice,
+    _one_row_kernel,
     _triangulate,
     basis_torsion,
     hnf,
@@ -191,6 +193,38 @@ def one_row(draw):
 def test_one_row_kernel_matches_the_reference(case):
     n, rows = case
     assert int_kernel(rows, n) == reference_int_kernel(rows, n)
+
+
+@st.composite
+def primitive_rows(draw):
+    """A primitive row of length 1-8 with entries up to 10^6 in size and
+    zeros in any position; its last nonzero entry, t, may be the first entry
+    or the last."""
+    m = draw(st.integers(1, 8))
+    t = draw(st.integers(0, m - 1))
+    head = draw(st.lists(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6)),
+                         min_size=t, max_size=t))
+    last = draw(st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    return primitive_vector(head + [last] + [0] * (m - 1 - t))
+
+
+@SETTINGS
+@given(primitive_rows())
+@example((1,))
+@example((-1, 0, 0))
+@example((0, 0, 0, 1))
+@example((6, 10, 15))
+@example((10 ** 6, 0, -999_999))
+def test_one_row_kernel_has_a_right_inverse(v):
+    # one loop gives the kernel basis B of int_kernel and the columns of a
+    # right inverse C: B C = I
+    m = len(v)
+    basis, columns = _one_row_kernel(v, m)
+    assert basis == int_kernel([v], m) == reference_int_kernel([v], m)
+    assert len(columns) == basis.rank == m - 1
+    assert all(len(c) == m for c in columns)
+    assert [[sum(a * b for a, b in zip(row, c)) for c in columns] for row in basis.basis] == \
+        [[int(i == k) for k in range(m - 1)] for i in range(m - 1)]
 
 
 fractions = st.fractions(max_denominator=30).filter(lambda q: abs(q.numerator) < 2 ** 70)
